@@ -13,7 +13,6 @@ from .clauses import (
     Clause,
     ClauseSet,
     Residue,
-    clause_set_equal,
     residue,
     subsumes,
 )
@@ -43,7 +42,6 @@ from .consensus import (
     complementary_pairs,
     consensus,
     consensus_closure,
-    consensus_step,
 )
 from .oracle import (
     CapacityError,
@@ -102,11 +100,11 @@ __all__ = [
     "apply", "compose", "unify", "match", "variables_of",
     # clauses
     "Clause", "AssocClause", "ClauseSet", "Residue",
-    "subsumes", "residue", "clause_set_equal",
+    "subsumes", "residue",
     # consensus
     "ResourceLimits", "DEFAULT_LIMITS", "ResourceLimitExceeded",
     "Outcome", "ConsensusResult", "TraceEvent", "TraceLog", "ClosureResult",
-    "complementary_pairs", "consensus", "consensus_step", "consensus_closure",
+    "complementary_pairs", "consensus", "consensus_closure",
     # compiler
     "CompileStats", "CompiledKB", "IncrementalReport", "BatchReport", "Entailment",
     "compile", "add_clause", "add_clauses", "entails", "input_clauses",

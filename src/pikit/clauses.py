@@ -170,9 +170,6 @@ class ClauseSet:
     def members(self) -> tuple[AssocClause, ...]:
         return tuple(self._members.values())
 
-    def key_set(self) -> frozenset:
-        return frozenset(self._members)
-
     def clause_texts(self) -> list[str]:
         return [str(m.clause) for m in self]
 
@@ -225,8 +222,3 @@ def residue(s: ClauseSet, stats=None) -> Residue:
                 break
         (deleted if dropped else kept).append(members[i])
     return Residue(ClauseSet(kept), tuple(deleted))
-
-
-def clause_set_equal(a: ClauseSet, b: ClauseSet) -> bool:
-    """Order-insensitive equality on (clause, assoc) pairs."""
-    return a.key_set() == b.key_set()

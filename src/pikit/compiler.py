@@ -14,11 +14,9 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .clauses import AssocClause, Clause, ClauseSet, clause_set_equal, residue, subsumes
+from .clauses import AssocClause, Clause, ClauseSet, residue, subsumes
 from .consensus import (
     DEFAULT_LIMITS,
-    ConsensusResult,
-    Outcome,
     ResourceLimitExceeded,
     ResourceLimits,
     Trace,
@@ -127,12 +125,14 @@ def add_clause(
     """Fold one clause C into a compiled KB, starting from pi(X) plus C.
 
     This is the paper's incremental algorithm, step for step.  Tautologies
-    leave the KB unchanged.  Otherwise the clause joins the residue of the
-    compiled set; if it is deleted there the KB absorbs it.  Each following
-    round takes all consensuses with one parent in the working set and one
-    in the support set, re-minimizes, and prunes the support set, until two
-    consecutive working sets are equal.  Clauses the residue deleted from
-    the support set are tombstoned and never re-enter.
+    leave the KB unchanged.  The KB absorbs C when some member of pi(X)
+    subsumes it, which is exactly when the residue of pi(X) plus C would
+    delete C.  Otherwise C joins that residue, and each following round
+    takes all consensuses with one parent in the working set and one in the
+    support set, re-minimizes, and prunes the support set, until two
+    consecutive working sets are equal.  A resolvent is added to the
+    support set only when its (clause, assoc) key has never been in it, so
+    clauses the residue deleted from the support set never re-enter.
 
     The result is sound: every member is in the consensus closure of X plus
     C.  On first-order inputs it can be coarser than compile(X + [C]).
@@ -149,38 +149,25 @@ def add_clause(
         raise ValueError("added clauses must carry the empty association")
     if not c.clause.is_fundamental():
         return IncrementalReport(kb, "unchanged")
+    if any(subsumes(m.clause, c.clause) is not None for m in kb.pi):
+        return IncrementalReport(kb, "absorbed", [()], [kb.pi])
 
     stats = CompileStats()
-    merged = kb.pi.copy()
-    freshly_added = merged.add(c)
-    first = residue(merged, stats)
-    eta = first.kept
+    eta = residue(ClauseSet([*kb.pi, c]), stats).kept
     snapshots = [eta]
-    if not freshly_added or not eta.contains_key(c.key):
-        return IncrementalReport(kb, "absorbed", [()], snapshots)
-
     support = ClauseSet([c])
     support_history = [support.members]
-    tombstones: set[tuple] = set()
+    # Every key ever in the support set: the members plus the tombstones.
+    seen = {c.key}
     previous = ClauseSet()
     rounds = 0
-    while not clause_set_equal(eta, previous):
+    # Ordered equality suffices: residue keeps the order of eta followed by
+    # the support, so two working sets with equal keys have equal order.
+    while eta != previous:
         rounds += 1
         if rounds > limits.max_rounds:
             raise ResourceLimitExceeded("max-rounds", limits.max_rounds, eta)
-
-        round_new: set[tuple] = set()
-
-        def admit(res: ConsensusResult) -> Outcome:
-            k = res.clause.key
-            if support.contains_key(k) or k in tombstones or k in round_new:
-                return Outcome.DUPLICATE
-            round_new.add(k)
-            return Outcome.ADDED
-
-        derived = _attempt_pairs(
-            eta, support, admit, round_no=rounds, trace=trace, stats=stats
-        )
+        derived = _attempt_pairs(eta, support, seen, round_no=rounds, trace=trace, stats=stats)
         for m in derived:
             support.add(m)
         working = eta.copy()
@@ -191,7 +178,6 @@ def add_clause(
         step = residue(working, stats)
         previous, eta = eta, step.kept
         deleted_keys = {m.key for m in step.deleted}
-        tombstones |= {k for k in deleted_keys if support.contains_key(k)}
         support = ClauseSet(m for m in support if m.key not in deleted_keys)
         support_history.append(support.members)
         snapshots.append(eta)

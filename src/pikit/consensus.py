@@ -1,11 +1,18 @@
-"""Pairwise consensus, the saturation step, and closure to a fixpoint.
+"""Pairwise consensus, the pair engine, and closure to a fixpoint.
 
 Consensus of two clauses resolves one complementary literal pair under its
 mgu, but is only defined when both parents' associations compose with the
 mgu to the same substitution; otherwise the attempt is blocked.  Tautological
-resolvents are discarded.  Saturation is not guaranteed to terminate on
-first-order inputs, so every closure takes explicit resource limits and
-fails loudly with the partial set when a cap is hit.
+resolvents are discarded.
+
+One engine, `_attempt_pairs`, enumerates and classifies every attempt, for
+batch closure here and for the incremental fold in the compiler.  Its one
+admission rule: a resolvent is added when its (clause, assoc) key is not in
+the caller's `seen` set, and a duplicate otherwise.  The callers differ only
+in the pairs they ask for and in what `seen` holds.  Saturation is not
+guaranteed to terminate on first-order inputs, so every closure takes
+explicit resource limits and fails loudly with the partial set when a cap
+is hit.
 """
 
 from __future__ import annotations
@@ -140,20 +147,25 @@ def consensus(
 def _attempt_pairs(
     base: ClauseSet,
     new_side: ClauseSet,
-    admit: Callable[[ConsensusResult], Outcome],
+    seen: set,
     *,
     round_no: int = 1,
     trace: Trace | None = None,
     stats=None,
     fresh: set | None = None,
+    max_clauses: int | None = None,
 ) -> list[AssocClause]:
     """Attempt consensus over ordered pairs (D1 in base, D2 in new_side).
 
-    Distinct members only; `admit` decides whether a resolvent is new.
-    Returns the admitted clauses in derivation order.  Parent ids are the
-    1-based positions of the parents in `base`.  When `fresh` is given,
-    pairs of two non-fresh members are skipped: their consensuses were all
-    attempted in an earlier round, so they can only repeat old outcomes.
+    This is the one place consensus attempts are enumerated and classified.
+    Distinct members only.  A resolvent is added when its (clause, assoc)
+    key is not in `seen`, which then grows by that key; otherwise it is a
+    duplicate.  Returns the added clauses in derivation order.  Parent ids
+    are the 1-based positions of the parents in `base`.  When `fresh` is
+    given, pairs of two non-fresh members are skipped: their consensuses
+    were all attempted in an earlier round, so they can only repeat old
+    outcomes.  When base plus the added clauses outgrows `max_clauses`,
+    ResourceLimitExceeded carries that partial set.
     """
     index = {m.key: i + 1 for i, m in enumerate(base)}
     admitted: list[AssocClause] = []
@@ -168,13 +180,17 @@ def _attempt_pairs(
                 if stats is not None:
                     stats.consensus_attempts += 1
                 res = consensus(d1, d2, pair, parents=ids)
-                if isinstance(res, ConsensusResult):
-                    outcome = admit(res)
-                    if outcome is Outcome.ADDED:
-                        admitted.append(res.clause)
-                    result_text: str | None = str(res.clause.clause)
+                if not isinstance(res, ConsensusResult):
+                    outcome = res
+                elif res.clause.key in seen:
+                    outcome = Outcome.DUPLICATE
                 else:
-                    outcome, result_text = res, None
+                    outcome = Outcome.ADDED
+                    seen.add(res.clause.key)
+                    admitted.append(res.clause)
+                    if max_clauses is not None and len(base) + len(admitted) > max_clauses:
+                        partial = ClauseSet([*base, *admitted])
+                        raise ResourceLimitExceeded("max-clauses", max_clauses, partial)
                 if trace is not None:
                     trace(
                         TraceEvent(
@@ -183,38 +199,10 @@ def _attempt_pairs(
                             (str(d1.clause), str(d2.clause)),
                             pair[2],
                             outcome.value,
-                            result_text,
+                            str(res.clause.clause) if isinstance(res, ConsensusResult) else None,
                         )
                     )
     return admitted
-
-
-def consensus_step(
-    base: ClauseSet,
-    new_side: ClauseSet,
-    *,
-    limits: ResourceLimits = DEFAULT_LIMITS,
-    trace: Trace | None = None,
-    stats=None,
-    round_no: int = 1,
-) -> ClauseSet:
-    """base plus all consensuses over pairs (D1 in base, D2 in new_side).
-
-    Blocked and non-fundamental outcomes are skipped and resolvents whose
-    (clause, assoc) pair is already present are not re-added.  The full
-    saturation operator is the special case new_side == base.
-    """
-    acc = base.copy()
-
-    def admit(res: ConsensusResult) -> Outcome:
-        if not acc.add(res.clause):
-            return Outcome.DUPLICATE
-        if len(acc) > limits.max_clauses:
-            raise ResourceLimitExceeded("max-clauses", limits.max_clauses, acc)
-        return Outcome.ADDED
-
-    _attempt_pairs(base, new_side, admit, round_no=round_no, trace=trace, stats=stats)
-    return acc
 
 
 @dataclass
@@ -236,27 +224,27 @@ def consensus_closure(
     trace: Trace | None = None,
     stats=None,
 ) -> ClosureResult:
-    """Least fixpoint of the saturation step, detected by set equality of
-    consecutive iterates.  Raises ResourceLimitExceeded when a cap is hit."""
+    """Least fixpoint of the saturation step, reached when a round adds no
+    new (clause, assoc) pair.  Raises ResourceLimitExceeded when a cap is
+    hit."""
     current = x.copy()
     iterates = [current.copy()]
-    fresh = {m.key for m in current}
+    seen = {m.key for m in current}
+    fresh: set | None = None  # round 1 attempts every pair
     for i in range(1, limits.max_rounds + 1):
-        nxt = current.copy()
-
-        def admit(res: ConsensusResult) -> Outcome:
-            if not nxt.add(res.clause):
-                return Outcome.DUPLICATE
-            if len(nxt) > limits.max_clauses:
-                raise ResourceLimitExceeded("max-clauses", limits.max_clauses, nxt)
-            return Outcome.ADDED
-
         new = _attempt_pairs(
-            current, current, admit, round_no=i, trace=trace, stats=stats, fresh=fresh
+            current,
+            current,
+            seen,
+            round_no=i,
+            trace=trace,
+            stats=stats,
+            fresh=fresh,
+            max_clauses=limits.max_clauses,
         )
         if not new:
             return ClosureResult(current, iterates, rounds=i - 1)
         fresh = {m.key for m in new}
-        current = nxt
+        current = ClauseSet([*current, *new])
         iterates.append(current.copy())
     raise ResourceLimitExceeded("max-rounds", limits.max_rounds, current)

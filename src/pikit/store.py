@@ -175,12 +175,9 @@ def loads_kb(text: str) -> CompiledKB:
     if digest is None or stats is None:
         raise MalformedStoreError("missing digest or stats line")
 
-    implied = Signature()
+    kb = CompiledKB(ClauseSet(members), stats, digest)
     try:
-        for member in members:
-            implied.note_clause(member.clause)
-            for _, term in member.assoc.items():
-                implied.note_term(term)
+        implied = signature_of(kb)
     except ValueError as err:
         raise SignatureConflictError(str(err))
     for name, arity in implied.predicates.items():
@@ -189,11 +186,7 @@ def loads_kb(text: str) -> CompiledKB:
     for name, arity in implied.functions.items():
         if declared.functions.get(name) != arity:
             raise SignatureConflictError("function symbol %r conflicts with signature table" % name)
-
-    pi = ClauseSet()
-    for member in members:
-        pi.add(member)
-    return CompiledKB(pi, stats, digest)
+    return kb
 
 
 def save_kb(kb: CompiledKB, path: str) -> None:

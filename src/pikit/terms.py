@@ -156,11 +156,12 @@ class Substitution:
 EMPTY = Substitution()
 
 
-def apply(sub: Substitution, x):
+def apply(sub: Substitution | Mapping[str, Term], x):
     """Simultaneously replace every variable bound by `sub` inside `x`.
 
-    Works on terms, atoms, literals, and anything exposing an
-    `apply_substitution` method (clauses).
+    `sub` is a Substitution or a plain name-to-term dict.  Works on terms,
+    atoms, literals, and anything exposing an `apply_substitution` method
+    (clauses).
     """
     if isinstance(x, Variable):
         return sub.get(x.name, x)
@@ -206,14 +207,6 @@ def variables_of(x) -> set[str]:
     raise TypeError("cannot collect variables of %s" % type(x).__name__)
 
 
-def _subst(d: dict[str, Term], t: Term) -> Term:
-    if isinstance(t, Variable):
-        return d.get(t.name, t)
-    if t.args:
-        return Compound(t.functor, tuple(_subst(d, a) for a in t.args))
-    return t
-
-
 def _occurs(name: str, t: Term) -> bool:
     if isinstance(t, Variable):
         return t.name == name
@@ -223,7 +216,7 @@ def _occurs(name: str, t: Term) -> bool:
 def _bind(d: dict[str, Term], name: str, term: Term) -> None:
     one = {name: term}
     for k in list(d):
-        d[k] = _subst(one, d[k])
+        d[k] = apply(one, d[k])
     d[name] = term
 
 
@@ -247,8 +240,8 @@ def unify(a, b) -> Substitution | None:
     stack = list(reversed(pairs))
     while stack:
         s, t = stack.pop()
-        s = _subst(d, s)
-        t = _subst(d, t)
+        s = apply(d, s)
+        t = apply(d, t)
         if s == t:
             continue
         if isinstance(s, Variable):

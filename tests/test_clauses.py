@@ -18,7 +18,6 @@ from pikit import (
     Substitution,
     Variable,
     apply,
-    clause_set_equal,
     gen_kb,
     ground_instances,
     parse_clause,
@@ -181,19 +180,30 @@ def test_subsumption_implies_ground_entailment(c1, c2):
         return
     u = GroundUniverse(("a", "b"), (("f", 1),), 1)
     lhs = ground_instances(c1, u)
-    rhs = ground_instances(c2, u)
-    index_atoms = sorted({l.atom for c in lhs + rhs for l in c.literals}, key=str)
-    index = {atom: i for i, atom in enumerate(index_atoms)}
-    full = (1 << len(index)) - 1
+    lhs_atoms = sorted({l.atom for c in lhs for l in c.literals}, key=str)
 
-    def satisfies(m, clause):
-        return any(
-            (m >> index[l.atom]) & 1 == (1 if l.positive else 0) for l in clause.literals
-        )
+    def open_or_true(m, clause):
+        # An unassigned atom counts as satisfying its literal.
+        return any(m.get(l.atom, l.positive) == l.positive for l in clause.literals)
 
-    for m in range(full + 1):
-        if all(satisfies(m, c) for c in lhs):
-            assert all(satisfies(m, c) for c in rhs)
+    def model_extends(m, i):
+        """Some assignment extending m satisfies every lhs instance."""
+        if not all(open_or_true(m, c) for c in lhs):
+            return False
+        while i < len(lhs_atoms) and lhs_atoms[i] in m:
+            i += 1
+        if i == len(lhs_atoms):
+            return True
+        for value in (False, True):
+            if model_extends({**m, lhs_atoms[i]: value}, i + 1):
+                return True
+        return False
+
+    # Exact refutation: no model of lhs falsifies a non-tautological rhs instance.
+    for d in ground_instances(c2, u):
+        if d.is_fundamental():
+            falsified = {l.atom: not l.positive for l in d.literals}
+            assert not model_extends(falsified, 0), d
 
 
 def members(*texts_and_assocs):
@@ -283,22 +293,18 @@ def test_residue_is_minimal_covering_and_idempotent(seed):
 
 
 class TestClauseSetEqual:
-    def test_order_insensitive(self):
-        s1 = members("p(X).", "q(Y).")
-        s2 = members("q(Y).", "p(X).")
-        assert clause_set_equal(s1, s2)
-        assert s1 != s2  # strict equality is order-sensitive
-
     def test_empty_sets_are_equal(self):
-        assert clause_set_equal(ClauseSet(), ClauseSet())
+        assert ClauseSet() == ClauseSet()
 
     def test_variants_are_distinct_members(self):
-        assert not clause_set_equal(members("p(X)."), members("p(Y)."))
+        assert members("p(X).") != members("p(Y).")
+        # Equality is ordered: the same members inserted in another order differ.
+        assert members("p(X).", "q(Y).") != members("q(Y).", "p(X).")
 
     def test_association_is_part_of_identity(self):
         s1 = members(("p(X).", {"Y": Compound("a")}))
         s2 = members("p(X).")
-        assert not clause_set_equal(s1, s2)
+        assert s1 != s2
 
 
 class TestClauseSet:

@@ -9,7 +9,6 @@ from hypothesis import HealthCheck, given, settings
 from pikit import (
     AssocClause,
     CapacityError,
-    ClauseSet,
     Compound,
     ConsensusResult,
     GenConfig,
@@ -25,7 +24,6 @@ from pikit import (
     compose,
     consensus,
     consensus_closure,
-    consensus_step,
     gen_kb,
     input_clauses,
     parse_clause,
@@ -122,9 +120,10 @@ def test_association_coherence_of_results(seed, a1, a2):
 
 
 class TestConsensusStep:
+    """The saturation step, seen as the iterates of the closure."""
+
     def test_first_step_of_worked_chain(self):
-        base = example_chain_inputs()
-        got = consensus_step(base, base)
+        got = consensus_closure(example_chain_inputs()).iterates[1]
         entries = [m.entry_text for m in got]
         assert entries == [
             "p(X,a)|~q(a,f(X)) ; assoc ; origin input",
@@ -135,14 +134,9 @@ class TestConsensusStep:
             "~p(b,a)|q(f(a),f(a)) ; assoc X->b,Z->f(a) ; origin consensus(2,3)",
         ]
 
-    def test_empty_new_side_is_identity(self):
-        base = example_chain_inputs()
-        assert consensus_step(base, ClauseSet()) == base
-
     def test_second_step_adds_one_clause(self):
-        base = example_chain_inputs()
-        first = consensus_step(base, base)
-        second = consensus_step(first, first)
+        iterates = consensus_closure(example_chain_inputs()).iterates
+        first, second = iterates[1], iterates[2]
         added = [m for m in second if m not in first]
         assert [m.entry_text for m in added] == [
             "q(f(a),f(a))|~q(a,f(b)) ; assoc X->b,Z->f(a) ; origin consensus(3,4)"
@@ -207,6 +201,20 @@ class TestClosure:
         assert err.value.limit == "max-rounds"
         assert len(err.value.partial) == 6  # the first iterate was completed
 
+    def test_clause_cap_stops_at_the_admission_that_overflows(self):
+        log = TraceLog()
+        with pytest.raises(ResourceLimitExceeded) as err:
+            consensus_closure(example_chain_inputs(), ResourceLimits(max_clauses=4), trace=log)
+        assert err.value.limit == "max-clauses"
+        assert [m.entry_text for m in err.value.partial] == [
+            "p(X,a)|~q(a,f(X)) ; assoc ; origin input",
+            "~p(b,a)|r(b,Z) ; assoc ; origin input",
+            "q(Z,f(a))|~r(X,f(a)) ; assoc ; origin input",
+            "~q(a,f(b))|r(b,Z) ; assoc X->b ; origin consensus(1,2)",
+            "p(a,a)|~r(a,f(a)) ; assoc X->a,Z->a ; origin consensus(1,3)",
+        ]
+        assert [(e.parents, e.outcome) for e in log.events] == [((1, 2), "added")]
+
     def test_clause_cap_raises_named_limit(self):
         base = example_chain_inputs()
         with pytest.raises(ResourceLimitExceeded) as err:
@@ -246,14 +254,6 @@ def small_kb(seed, ground=False):
     return gen_kb(cfg)
 
 
-@settings(deadline=None, max_examples=100)
-@given(st.integers(0, 10**9))
-def test_step_growth_is_monotone(seed):
-    base = small_kb(seed)
-    step = consensus_step(base, base)
-    assert all(m in step for m in base)
-
-
 @settings(deadline=None, max_examples=60)
 @given(st.integers(0, 10**9))
 def test_closure_iterates_form_increasing_chain_and_are_stable(seed):
@@ -274,8 +274,8 @@ def test_closure_iterates_form_increasing_chain_and_are_stable(seed):
 @given(st.integers(0, 10**9))
 def test_ground_step_preserves_models(seed):
     base = small_kb(seed, ground=True)
-    step = consensus_step(base, base)
-    assert same_models(base, step)
+    for iterate in consensus_closure(base).iterates:
+        assert same_models(base, iterate)
 
 
 @settings(deadline=None, max_examples=60)

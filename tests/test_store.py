@@ -10,7 +10,6 @@ from pikit import (
     SignatureConflictError,
     StoreVersionError,
     add_clause,
-    clause_set_equal,
     compile,
     dumps_kb,
     gen_kb,
@@ -34,7 +33,6 @@ class TestRoundTrip:
         kb = worked_kb()
         again = loads_kb(dumps_kb(kb))
         assert again == kb
-        assert clause_set_equal(again.pi, kb.pi)
         assert again.pi.members == kb.pi.members  # order, assocs, origins
         assert again.stats == kb.stats
         assert again.source_digest == kb.source_digest
