@@ -6,7 +6,6 @@ fold in a new clause incrementally, and run entailment queries.
 """
 
 from pikit import (
-    TraceLog,
     add_clause,
     compile,
     entails,
@@ -33,8 +32,7 @@ def main() -> None:
     for c in clauses:
         print("   %s." % c)
 
-    log = TraceLog()
-    kb = compile(clauses, trace=log)
+    kb = compile(clauses)
     print("\ncompiled prime implicates:")
     for member in kb.pi:
         print("   %s" % member.entry_text)
@@ -44,10 +42,10 @@ def main() -> None:
     )
 
     print("\nfolding in %s" % NEW_CLAUSE)
-    log = TraceLog()
-    report = add_clause(kb, parse_clause(NEW_CLAUSE), trace=log)
+    events = []
+    report = add_clause(kb, parse_clause(NEW_CLAUSE), trace=events.append)
     print("outcome: %s" % report.outcome)
-    for event in log.events:
+    for event in events:
         print("   %s" % event.format())
     print("updated prime implicates:")
     for member in report.result.pi:

@@ -33,14 +33,11 @@ from .compiler import (
 from .consensus import (
     DEFAULT_LIMITS,
     ClosureResult,
-    ConsensusResult,
     Outcome,
     ResourceLimitExceeded,
     ResourceLimits,
     TraceEvent,
-    TraceLog,
     complementary_pairs,
-    consensus,
     consensus_closure,
 )
 from .oracle import (
@@ -103,8 +100,8 @@ __all__ = [
     "subsumes", "residue",
     # consensus
     "ResourceLimits", "DEFAULT_LIMITS", "ResourceLimitExceeded",
-    "Outcome", "ConsensusResult", "TraceEvent", "TraceLog", "ClosureResult",
-    "complementary_pairs", "consensus", "consensus_closure",
+    "Outcome", "TraceEvent", "ClosureResult",
+    "complementary_pairs", "consensus_closure",
     # compiler
     "CompileStats", "CompiledKB", "IncrementalReport", "BatchReport", "Entailment",
     "compile", "add_clause", "add_clauses", "entails", "input_clauses",

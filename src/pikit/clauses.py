@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .terms import EMPTY, Literal, Substitution, _match, apply, variables_of
+from .terms import EMPTY, Literal, Substitution, _match, apply
 
 
 @dataclass(frozen=True)
@@ -42,9 +42,6 @@ class Clause:
 
     def apply_substitution(self, sub: Substitution) -> "Clause":
         return Clause(tuple(apply(sub, l) for l in self.literals))
-
-    def variables(self) -> set[str]:
-        return variables_of(self)
 
     def __iter__(self) -> Iterator[Literal]:
         return iter(self.literals)
@@ -148,9 +145,6 @@ class ClauseSet:
             return False
         self._members[k] = member
         return True
-
-    def contains_key(self, key: tuple) -> bool:
-        return key in self._members
 
     def __contains__(self, member: AssocClause) -> bool:
         return member.key in self._members

@@ -1,19 +1,21 @@
 """Command-line interface: compile, add, query, and show.
 
 Exit codes: 0 on success (and YES queries), 1 for NO queries, 2 for
-parse/store/IO errors, 3 when a resource limit is exceeded.
+parse/store/IO errors and for terms nested too deeply, 3 when a resource
+limit is exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import os
 import sys
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .compiler import add_clauses, compile, entails
-from .consensus import DEFAULT_LIMITS, ResourceLimitExceeded, ResourceLimits, TraceEvent
+from .consensus import DEFAULT_LIMITS, ResourceLimitExceeded, ResourceLimits, Trace
 from .store import StoreError, load_kb, save_kb, signature_of
 from .syntax import ParseError, parse_clause, parse_clause_file
 
@@ -29,19 +31,14 @@ def _limits(args: argparse.Namespace) -> ResourceLimits:
     return ResourceLimits(max_rounds=max_rounds, max_clauses=max_clauses)
 
 
-class _TraceFile:
-    def __init__(self, path: str | None):
-        self._fh = open(path, "w", encoding="utf-8") if path else None
-
-    def __enter__(self):
-        return (lambda event: self._write(event)) if self._fh else None
-
-    def _write(self, event: TraceEvent) -> None:
-        self._fh.write(event.format() + "\n")
-
-    def __exit__(self, *exc) -> None:
-        if self._fh:
-            self._fh.close()
+@contextlib.contextmanager
+def _trace_file(path: str | None) -> Iterator[Trace | None]:
+    """A trace that writes one line per consensus attempt to `path`, if any."""
+    if not path:
+        yield None
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        yield lambda event: fh.write(event.format() + "\n")
 
 
 def _read(path: str) -> str:
@@ -56,7 +53,7 @@ def _file_digest(path: str) -> str:
 
 def _cmd_compile(args: argparse.Namespace) -> int:
     parsed = parse_clause_file(_read(args.input))
-    with _TraceFile(args.trace) as trace:
+    with _trace_file(args.trace) as trace:
         kb = compile(parsed.clauses, _limits(args), trace, source_digest=_file_digest(args.input))
     save_kb(kb, args.output)
     print(
@@ -72,7 +69,7 @@ def _cmd_add(args: argparse.Namespace) -> int:
     kb = load_kb(args.kb)
     # New clauses must respect the arities the KB already commits to.
     parsed = parse_clause_file(_read(args.input), signature_of(kb))
-    with _TraceFile(args.trace) as trace:
+    with _trace_file(args.trace) as trace:
         report = add_clauses(kb, parsed.clauses, _limits(args), trace)
     for clause, outcome in zip(parsed.clauses, report.outcomes):
         print("%s: %s." % (outcome, clause))
@@ -159,6 +156,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 3
     except (ParseError, StoreError, OSError, ValueError) as err:
         print("error: %s" % err, file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: terms are nested too deeply", file=sys.stderr)
         return 2
 
 

@@ -149,7 +149,7 @@ def add_clause(
         raise ValueError("added clauses must carry the empty association")
     if not c.clause.is_fundamental():
         return IncrementalReport(kb, "unchanged")
-    if any(subsumes(m.clause, c.clause) is not None for m in kb.pi):
+    if entails(kb, c.clause):
         return IncrementalReport(kb, "absorbed", [()], [kb.pi])
 
     stats = CompileStats()
@@ -161,24 +161,22 @@ def add_clause(
     seen = {c.key}
     previous = ClauseSet()
     rounds = 0
-    # Ordered equality suffices: residue keeps the order of eta followed by
-    # the support, so two working sets with equal keys have equal order.
+    # The support set stays a subset of eta: C survives the first residue
+    # because nothing in pi(X) subsumes it, and each round keeps only the
+    # support members that survive.  So eta plus the new resolvents is the
+    # whole working set.  Ordered equality suffices: residue keeps the order
+    # of its input, which starts with the previous eta, so two consecutive
+    # working sets with equal keys have equal order.
     while eta != previous:
         rounds += 1
         if rounds > limits.max_rounds:
             raise ResourceLimitExceeded("max-rounds", limits.max_rounds, eta)
         derived = _attempt_pairs(eta, support, seen, round_no=rounds, trace=trace, stats=stats)
-        for m in derived:
-            support.add(m)
-        working = eta.copy()
-        for m in support:
-            working.add(m)
+        working = ClauseSet([*eta, *derived])
         if len(working) > limits.max_clauses:
             raise ResourceLimitExceeded("max-clauses", limits.max_clauses, working)
-        step = residue(working, stats)
-        previous, eta = eta, step.kept
-        deleted_keys = {m.key for m in step.deleted}
-        support = ClauseSet(m for m in support if m.key not in deleted_keys)
+        previous, eta = eta, residue(working, stats).kept
+        support = ClauseSet(m for m in [*support, *derived] if m in eta)
         support_history.append(support.members)
         snapshots.append(eta)
 
@@ -193,7 +191,6 @@ class BatchReport:
 
     result: CompiledKB
     outcomes: list[str] = field(default_factory=list)
-    reports: list[IncrementalReport] = field(default_factory=list)
 
 
 def add_clauses(
@@ -207,17 +204,16 @@ def add_clauses(
     Resource errors propagate annotated with the index of the offending
     clause (`clause_index` on the exception).
     """
-    current = kb
-    reports: list[IncrementalReport] = []
+    batch = BatchReport(kb)
     for i, c in enumerate(clauses):
         try:
-            report = add_clause(current, c, limits, trace)
+            report = add_clause(batch.result, c, limits, trace)
         except ResourceLimitExceeded as err:
             err.clause_index = i
             raise
-        reports.append(report)
-        current = report.result
-    return BatchReport(current, [r.outcome for r in reports], reports)
+        batch.result = report.result
+        batch.outcomes.append(report.outcome)
+    return batch
 
 
 @dataclass(frozen=True)

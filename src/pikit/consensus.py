@@ -56,16 +56,6 @@ class Outcome(str, Enum):
 
 
 @dataclass(frozen=True)
-class ConsensusResult:
-    """A resolvent with its new association and derivation metadata."""
-
-    clause: AssocClause
-    parents: tuple[int, int]
-    mgu: Substitution
-    resolved_upon: tuple[Literal, Literal]
-
-
-@dataclass(frozen=True)
 class TraceEvent:
     """One record per consensus attempt, consumed by the CLI trace stream."""
 
@@ -84,16 +74,6 @@ class TraceEvent:
             self.mgu,
             self.outcome,
         )
-
-
-class TraceLog:
-    """Callable trace sink that records events in order."""
-
-    def __init__(self) -> None:
-        self.events: list[TraceEvent] = []
-
-    def __call__(self, event: TraceEvent) -> None:
-        self.events.append(event)
 
 
 Trace = Callable[[TraceEvent], None]
@@ -123,13 +103,13 @@ def consensus(
     c2: AssocClause,
     pair: tuple[Literal, Literal, Substitution],
     parents: tuple[int, int] = (0, 0),
-) -> ConsensusResult | Outcome:
+) -> AssocClause | Outcome:
     """Consensus of c1 and c2 on one complementary pair.
 
     Returns Outcome.BLOCKED when the parents' associations do not compose
     consistently with the mgu, Outcome.NON_FUNDAMENTAL when the resolvent is
-    tautological, and otherwise the resolvent associated with the composed
-    substitution.
+    tautological, and otherwise the resolvent, associated with the composed
+    substitution and carrying `parents`.
     """
     r, s, mgu = pair
     a1 = compose(c1.assoc, mgu)
@@ -141,7 +121,7 @@ def consensus(
     resolvent = Clause(tuple(rest)).apply_substitution(mgu)
     if not resolvent.is_fundamental():
         return Outcome.NON_FUNDAMENTAL
-    return ConsensusResult(AssocClause(resolvent, a1, parents=parents), parents, mgu, (r, s))
+    return AssocClause(resolvent, a1, parents=parents)
 
 
 def _attempt_pairs(
@@ -180,14 +160,14 @@ def _attempt_pairs(
                 if stats is not None:
                     stats.consensus_attempts += 1
                 res = consensus(d1, d2, pair, parents=ids)
-                if not isinstance(res, ConsensusResult):
+                if isinstance(res, Outcome):
                     outcome = res
-                elif res.clause.key in seen:
+                elif res.key in seen:
                     outcome = Outcome.DUPLICATE
                 else:
                     outcome = Outcome.ADDED
-                    seen.add(res.clause.key)
-                    admitted.append(res.clause)
+                    seen.add(res.key)
+                    admitted.append(res)
                     if max_clauses is not None and len(base) + len(admitted) > max_clauses:
                         partial = ClauseSet([*base, *admitted])
                         raise ResourceLimitExceeded("max-clauses", max_clauses, partial)
@@ -199,7 +179,7 @@ def _attempt_pairs(
                             (str(d1.clause), str(d2.clause)),
                             pair[2],
                             outcome.value,
-                            str(res.clause.clause) if isinstance(res, ConsensusResult) else None,
+                            None if isinstance(res, Outcome) else str(res.clause),
                         )
                     )
     return admitted
@@ -228,7 +208,7 @@ def consensus_closure(
     new (clause, assoc) pair.  Raises ResourceLimitExceeded when a cap is
     hit."""
     current = x.copy()
-    iterates = [current.copy()]
+    iterates = [current]
     seen = {m.key for m in current}
     fresh: set | None = None  # round 1 attempts every pair
     for i in range(1, limits.max_rounds + 1):
@@ -246,5 +226,5 @@ def consensus_closure(
             return ClosureResult(current, iterates, rounds=i - 1)
         fresh = {m.key for m in new}
         current = ClauseSet([*current, *new])
-        iterates.append(current.copy())
+        iterates.append(current)
     raise ResourceLimitExceeded("max-rounds", limits.max_rounds, current)

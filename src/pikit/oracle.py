@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .clauses import AssocClause, Clause, ClauseSet
-from .terms import Atom, Compound, Literal, Substitution, Term, Variable
+from .terms import Atom, Compound, Literal, Substitution, Term, Variable, variables_of
 
 
 class CapacityError(Exception):
@@ -45,7 +45,7 @@ class GroundUniverse:
 
 def ground_instances(c: Clause, u: GroundUniverse, cap: int = 100_000) -> list[Clause]:
     """All substitutions of the clause's variables by universe terms."""
-    names = sorted(c.variables())
+    names = sorted(variables_of(c))
     if not names:
         return [c]
     terms = u.terms()

@@ -84,7 +84,9 @@ def _parse_assoc(text: str, line_no: int) -> Substitution:
     if not text:
         return Substitution()
     bindings = {}
-    for part in text.split(","):
+    # Split only before a `Var->`: a bound term can itself contain commas,
+    # but never an arrow.
+    for part in re.split(r",(?=[A-Z][A-Za-z0-9_]*->)", text):
         if "->" not in part:
             raise MalformedStoreError("line %d: bad association binding %r" % (line_no, part))
         var, term_text = part.split("->", 1)

@@ -80,9 +80,6 @@ class Literal:
     def __hash__(self) -> int:
         return _cached_hash(self, (self.atom, self.positive))
 
-    def negated(self) -> "Literal":
-        return Literal(self.atom, not self.positive)
-
     @property
     def sort_key(self) -> tuple:
         # Canonical literal order: predicate, then sign, then argument text.
@@ -116,10 +113,6 @@ class Substitution:
             out[name] = term
         self._bindings = out
         self._hash: int | None = None
-
-    @property
-    def domain(self) -> frozenset[str]:
-        return frozenset(self._bindings)
 
     def get(self, name: str, default: Term | None = None) -> Term | None:
         return self._bindings.get(name, default)
@@ -180,10 +173,8 @@ def apply(sub: Substitution | Mapping[str, Term], x):
 def compose(s1: Substitution, s2: Substitution) -> Substitution:
     """The substitution equivalent to applying `s1` first, then `s2`."""
     out: dict[str, Term] = {v: apply(s2, t) for v, t in s1.items()}
-    dom = s1.domain
     for v, t in s2.items():
-        if v not in dom:
-            out[v] = t
+        out.setdefault(v, t)
     return Substitution(out)
 
 

@@ -16,6 +16,10 @@ def workspace(tmp_path):
     return tmp_path, src
 
 
+def nested(depth):
+    return "f(" * depth + "a" + ")" * depth
+
+
 def run(capsys, *argv):
     code = main([str(a) for a in argv])
     captured = capsys.readouterr()
@@ -75,6 +79,14 @@ class TestCompileCommand:
         code, _, err = run(capsys, "compile", tmp / "nope.fol", "-o", tmp / "kb.pikb")
         assert code == 2
         assert "error" in err
+
+    def test_deeply_nested_term_exits_2(self, workspace, capsys):
+        tmp, _ = workspace
+        src = tmp / "deep.fol"
+        src.write_text("p(%s).\n" % nested(3000))
+        code, _, err = run(capsys, "compile", src, "-o", tmp / "kb.pikb")
+        assert code == 2
+        assert "error: terms are nested too deeply" in err
 
     def test_round_limit_exits_3_and_names_limit(self, workspace, capsys):
         tmp, src = workspace
@@ -178,6 +190,15 @@ class TestQueryCommand:
         code, _, err = run(capsys, "query", kb, "p(a)")
         assert code == 2
 
+    def test_deeply_nested_query_exits_2(self, workspace, capsys):
+        tmp, src = workspace
+        kb = tmp / "kb.pikb"
+        run(capsys, "compile", src, "-o", kb)
+        code, out, err = run(capsys, "query", kb, "q(%s)." % nested(3000))
+        assert code == 2
+        assert out == ""
+        assert "error: terms are nested too deeply" in err
+
     def test_query_with_conflicting_arity_exits_2(self, workspace, capsys):
         tmp, src = workspace
         kb = tmp / "kb.pikb"
@@ -208,6 +229,17 @@ class TestShowCommand:
         code, out, _ = run(capsys, "show", kb)
         assert code == 0
         assert "$false" in out and "inconsistent" in out
+
+    def test_show_reads_association_binding_a_binary_term(self, workspace, capsys):
+        tmp, _ = workspace
+        src = tmp / "binary.fol"
+        src.write_text("p(X)|r(X).\n~p(g(a,b))|q(Y).\n")
+        kb = tmp / "kb.pikb"
+        code, _, _ = run(capsys, "compile", src, "-o", kb)
+        assert code == 0
+        code, out, _ = run(capsys, "show", kb)
+        assert code == 0
+        assert "q(Y)|r(g(a,b)) ; assoc X->g(a,b) ; origin consensus(1,2)" in out
 
     def test_show_malformed_store_exits_2(self, workspace, capsys):
         tmp, _ = workspace

@@ -10,19 +10,16 @@ from pikit import (
     AssocClause,
     CapacityError,
     Compound,
-    ConsensusResult,
     GenConfig,
     GroundUniverse,
     Outcome,
     ResourceLimitExceeded,
     ResourceLimits,
     Substitution,
-    TraceLog,
     Variable,
     check_implicate_semantically,
     complementary_pairs,
     compose,
-    consensus,
     consensus_closure,
     gen_kb,
     input_clauses,
@@ -31,6 +28,7 @@ from pikit import (
     same_models,
     truth_table_entails,
 )
+from pikit.consensus import consensus
 
 from strategies import substitutions
 
@@ -73,16 +71,23 @@ class TestComplementaryPairs:
         assert len(got) == 2
 
 
+def test_pikit_consensus_is_the_module():
+    import pikit.consensus as m
+
+    assert m.__name__ == "pikit.consensus"
+    assert callable(m.unify) and callable(m.compose) and m.consensus is consensus
+
+
 class TestConsensus:
     def test_resolvent_with_composed_association(self):
         c1 = ac("p(X,a)|~q(a,f(X)).")
         c2 = ac("~p(b,a)|r(b,Z).")
         pairs = complementary_pairs(c1, c2)
         assert len(pairs) == 1
-        got = consensus(c1, c2, pairs[0])
-        assert isinstance(got, ConsensusResult)
-        assert str(got.clause.clause) == "~q(a,f(b))|r(b,Z)"
-        assert got.clause.assoc == Substitution({"X": Compound("b")})
+        got = consensus(c1, c2, pairs[0], parents=(1, 2))
+        assert isinstance(got, AssocClause)
+        assert got.entry_text == "~q(a,f(b))|r(b,Z) ; assoc X->b ; origin consensus(1,2)"
+        assert got.assoc == Substitution({"X": Compound("b")})
 
     def test_blocked_when_associations_disagree(self):
         c1 = ac("p(X,a)|~q(a,f(X)).")
@@ -112,9 +117,9 @@ def test_association_coherence_of_results(seed, a1, a2):
     c2 = AssocClause(m2.clause, a2)
     for pair in complementary_pairs(c1, c2):
         got = consensus(c1, c2, pair)
-        if isinstance(got, ConsensusResult):
-            assert got.clause.assoc == compose(c1.assoc, got.mgu)
-            assert got.clause.assoc == compose(c2.assoc, got.mgu)
+        if isinstance(got, AssocClause):
+            assert got.assoc == compose(c1.assoc, pair[2])
+            assert got.assoc == compose(c2.assoc, pair[2])
         elif got is Outcome.BLOCKED:
             assert compose(c1.assoc, pair[2]) != compose(c2.assoc, pair[2])
 
@@ -202,9 +207,11 @@ class TestClosure:
         assert len(err.value.partial) == 6  # the first iterate was completed
 
     def test_clause_cap_stops_at_the_admission_that_overflows(self):
-        log = TraceLog()
+        events = []
         with pytest.raises(ResourceLimitExceeded) as err:
-            consensus_closure(example_chain_inputs(), ResourceLimits(max_clauses=4), trace=log)
+            consensus_closure(
+                example_chain_inputs(), ResourceLimits(max_clauses=4), trace=events.append
+            )
         assert err.value.limit == "max-clauses"
         assert [m.entry_text for m in err.value.partial] == [
             "p(X,a)|~q(a,f(X)) ; assoc ; origin input",
@@ -213,7 +220,7 @@ class TestClosure:
             "~q(a,f(b))|r(b,Z) ; assoc X->b ; origin consensus(1,2)",
             "p(a,a)|~r(a,f(a)) ; assoc X->a,Z->a ; origin consensus(1,3)",
         ]
-        assert [(e.parents, e.outcome) for e in log.events] == [((1, 2), "added")]
+        assert [(e.parents, e.outcome) for e in events] == [((1, 2), "added")]
 
     def test_clause_cap_raises_named_limit(self):
         base = example_chain_inputs()
@@ -223,11 +230,11 @@ class TestClosure:
         assert "max-clauses" in str(err.value)
 
     def test_trace_records_every_attempt(self):
-        log = TraceLog()
-        consensus_closure(example_chain_inputs(), trace=log)
-        outcomes = {e.outcome for e in log.events}
+        events = []
+        consensus_closure(example_chain_inputs(), trace=events.append)
+        outcomes = {e.outcome for e in events}
         assert "added" in outcomes and "duplicate" in outcomes
-        assert all(e.round >= 1 for e in log.events)
+        assert all(e.round >= 1 for e in events)
 
 
 def small_kb(seed, ground=False):
@@ -282,9 +289,11 @@ def test_ground_step_preserves_models(seed):
 @given(st.integers(0, 10**9))
 def test_ground_consensus_results_are_implicates(seed):
     base = small_kb(seed, ground=True)
-    log = TraceLog()
+    events = []
     try:
-        got = consensus_closure(base, ResourceLimits(max_rounds=20, max_clauses=500), trace=log)
+        got = consensus_closure(
+            base, ResourceLimits(max_rounds=20, max_clauses=500), trace=events.append
+        )
     except ResourceLimitExceeded:
         return
     base_clauses = [m.clause for m in base]
@@ -311,11 +320,9 @@ def test_first_order_consensus_results_are_implicates_over_herbrand(seed):
     for d1, d2 in itertools.permutations(members, 2):
         for pair in complementary_pairs(d1, d2):
             got = consensus(d1, d2, pair)
-            if isinstance(got, ConsensusResult):
+            if isinstance(got, AssocClause):
                 try:
-                    ok = check_implicate_semantically(
-                        base, got.clause.clause, universe
-                    )
+                    ok = check_implicate_semantically(base, got.clause, universe)
                 except CapacityError:
                     continue
                 assert ok

@@ -5,10 +5,16 @@ import pytest
 from hypothesis import given, settings
 
 from pikit import (
+    AssocClause,
+    ClauseSet,
+    CompiledKB,
+    Compound,
     GenConfig,
     MalformedStoreError,
     SignatureConflictError,
     StoreVersionError,
+    Substitution,
+    Variable,
     add_clause,
     compile,
     dumps_kb,
@@ -49,6 +55,20 @@ class TestRoundTrip:
         again = loads_kb(dumps_kb(kb))
         assert again.inconsistent
         assert again == kb
+
+    def test_association_binding_a_binary_term_round_trips(self):
+        kb = compile(parse_clause_file("p(X)|r(X). ~p(g(a,b))|q(Y).").clauses)
+        text = dumps_kb(kb)
+        assert "clause q(Y)|r(g(a,b)) ; assoc X->g(a,b) ; origin consensus(1,2)\n" in text
+        assert loads_kb(text) == kb
+
+    def test_several_bindings_with_commas_round_trip(self):
+        a, c = Compound("a"), Compound("c")
+        assoc = Substitution({"X": Compound("g", (a, c)), "Z": Compound("g", (Variable("Y"), a))})
+        kb = CompiledKB(ClauseSet([AssocClause(parse_clause("q(Y)."), assoc, (1, 2))]))
+        text = dumps_kb(kb)
+        assert "assoc X->g(a,c),Z->g(Y,a) ;" in text
+        assert loads_kb(text) == kb
 
     def test_save_and_load_files(self, tmp_path):
         kb = worked_kb()
