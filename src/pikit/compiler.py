@@ -159,6 +159,8 @@ def add_clause(
     support_history = [support.members]
     # Every key ever in the support set: the members plus the tombstones.
     seen = {c.key}
+    # The attempts of every (working-set member, support member) pair so far.
+    tried: dict = {}
     previous = ClauseSet()
     rounds = 0
     # The support set stays a subset of eta: C survives the first residue
@@ -171,7 +173,9 @@ def add_clause(
         rounds += 1
         if rounds > limits.max_rounds:
             raise ResourceLimitExceeded("max-rounds", limits.max_rounds, eta)
-        derived = _attempt_pairs(eta, support, seen, round_no=rounds, trace=trace, stats=stats)
+        derived = _attempt_pairs(
+            eta, support, seen, round_no=rounds, trace=trace, stats=stats, tried=tried
+        )
         working = ClauseSet([*eta, *derived])
         if len(working) > limits.max_clauses:
             raise ResourceLimitExceeded("max-clauses", limits.max_clauses, working)

@@ -133,6 +133,7 @@ def _attempt_pairs(
     trace: Trace | None = None,
     stats=None,
     fresh: set | None = None,
+    tried: dict | None = None,
     max_clauses: int | None = None,
 ) -> list[AssocClause]:
     """Attempt consensus over ordered pairs (D1 in base, D2 in new_side).
@@ -144,7 +145,14 @@ def _attempt_pairs(
     are the 1-based positions of the parents in `base`.  When `fresh` is
     given, pairs of two non-fresh members are skipped: their consensuses
     were all attempted in an earlier round, so they can only repeat old
-    outcomes.  When base plus the added clauses outgrows `max_clauses`,
+    outcomes.  When `tried` is given, each pair's attempts are computed
+    once and kept there under the pair's (D1 key, D2 key); a later call
+    replays them instead of unifying and composing again.  A replay emits the
+    same events, with the current round and parent ids, and counts in
+    `consensus_attempts` as before.  A replayed resolvent is always a
+    duplicate: its key entered `seen` when it was first derived, and a
+    caller passes the same `seen` with the same `tried`.  When
+    base plus the added clauses outgrows `max_clauses`,
     ResourceLimitExceeded carries that partial set.
     """
     index = {m.key: i + 1 for i, m in enumerate(base)}
@@ -156,10 +164,17 @@ def _attempt_pairs(
             if fresh is not None and d1.key not in fresh and d2.key not in fresh:
                 continue
             ids = (index.get(d1.key, 0), index.get(d2.key, 0))
-            for pair in complementary_pairs(d1, d2):
+            attempts = None if tried is None else tried.get((d1.key, d2.key))
+            if attempts is None:
+                attempts = [
+                    (pair, consensus(d1, d2, pair, parents=ids))
+                    for pair in complementary_pairs(d1, d2)
+                ]
+                if tried is not None:
+                    tried[d1.key, d2.key] = attempts
+            for pair, res in attempts:
                 if stats is not None:
                     stats.consensus_attempts += 1
-                res = consensus(d1, d2, pair, parents=ids)
                 if isinstance(res, Outcome):
                     outcome = res
                 elif res.key in seen:

@@ -4,6 +4,18 @@ import hypothesis.strategies as st
 
 from pikit import Atom, Clause, Compound, Literal, Substitution, Variable
 
+# The first-order instance shape of acceptance criterion 4, for GenConfig.
+FO_CFG = dict(
+    num_predicates=3,
+    max_arity=2,
+    num_variables=3,
+    num_constants=2,
+    num_functions=1,
+    max_term_depth=1,
+    clause_len_range=(1, 3),
+    kb_size_range=(2, 6),
+)
+
 variables = st.sampled_from("XYZ").map(Variable)
 constants = st.sampled_from("ab").map(Compound)
 

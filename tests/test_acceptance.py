@@ -55,20 +55,11 @@ from pikit import (
     vary_seed,
 )
 
+from strategies import FO_CFG
+
 EX1 = "p(X,a)|~q(a,f(X)). ~p(b,a)|r(b,Z). ~r(X,f(a))|q(Z,f(a))."
 EX2 = "q(Y). ~r(f(X),b). p(X)|r(Y,b)|~q(Z)."
 EX2_ADD = "~p(a)|~q(Z)."
-
-FO_CFG = dict(
-    num_predicates=3,
-    max_arity=2,
-    num_variables=3,
-    num_constants=2,
-    num_functions=1,
-    max_term_depth=1,
-    clause_len_range=(1, 3),
-    kb_size_range=(2, 6),
-)
 
 GROUND8_CFG = dict(
     num_predicates=4,

@@ -11,13 +11,16 @@ from pikit import (
     Atom,
     Clause,
     ClauseSet,
+    CompileStats,
     Compound,
     GenConfig,
     GroundUniverse,
     Literal,
+    ResourceLimitExceeded,
     Substitution,
     Variable,
     apply,
+    consensus_closure,
     gen_kb,
     ground_instances,
     parse_clause,
@@ -25,7 +28,7 @@ from pikit import (
     subsumes,
 )
 
-from strategies import clauses
+from strategies import FO_CFG, clauses
 
 
 def cl(text):
@@ -229,7 +232,7 @@ class TestResidue:
         )
         got = residue(s)
         assert "~p(a)|~q(Z)" not in got.kept.clause_texts()
-        assert [str(m.clause) for m in got.deleted] == ["~p(a)|~q(Z)"]
+        assert [str(m.clause) for m in s if m not in got.kept] == ["~p(a)|~q(Z)"]
 
     def test_unit_deletes_superset_clause(self):
         s = members(
@@ -241,7 +244,7 @@ class TestResidue:
             ("r(Z,b).", {"X": Compound("a"), "Y": Variable("Z")}),
         )
         got = residue(s)
-        assert [str(m.clause) for m in got.deleted] == ["p(X)|r(Z,b)"]
+        assert [str(m.clause) for m in s if m not in got.kept] == ["p(X)|r(Z,b)"]
 
     def test_singleton_is_kept(self):
         s = members("p(X).")
@@ -251,12 +254,34 @@ class TestResidue:
         s = members("p(X)|q(Y,b).", "p(Z)|q(X,b).")
         got = residue(s)
         assert got.kept.clause_texts() == ["p(X)|q(Y,b)"]
-        assert [str(m.clause) for m in got.deleted] == ["p(Z)|q(X,b)"]
+        assert [str(m.clause) for m in s if m not in got.kept] == ["p(Z)|q(X,b)"]
 
     def test_empty_clause_wins(self):
         s = ClauseSet([AssocClause(cl("p(a).")), AssocClause(Clause())])
         got = residue(s)
         assert got.kept.clause_texts() == ["$false"]
+
+    # Feature prefilter: j can subsume i only if j's (predicate, sign) pairs
+    # and (symbol, arity) pairs are subsets of i's, and j's ground literals
+    # are among i's literals.  Inclusion of sets, not of multisets: literal
+    # counts and clause lengths can shrink under a substitution.
+    def test_longer_clause_deletes_its_instance(self):
+        s = members("p(a).", "p(X)|p(Y).")
+        stats = CompileStats()
+        assert residue(s, stats).kept.clause_texts() == ["p(X)|p(Y)"]
+        assert stats.subsumption_checks == 2
+
+    def test_clause_with_extra_symbol_deletes_nothing(self):
+        s = members("q(f(X)).", "q(X).")
+        stats = CompileStats()
+        assert residue(s, stats).kept.clause_texts() == ["q(X)"]
+        assert stats.subsumption_checks == 2
+
+    def test_ground_literal_absent_from_target_deletes_nothing(self):
+        s = members("p(a)|q(X).", "p(b)|q(c).", "p(a)|q(b)|r(c).")
+        stats = CompileStats()
+        assert residue(s, stats).kept.clause_texts() == ["p(a)|q(X)", "p(b)|q(c)"]
+        assert stats.subsumption_checks == 5
 
 
 def random_clause_sets(seed):
@@ -285,11 +310,58 @@ def test_residue_is_minimal_covering_and_idempotent(seed):
     for m in s:
         assert any(subsumes(d.clause, m.clause) is not None for d in kept)
     # partition
-    assert len(kept) + len(got.deleted) == len(s)
+    deleted = [m for m in s if m not in got.kept]
+    assert len(kept) + len(deleted) == len(s)
     # idempotence
     again = residue(got.kept)
     assert again.kept == got.kept
-    assert again.deleted == ()
+    assert [m for m in got.kept if m not in again.kept] == []
+
+
+def reference_residue(s, stats):
+    """The residue decided pair by pair, each ordered pair searched once."""
+    members = list(s)
+    n = len(members)
+    cache = {}
+
+    def covers(i, j):
+        k = (i, j)
+        if k not in cache:
+            stats.subsumption_checks += 1
+            cache[k] = subsumes(members[i].clause, members[j].clause) is not None
+        return cache[k]
+
+    kept = []
+    for i in range(n):
+        for j in range(n):
+            if i == j or not covers(j, i):
+                continue
+            if not covers(i, j) or j < i:
+                break
+        else:
+            kept.append(members[i])
+    return ClauseSet(kept)
+
+
+def assert_residue_matches_reference(s):
+    got_stats, ref_stats = CompileStats(), CompileStats()
+    assert residue(s, got_stats).kept == reference_residue(s, ref_stats)
+    assert got_stats.subsumption_checks == ref_stats.subsumption_checks
+
+
+def test_residue_matches_pairwise_reference_on_seeded_sets():
+    for seed in range(200):
+        assert_residue_matches_reference(gen_kb(GenConfig(seed=seed, **FO_CFG)))
+
+
+def test_residue_matches_pairwise_reference_on_closure_iterates():
+    for seed in range(50):
+        try:
+            closure = consensus_closure(gen_kb(GenConfig(seed=seed, **FO_CFG)))
+        except ResourceLimitExceeded:
+            continue
+        for iterate in closure.iterates:
+            assert_residue_matches_reference(iterate)
 
 
 class TestClauseSetEqual:

@@ -18,6 +18,7 @@ from pikit import (
     add_clauses,
     check_implicate_semantically,
     compile,
+    dumps_kb,
     entails,
     gen_clause,
     gen_kb,
@@ -30,6 +31,8 @@ from pikit import (
     subsumes,
     vary_seed,
 )
+
+from strategies import FO_CFG
 
 BASE_KB = "q(Y). ~r(f(X),b). p(X)|r(Y,b)|~q(Z)."
 ADDED = "~p(a)|~q(Z)."
@@ -76,7 +79,7 @@ class TestCompile:
 
     def test_result_is_subsumption_minimal_and_fundamental(self):
         kb = base_compiled()
-        assert residue(kb.pi).deleted == ()
+        assert [m for m in kb.pi if m not in residue(kb.pi).kept] == []
         assert all(m.clause.is_fundamental() for m in kb.pi)
 
     def test_empty_input_compiles_to_empty_kb(self):
@@ -172,6 +175,58 @@ class TestAddClause:
         with pytest.raises(ResourceLimitExceeded) as err:
             add_clause(kb, cl(ADDED), ResourceLimits(max_rounds=1))
         assert err.value.limit == "max-rounds"
+
+    def test_first_order_fold_golden(self):
+        # Criterion-4 seed 56: three rounds, and the pair of ~r(X)|~r(f(Z))
+        # and r(X) is tried in every round, under parent ids that shift as
+        # the residue deletes members ahead of it.
+        kb = compile(parse_clause_file(
+            "~q(f(a),Y). r(a)|~r(X). ~p(a)|q(X,Z)|~r(a). p(f(X)). "
+            "~r(a)|~r(f(Z)). ~p(Y)|~p(f(b))|~q(a,f(a))."
+        ).clauses)
+        events = []
+        report = add_clause(kb, cl("r(X)."), trace=events.append)
+        assert [e.format() for e in events] == [
+            "ROUND 1: (3, 7) mgu={X->a} -> blocked",
+            "ROUND 1: (4, 7) mgu={} -> added",
+            "ROUND 1: (5, 7) mgu={} -> added",
+            "ROUND 1: (5, 7) mgu={X->f(Z)} -> added",
+            "ROUND 2: (1, 7) mgu={X->f(a),Y->Z} -> added",
+            "ROUND 2: (3, 6) mgu={X->a} -> blocked",
+            "ROUND 2: (4, 6) mgu={} -> duplicate",
+            "ROUND 2: (4, 6) mgu={X->f(Z)} -> duplicate",
+            "ROUND 2: (5, 7) mgu={X->a,Z->f(a)} -> blocked",
+            "ROUND 3: (3, 5) mgu={} -> duplicate",
+            "ROUND 3: (3, 5) mgu={X->f(Z)} -> duplicate",
+        ]
+        assert [e.result_text for e in events][-2:] == ["~r(f(Z))", "~r(f(Z))"]
+        stats = report.result.stats
+        assert (stats.rounds, stats.consensus_attempts, stats.subsumption_checks) == (3, 11, 222)
+        assert dumps_kb(report.result) == (
+            "PIKB 1\n"
+            "digest sha256:a129f09f3f70566909c4682639dac659d6db4a55d402146a6059e5dbf7e9910c\n"
+            "stats rounds=3 consensus_attempts=11 subsumption_checks=222\n"
+            "pred p/1\npred q/2\npred r/1\nfn a/0\nfn b/0\nfn f/1\n"
+            "clause ~q(f(a),Y) ; assoc ; origin input\n"
+            "clause p(f(X)) ; assoc ; origin input\n"
+            "clause ~r(X)|~r(f(Z)) ; assoc ; origin consensus(2,5)\n"
+            "clause ~p(Y)|~q(a,f(a)) ; assoc X->b ; origin consensus(4,6)\n"
+            "clause r(X) ; assoc ; origin input\n"
+            "clause ~p(a) ; assoc X->f(a),Y->Z ; origin consensus(1,7)\n"
+            "end\n"
+        )
+
+    def test_fold_counts_one_attempt_per_trace_event(self):
+        for seed in range(50):
+            cfg = GenConfig(seed=seed, **FO_CFG)
+            try:
+                kb = compile([m.clause for m in gen_kb(cfg)])
+                events = []
+                report = add_clause(kb, gen_clause(vary_seed(cfg, 1_000_003)), trace=events.append)
+            except ResourceLimitExceeded:
+                continue
+            if report.outcome == "recompiled":
+                assert report.result.stats.consensus_attempts == len(events), seed
 
 
 class TestAddClauses:
