@@ -6,9 +6,11 @@ extra clause.  The hash covers, per instance: the `compile(X)` store and
 trace; the `add_clause` outcome, store, trace and both histories; the
 `add_clauses([C, C])` outcomes, store and trace; the `compile(X + [C])`
 store and trace; and the same three runs under tight resource limits, where
-a stop records its limit, the partial set and the trace up to it.  Stores
-carry the stats counters, and trace lines carry every event field.  Two
-versions of pikit whose outputs are byte-identical print the same hash.
+a stop records its limit, the partial set and the trace up to it.  The read
+side is covered too: the `compile(X)` store after a load and a dump, and
+the `entails` answer on the loaded KB, for C and for each member's clause.
+Stores carry the stats counters, and trace lines carry every event field.
+Two versions of pikit whose outputs are byte-identical print the same hash.
 
     python scripts/output_hash.py --count 500
 """
@@ -25,8 +27,10 @@ from pikit import (
     add_clauses,
     compile,
     dumps_kb,
+    entails,
     gen_clause,
     gen_kb,
+    loads_kb,
     vary_seed,
 )
 
@@ -74,6 +78,18 @@ def batch_lines(batch):
     return [" ".join(batch.outcomes), dumps_kb(batch.result)]
 
 
+def read_lines(kb, queries):
+    """The store of `kb` after a load and a dump, and each query's answer on it."""
+    loaded = loads_kb(dumps_kb(kb))
+    lines = [dumps_kb(loaded)]
+    for query in queries:
+        answer = entails(loaded, query)
+        witness = answer.witness.entry_text if answer.witness is not None else "-"
+        sub = answer.substitution.bindings_text if answer.substitution is not None else "-"
+        lines.append("entails %s %s %s / %s" % (query, answer.entailed, witness, sub))
+    return lines
+
+
 def instance_lines(seed):
     cfg = GenConfig(seed=seed, **FO_CFG)
     x = [m.clause for m in gen_kb(cfg)]
@@ -85,6 +101,8 @@ def instance_lines(seed):
         return [dumps_kb(base[0])]
 
     lines = ["seed %d" % seed, *run(compile_x)]
+    if base:
+        lines += read_lines(base[0], [c] + [m.clause for m in base[0].pi])
     lines += run(lambda t: [dumps_kb(compile(x, TIGHT, t))])
     for limits in (DEFAULT_LIMITS, TIGHT):
         if base:

@@ -22,8 +22,8 @@ import tempfile
 
 from .clauses import AssocClause, Clause, ClauseSet
 from .compiler import CompiledKB, CompileStats
-from .syntax import ParseError, Signature, parse_clause, parse_term
-from .terms import Substitution
+from .syntax import ParseError, Signature, _parse_literal, parse_clause, parse_term
+from .terms import Literal, Substitution, Term
 
 FORMAT_NAME = "PIKB"
 FORMAT_VERSION = 1
@@ -80,7 +80,78 @@ _SYMBOL_RE = re.compile(r"([a-z][A-Za-z0-9_]*)/(\d+)$")
 _ORIGIN_RE = re.compile(r"consensus\((\d+),(\d+)\)$")
 
 
-def _parse_assoc(text: str, line_no: int) -> Substitution:
+class _LoadTable:
+    """The parses that the entries of one store load share.
+
+    Maps the text of each literal and of each bound term to its parse, so a
+    text that repeats is parsed once and its parse is shared, with its
+    cached hash and sort key.  `symbols` is the union of the arities they
+    use, and `agree` says that no symbol in it has two.  One table lives
+    for one `loads_kb` call.
+    """
+
+    def __init__(self) -> None:
+        self.literals: dict[str, Literal] = {}
+        self.terms: dict[str, Term] = {}
+        self.symbols = Signature()
+        self.agree = True
+
+    def _note(self, predicate: str | None, args: tuple[Term, ...]) -> None:
+        """Add a new parse's arities to `symbols`; a second arity clears `agree`."""
+        try:
+            if predicate is not None:
+                self.symbols.note_predicate(predicate, len(args))
+            for arg in args:
+                self.symbols.note_term(arg)
+        except ValueError:
+            self.agree = False
+
+    def _literals(self, text: str) -> tuple[Literal, ...] | None:
+        """The entry's literals, or None when a piece of it is no literal."""
+        out = []
+        for piece in text.split("|"):
+            lit = self.literals.get(piece)
+            if lit is None:
+                try:
+                    lit = _parse_literal(piece)
+                except ParseError:
+                    return None
+                self.literals[piece] = lit
+                self._note(lit.atom.predicate, lit.atom.args)
+            out.append(lit)
+        return tuple(out)
+
+    def clause(self, text: str, line_no: int) -> Clause:
+        # `|` only ever separates literals, so a well-formed entry splits
+        # into literal texts.  While the symbols agree, so do the literals
+        # of each entry.
+        if self.agree and "#" not in text:
+            literals = self._literals(text)
+            if literals is not None and self.agree:
+                return Clause(literals)
+        # A `#` comments out the entry's closing period, a piece is no
+        # literal, or two literals may disagree on an arity: parse the entry
+        # whole, which gives the error with its position in the entry.  Its
+        # symbols are not in the table, so the final check walks the members.
+        self.agree = False
+        try:
+            return parse_clause(text + ".")
+        except ParseError as err:
+            raise MalformedStoreError("line %d: bad clause: %s" % (line_no, err))
+
+    def term(self, text: str, line_no: int) -> Term:
+        term = self.terms.get(text)
+        if term is None:
+            try:
+                term = parse_term(text)
+            except ParseError as err:
+                raise MalformedStoreError("line %d: bad association term: %s" % (line_no, err))
+            self.terms[text] = term
+            self._note(None, (term,))
+        return term
+
+
+def _parse_assoc(text: str, line_no: int, table: _LoadTable) -> Substitution:
     if not text:
         return Substitution()
     bindings = {}
@@ -92,28 +163,21 @@ def _parse_assoc(text: str, line_no: int) -> Substitution:
         var, term_text = part.split("->", 1)
         if not re.fullmatch(r"[A-Z][A-Za-z0-9_]*", var):
             raise MalformedStoreError("line %d: bad association variable %r" % (line_no, var))
-        try:
-            bindings[var] = parse_term(term_text)
-        except ParseError as err:
-            raise MalformedStoreError("line %d: bad association term: %s" % (line_no, err))
+        if var in bindings:
+            raise MalformedStoreError("line %d: variable %r bound twice" % (line_no, var))
+        bindings[var] = table.term(term_text, line_no)
     return Substitution(bindings)
 
 
-def _parse_entry(payload: str, line_no: int) -> AssocClause:
+def _parse_entry(payload: str, line_no: int, table: _LoadTable) -> AssocClause:
     parts = payload.split(" ; ")
     if len(parts) != 3:
         raise MalformedStoreError("line %d: expected 'clause ; assoc ; origin' entry" % line_no)
     clause_text, assoc_part, origin_part = parts
-    if clause_text == "$false":
-        clause = Clause()
-    else:
-        try:
-            clause = parse_clause(clause_text + ".")
-        except ParseError as err:
-            raise MalformedStoreError("line %d: bad clause: %s" % (line_no, err))
+    clause = Clause() if clause_text == "$false" else table.clause(clause_text, line_no)
     if assoc_part != "assoc" and not assoc_part.startswith("assoc "):
         raise MalformedStoreError("line %d: expected association field" % line_no)
-    assoc = _parse_assoc(assoc_part[6:] if len(assoc_part) > 5 else "", line_no)
+    assoc = _parse_assoc(assoc_part[6:] if len(assoc_part) > 5 else "", line_no, table)
     if not origin_part.startswith("origin "):
         raise MalformedStoreError("line %d: expected origin field" % line_no)
     origin = origin_part[7:]
@@ -125,6 +189,17 @@ def _parse_entry(payload: str, line_no: int) -> AssocClause:
             raise MalformedStoreError("line %d: bad origin %r" % (line_no, origin))
         parents = (int(m.group(1)), int(m.group(2)))
     return AssocClause(clause, assoc, parents)
+
+
+def _undeclared(implied: Signature, declared: Signature) -> str | None:
+    """The first symbol whose arity the signature table does not declare."""
+    for name, arity in implied.predicates.items():
+        if declared.predicates.get(name) != arity:
+            return "predicate %r conflicts with signature table" % name
+    for name, arity in implied.functions.items():
+        if declared.functions.get(name) != arity:
+            return "function symbol %r conflicts with signature table" % name
+    return None
 
 
 def loads_kb(text: str) -> CompiledKB:
@@ -140,7 +215,8 @@ def loads_kb(text: str) -> CompiledKB:
     digest: str | None = None
     stats: CompileStats | None = None
     declared = Signature()
-    members: list[AssocClause] = []
+    pi = ClauseSet()
+    parses = _LoadTable()
     ended = False
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -169,7 +245,8 @@ def loads_kb(text: str) -> CompiledKB:
                 )
             table[name] = arity
         elif kind == "clause":
-            members.append(_parse_entry(payload, line_no))
+            if not pi.add(_parse_entry(payload, line_no, parses)):
+                raise MalformedStoreError("line %d: duplicate entry" % line_no)
         else:
             raise MalformedStoreError("line %d: unknown line kind %r" % (line_no, kind))
     if not ended:
@@ -177,17 +254,17 @@ def loads_kb(text: str) -> CompiledKB:
     if digest is None or stats is None:
         raise MalformedStoreError("missing digest or stats line")
 
-    kb = CompiledKB(ClauseSet(members), stats, digest)
-    try:
-        implied = signature_of(kb)
-    except ValueError as err:
-        raise SignatureConflictError(str(err))
-    for name, arity in implied.predicates.items():
-        if declared.predicates.get(name) != arity:
-            raise SignatureConflictError("predicate %r conflicts with signature table" % name)
-    for name, arity in implied.functions.items():
-        if declared.functions.get(name) != arity:
-            raise SignatureConflictError("function symbol %r conflicts with signature table" % name)
+    kb = CompiledKB(pi, stats, digest)
+    implied = parses.symbols
+    if not parses.agree or _undeclared(implied, declared) is not None:
+        # Name the conflict that a walk of the members in order meets first.
+        try:
+            implied = signature_of(kb)
+        except ValueError as err:
+            raise SignatureConflictError(str(err))
+    message = _undeclared(implied, declared)
+    if message is not None:
+        raise SignatureConflictError(message)
     return kb
 
 

@@ -34,19 +34,19 @@ class Signature:
     predicates: dict[str, int] = field(default_factory=dict)
     functions: dict[str, int] = field(default_factory=dict)
 
-    def note_predicate(self, name: str, arity: int, pos: tuple[int, int] | None = None) -> None:
+    def note_predicate(self, name: str, arity: int) -> None:
         known = self.predicates.get(name)
         if known is None:
             self.predicates[name] = arity
         elif known != arity:
-            raise _arity_error("predicate", name, known, arity, pos)
+            raise _arity_error("predicate", name, known, arity)
 
-    def note_function(self, name: str, arity: int, pos: tuple[int, int] | None = None) -> None:
+    def note_function(self, name: str, arity: int) -> None:
         known = self.functions.get(name)
         if known is None:
             self.functions[name] = arity
         elif known != arity:
-            raise _arity_error("function symbol", name, known, arity, pos)
+            raise _arity_error("function symbol", name, known, arity)
 
     def note_clause(self, clause: Clause) -> None:
         for lit in clause.literals:
@@ -61,16 +61,10 @@ class Signature:
                 self.note_term(arg)
 
 
-def _arity_error(kind: str, name: str, known: int, arity: int, pos: tuple[int, int] | None):
-    message = "arity mismatch: %s '%s' used with arity %d after arity %d" % (
-        kind,
-        name,
-        arity,
-        known,
+def _arity_error(kind: str, name: str, known: int, arity: int) -> ValueError:
+    return ValueError(
+        "arity mismatch: %s '%s' used with arity %d after arity %d" % (kind, name, arity, known)
     )
-    if pos is None:
-        return ValueError(message)
-    return ParseError(message, pos[0], pos[1])
 
 
 @dataclass
@@ -88,63 +82,78 @@ _TOKEN = re.compile(
       | (?P<uident>[A-Z][A-Za-z0-9_]*)
       | (?P<lident>[a-z][A-Za-z0-9_]*)
       | (?P<punct>[(),|~.])
+      | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        m = _TOKEN.match(text, i)
-        if m is None:
-            raise ParseError("unexpected character %r" % text[i], line, col)
-        kind = m.lastgroup
-        value = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append((kind, value, line, col))
-        newlines = value.count("\n")
+def _line_col(text: str, offset: int) -> tuple[int, int]:
+    """The 1-based line and column of one offset, for an error message."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+def _line_cols(text: str, offsets: list[int]) -> list[tuple[int, int]]:
+    """`_line_col` of ascending offsets, reading the text once in all."""
+    out = []
+    line, line_start, prev = 1, 0, 0
+    for offset in offsets:
+        newlines = text.count("\n", prev, offset)
         if newlines:
             line += newlines
-            col = len(value) - value.rfind("\n")
-        else:
-            col += len(value)
-        i = m.end()
-    tokens.append(("eof", "", line, col))
+            line_start = text.rfind("\n", prev, offset) + 1
+        out.append((line, offset - line_start + 1))
+        prev = offset
+    return out
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, value, offset) for each token, ending with an `eof` token."""
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError("unexpected character %r" % m.group(), *_line_col(text, m.start()))
+        if kind != "ws" and kind != "comment":
+            tokens.append((kind, m.group(), m.start()))
+    tokens.append(("eof", "", len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str, signature: Signature | None = None):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.signature = signature if signature is not None else Signature()
 
-    def peek(self) -> tuple[str, str, int, int]:
+    def error(self, message: str, tok: tuple[str, str, int]) -> ParseError:
+        return ParseError(message, *_line_col(self.text, tok[2]))
+
+    def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
 
-    def next(self) -> tuple[str, str, int, int]:
+    def next(self) -> tuple[str, str, int]:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect(self, kind: str, value: str | None = None) -> tuple[str, str, int, int]:
-        tok = self.peek()
-        if tok[0] != kind or (value is not None and tok[1] != value):
-            want = value if value is not None else kind
-            raise ParseError("expected %r, found %r" % (want, tok[1] or "end of input"), tok[2], tok[3])
-        return self.next()
+    def note(self, note_symbol, tok: tuple[str, str, int], arity: int) -> None:
+        try:
+            note_symbol(tok[1], arity)
+        except ValueError as err:
+            raise self.error(str(err), tok) from None
 
     def parse_file(self) -> ClauseFile:
         out = ClauseFile(signature=self.signature)
+        starts = []
         while self.peek()[0] != "eof":
             tok = self.peek()
             if tok[0] == "punct" and tok[1] == ".":
-                raise ParseError("empty clause", tok[2], tok[3])
-            out.positions.append((tok[2], tok[3]))
+                raise self.error("empty clause", tok)
+            starts.append(tok[2])
             out.clauses.append(self.parse_clause_line())
+        out.positions = _line_cols(self.text, starts)
         return out
 
     def parse_clause_line(self) -> Clause:
@@ -158,9 +167,7 @@ class _Parser:
                 self.next()
                 return Clause(tuple(literals))
             else:
-                raise ParseError(
-                    "expected '|' or '.', found %r" % (tok[1] or "end of input"), tok[2], tok[3]
-                )
+                raise self.error("expected '|' or '.', found %r" % (tok[1] or "end of input"), tok)
 
     def parse_literal(self) -> Literal:
         tok = self.peek()
@@ -171,15 +178,13 @@ class _Parser:
         return Literal(self.parse_atom(), positive)
 
     def parse_atom(self) -> Atom:
-        kind, name, line, col = self.peek()
-        if kind != "lident":
-            raise ParseError(
-                "expected a predicate, found %r" % (name or "end of input"), line, col
-            )
+        tok = self.peek()
+        if tok[0] != "lident":
+            raise self.error("expected a predicate, found %r" % (tok[1] or "end of input"), tok)
         self.next()
         args = self.parse_args()
-        self.signature.note_predicate(name, len(args), (line, col))
-        return Atom(name, args)
+        self.note(self.signature.note_predicate, tok, len(args))
+        return Atom(tok[1], args)
 
     def parse_args(self) -> tuple[Term, ...]:
         tok = self.peek()
@@ -196,21 +201,19 @@ class _Parser:
                 self.next()
                 return tuple(args)
             else:
-                raise ParseError(
-                    "expected ',' or ')', found %r" % (tok[1] or "end of input"), tok[2], tok[3]
-                )
+                raise self.error("expected ',' or ')', found %r" % (tok[1] or "end of input"), tok)
 
     def parse_term(self) -> Term:
-        kind, name, line, col = self.peek()
-        if kind == "uident":
+        tok = self.peek()
+        if tok[0] == "uident":
             self.next()
-            return Variable(name)
-        if kind == "lident":
+            return Variable(tok[1])
+        if tok[0] == "lident":
             self.next()
             args = self.parse_args()
-            self.signature.note_function(name, len(args), (line, col))
-            return Compound(name, args)
-        raise ParseError("expected a term, found %r" % (name or "end of input"), line, col)
+            self.note(self.signature.note_function, tok, len(args))
+            return Compound(tok[1], args)
+        raise self.error("expected a term, found %r" % (tok[1] or "end of input"), tok)
 
 
 def parse_clause_file(text: str, signature: Signature | None = None) -> ClauseFile:
@@ -231,8 +234,18 @@ def parse_term(text: str) -> Term:
     term = parser.parse_term()
     tok = parser.peek()
     if tok[0] != "eof":
-        raise ParseError("trailing input after term: %r" % tok[1], tok[2], tok[3])
+        raise parser.error("trailing input after term: %r" % tok[1], tok)
     return term
+
+
+def _parse_literal(text: str) -> Literal:
+    """Parse exactly one literal, with no terminating period (store entries)."""
+    parser = _Parser(text)
+    lit = parser.parse_literal()
+    tok = parser.peek()
+    if tok[0] != "eof":
+        raise parser.error("trailing input after literal: %r" % tok[1], tok)
+    return lit
 
 
 def print_clause(c: Clause) -> str:

@@ -1,8 +1,12 @@
 """Persistence round-trips and store validation errors."""
 
+import random
+import re
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
+from strategies import FO_CFG
 
 from pikit import (
     AssocClause,
@@ -11,6 +15,8 @@ from pikit import (
     Compound,
     GenConfig,
     MalformedStoreError,
+    ResourceLimitExceeded,
+    ResourceLimits,
     SignatureConflictError,
     StoreVersionError,
     Substitution,
@@ -24,7 +30,9 @@ from pikit import (
     parse_clause,
     parse_clause_file,
     save_kb,
+    signature_of,
 )
+from pikit.store import _ORIGIN_RE, _STATS_RE, _SYMBOL_RE
 
 WORKED = "q(Y). ~r(f(X),b). p(X)|r(Y,b)|~q(Z)."
 
@@ -101,7 +109,111 @@ class TestRoundTrip:
         assert loads_kb(dumps_kb(kb)) == kb
 
 
+# A store whose first entry is on line 9, declaring p/1, q/1, a, b and f/1.
+HEADER = (
+    "PIKB 1\ndigest sha256:0\nstats rounds=0 consensus_attempts=0 subsumption_checks=0\n"
+    "pred p/1\npred q/1\nfn a/0\nfn b/0\nfn f/1\n"
+)
+
+
+def store(*entries):
+    return HEADER + "".join("clause %s\n" % e for e in entries) + "end\n"
+
+
+IN = " ; assoc ; origin input"
+ARITY_P = "arity mismatch: predicate 'p' used with arity 2 after arity 1"
+ARITY_F = "arity mismatch: function symbol 'f' used with arity 2 after arity 1"
+
+# Each case: store entries, then the exception class and message, or the
+# entries the store loads to.
+ENTRY_CASES = {
+    "conflict inside one entry": (
+        ["p(a)|~p(a,b)" + IN],
+        MalformedStoreError,
+        "line 9: bad clause: line 1, col 7: " + ARITY_P,
+    ),
+    "conflict inside one term": (
+        ["p(f(a,f(b)))" + IN],
+        MalformedStoreError,
+        "line 9: bad clause: line 1, col 3: " + ARITY_F,
+    ),
+    "predicate conflict between entries": (
+        ["p(a)" + IN, "p(a,b)" + IN],
+        SignatureConflictError,
+        ARITY_P,
+    ),
+    "function conflict between entries": (
+        ["p(f(a))" + IN, "q(f(a,b))" + IN],
+        SignatureConflictError,
+        ARITY_F,
+    ),
+    "binding term conflicts with a clause": (
+        ["p(f(a))" + IN, "q(Y) ; assoc X->f(a,b) ; origin consensus(1,1)"],
+        SignatureConflictError,
+        ARITY_F,
+    ),
+    "conflict reported in canonical literal order": (
+        ["p(a)" + IN, "q(a)" + IN, "q(a,b)|p(a,b)" + IN],
+        SignatureConflictError,
+        ARITY_P,
+    ),
+    "malformed entry wins over an earlier conflict": (
+        ["p(a)" + IN, "p(a,b)" + IN, "q(a|)" + IN],
+        MalformedStoreError,
+        "line 11: bad clause: line 1, col 4: expected ',' or ')', found '|'",
+    ),
+    "dangling pipe": (
+        ["p(a)|" + IN],
+        MalformedStoreError,
+        "line 9: bad clause: line 1, col 6: expected a predicate, found '.'",
+    ),
+    "comment character": (
+        ["p(a)#x" + IN],
+        MalformedStoreError,
+        "line 9: bad clause: line 1, col 8: expected '|' or '.', found 'end of input'",
+    ),
+    "conflict inside a binding term": (
+        ["p(a) ; assoc X->f(a,f(b)) ; origin input"],
+        MalformedStoreError,
+        "line 9: bad association term: line 1, col 1: " + ARITY_F,
+    ),
+    "undeclared predicate": (
+        ["s(a)" + IN],
+        SignatureConflictError,
+        "predicate 's' conflicts with signature table",
+    ),
+    "undeclared predicates reported in canonical literal order": (
+        ["t(a)|s(a)" + IN],
+        SignatureConflictError,
+        "predicate 's' conflicts with signature table",
+    ),
+    "undeclared function symbol": (
+        ["p(c)" + IN],
+        SignatureConflictError,
+        "function symbol 'c' conflicts with signature table",
+    ),
+    "spaces inside a literal": (["p( a )" + IN], None, ["p(a)" + IN]),
+    "literals out of canonical order": (
+        ["q(a)|~p(X)|p(f(b))" + IN],
+        None,
+        ["p(f(b))|~p(X)|q(a)" + IN],
+    ),
+}
+
+
 class TestStoreErrors:
+    @pytest.mark.parametrize("case", sorted(ENTRY_CASES))
+    def test_entry_cases(self, case):
+        entries, error, expected = ENTRY_CASES[case]
+        if error is None:
+            kb = loads_kb(store(*entries))
+            assert [m.entry_text for m in kb.pi] == expected
+        else:
+            with pytest.raises(error) as err:
+                loads_kb(store(*entries))
+            assert type(err.value) is error
+            assert str(err.value) == expected
+
     def test_truncated_store_is_malformed(self):
         text = dumps_kb(worked_kb())
         truncated = "".join(text.splitlines(keepends=True)[:-1])
@@ -152,3 +264,164 @@ class TestStoreErrors:
         lines = [l for l in dumps_kb(worked_kb()).splitlines() if not l.startswith("digest")]
         with pytest.raises(MalformedStoreError):
             loads_kb("\n".join(lines) + "\n")
+
+
+class TestLossyEntries:
+    def test_variable_bound_twice(self):
+        with pytest.raises(MalformedStoreError, match="line 9: variable 'X' bound twice"):
+            loads_kb(store("p(a) ; assoc X->a,X->b ; origin input"))
+
+    def test_repeated_entry(self):
+        with pytest.raises(MalformedStoreError, match="line 10: duplicate entry"):
+            loads_kb(store("p(a)" + IN, "p(a) ; assoc ; origin consensus(1,1)"))
+
+    def test_repeated_entry_with_literals_reordered(self):
+        with pytest.raises(MalformedStoreError, match="line 10: duplicate entry"):
+            loads_kb(store("p(a)|q(b)" + IN, "q(b)|p(a)" + IN))
+
+    def test_same_clause_with_another_association_is_kept(self):
+        kb = loads_kb(store("p(a)" + IN, "p(a) ; assoc X->a ; origin consensus(1,1)"))
+        assert len(kb.pi) == 2
+
+
+def reference_loads(text):
+    """The store loader that parses entry by entry.
+
+    Each clause text goes whole through `parse_clause` and each bound term
+    through `parse_term`, and `signature_of` then walks the members.  It
+    rejects a variable bound twice and a repeated entry where it meets them.
+    """
+    from pikit import Clause, CompileStats, ParseError, Signature, parse_term
+
+    lines = text.splitlines()
+    if not lines:
+        raise MalformedStoreError("empty store")
+    if lines[0] != "PIKB 1":
+        if lines[0].startswith("PIKB "):
+            raise StoreVersionError("unsupported store version %r" % lines[0])
+        raise MalformedStoreError("bad header %r" % lines[0])
+    digest = stats = None
+    declared = Signature()
+    pi = ClauseSet()
+    ended = False
+    for n, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        if ended:
+            raise MalformedStoreError("line %d: content after end marker" % n)
+        kind, _, payload = line.partition(" ")
+        if line == "end":
+            ended = True
+        elif kind == "digest":
+            digest = payload
+        elif kind == "stats":
+            m = _STATS_RE.fullmatch(payload)
+            if m is None:
+                raise MalformedStoreError("line %d: bad stats line" % n)
+            stats = CompileStats(*map(int, m.groups()))
+        elif kind in ("pred", "fn"):
+            m = _SYMBOL_RE.fullmatch(payload)
+            if m is None:
+                raise MalformedStoreError("line %d: bad signature line" % n)
+            arities = declared.predicates if kind == "pred" else declared.functions
+            name, arity = m.group(1), int(m.group(2))
+            if arities.get(name, arity) != arity:
+                raise SignatureConflictError("line %d: %s %r declared with two arities" % (n, kind, name))
+            arities[name] = arity
+        elif kind == "clause":
+            parts = payload.split(" ; ")
+            if len(parts) != 3:
+                raise MalformedStoreError("line %d: expected 'clause ; assoc ; origin' entry" % n)
+            clause_text, assoc_part, origin_part = parts
+            if clause_text == "$false":
+                clause = Clause()
+            else:
+                try:
+                    clause = parse_clause(clause_text + ".")
+                except ParseError as err:
+                    raise MalformedStoreError("line %d: bad clause: %s" % (n, err))
+            if assoc_part != "assoc" and not assoc_part.startswith("assoc "):
+                raise MalformedStoreError("line %d: expected association field" % n)
+            bindings = {}
+            assoc_text = assoc_part[6:]
+            for part in re.split(r",(?=[A-Z][A-Za-z0-9_]*->)", assoc_text) if assoc_text else []:
+                if "->" not in part:
+                    raise MalformedStoreError("line %d: bad association binding %r" % (n, part))
+                var, term_text = part.split("->", 1)
+                if not re.fullmatch(r"[A-Z][A-Za-z0-9_]*", var):
+                    raise MalformedStoreError("line %d: bad association variable %r" % (n, var))
+                if var in bindings:
+                    raise MalformedStoreError("line %d: variable %r bound twice" % (n, var))
+                try:
+                    bindings[var] = parse_term(term_text)
+                except ParseError as err:
+                    raise MalformedStoreError("line %d: bad association term: %s" % (n, err))
+            if not origin_part.startswith("origin "):
+                raise MalformedStoreError("line %d: expected origin field" % n)
+            origin = origin_part[7:]
+            parents = None
+            if origin != "input":
+                m = _ORIGIN_RE.fullmatch(origin)
+                if m is None:
+                    raise MalformedStoreError("line %d: bad origin %r" % (n, origin))
+                parents = (int(m.group(1)), int(m.group(2)))
+            if not pi.add(AssocClause(clause, Substitution(bindings), parents)):
+                raise MalformedStoreError("line %d: duplicate entry" % n)
+        else:
+            raise MalformedStoreError("line %d: unknown line kind %r" % (n, kind))
+    if not ended:
+        raise MalformedStoreError("missing end marker (truncated store?)")
+    if digest is None or stats is None:
+        raise MalformedStoreError("missing digest or stats line")
+    kb = CompiledKB(pi, stats, digest)
+    try:
+        implied = signature_of(kb)
+    except ValueError as err:
+        raise SignatureConflictError(str(err))
+    for name, arity in implied.predicates.items():
+        if declared.predicates.get(name) != arity:
+            raise SignatureConflictError("predicate %r conflicts with signature table" % name)
+    for name, arity in implied.functions.items():
+        if declared.functions.get(name) != arity:
+            raise SignatureConflictError("function symbol %r conflicts with signature table" % name)
+    return kb
+
+
+def outcome(load, text):
+    try:
+        kb = load(text)
+    except Exception as err:  # the class and message are what is compared
+        return type(err), str(err)
+    return kb.pi.members, kb.stats, kb.source_digest
+
+
+EDIT_CHARS = "()|,~.#$ ;->\nXYZabfpqr01"
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(0, 10**9))
+def test_loader_matches_entry_by_entry_reference(seed):
+    cfg = GenConfig(seed=seed, **FO_CFG)
+    try:
+        kb = compile(gen_kb(cfg), ResourceLimits(max_rounds=6, max_clauses=120))
+    except ResourceLimitExceeded:
+        return
+    text = dumps_kb(kb)
+    assert outcome(loads_kb, text) == outcome(reference_loads, text)
+    assert loads_kb(text) == kb
+    # One-character edits, three in four of them among the entries.
+    rng = random.Random(seed)
+    entries = text.find("\nclause ")
+    if entries < 0:  # no members: every input was a tautology
+        entries = text.index("\nend\n")
+    for _ in range(40):
+        i = rng.randrange(0 if rng.random() < 0.25 else entries, len(text))
+        how = rng.choice(["replace", "insert", "delete"])
+        char = rng.choice(EDIT_CHARS)
+        if how == "replace":
+            bad = text[:i] + char + text[i + 1 :]
+        elif how == "insert":
+            bad = text[:i] + char + text[i:]
+        else:
+            bad = text[:i] + text[i + 1 :]
+        assert outcome(loads_kb, bad) == outcome(reference_loads, bad), bad

@@ -86,6 +86,63 @@ class TestParseErrors:
             parse_clause_file("X(a).")
 
 
+# Comments, blank lines, a tab and a clause split over two lines, so every
+# error below sits on line 9 and positions count from the right places.
+MULTILINE = "# facts and rules\n\np(a).   # first\n\n  q(b,X) |\n\t~p(Y).\n# more\n\n"
+
+
+class TestErrorPositions:
+    @pytest.mark.parametrize(
+        "tail, line, col, message",
+        [
+            ("r($).", 9, 3, "unexpected character '$'"),
+            ("p(a) | X.", 9, 8, "expected a predicate, found 'X'"),
+            ("p(a) q(b).", 9, 6, "expected '|' or '.', found 'q'"),
+            ("p(a b).", 9, 5, "expected ',' or ')', found 'b'"),
+            ("p(,).", 9, 3, "expected a term, found ','"),
+            ("  .", 9, 3, "empty clause"),
+            ("q(a,b). p(a,b).", 9, 9, "arity mismatch: predicate 'p' used with arity 2 after arity 1"),
+            ("p(b(X)).", 9, 3, "arity mismatch: function symbol 'b' used with arity 1 after arity 0"),
+            ("p(f(a,f(b))).", 9, 3, "arity mismatch: function symbol 'f' used with arity 2 after arity 1"),
+            ("p(a", 9, 4, "expected ',' or ')', found 'end of input'"),
+            ("p(a)|", 9, 6, "expected a predicate, found 'end of input'"),
+            ("p(a)#.\n", 10, 1, "expected '|' or '.', found 'end of input'"),
+        ],
+    )
+    def test_clause_file_errors(self, tail, line, col, message):
+        with pytest.raises(ParseError) as err:
+            parse_clause_file(MULTILINE + tail)
+        assert (err.value.line, err.value.col) == (line, col)
+        assert str(err.value) == "line %d, col %d: %s" % (line, col, message)
+
+    @pytest.mark.parametrize(
+        "parse, text, line, col, message",
+        [
+            (parse_clause, "p(a).\nq(b).", 1, 1, "expected exactly one clause, found 2"),
+            (parse_clause, "\n\n", 1, 1, "expected exactly one clause, found 0"),
+            (parse_term, "f(a)\n  g", 2, 3, "trailing input after term: 'g'"),
+            (parse_term, "f(\n a,", 2, 4, "expected a term, found 'end of input'"),
+        ],
+    )
+    def test_single_clause_and_term_errors(self, parse, text, line, col, message):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == "line %d, col %d: %s" % (line, col, message)
+
+    def test_positions_on_a_long_file(self):
+        text, starts = "", []
+        for i in range(900):
+            text += ("", " ", "\n", "  # note\n\n\t")[i % 4]
+            starts.append(len(text))
+            text += ("p(a).", "q(b,X)|\n  ~p(Y).", "r(f(a)).")[i % 3]
+        naive = [(text.count("\n", 0, i) + 1, i - text.rfind("\n", 0, i)) for i in starts]
+        assert parse_clause_file(text).positions == naive
+
+    def test_positions_skip_comments_and_blank_lines(self):
+        parsed = parse_clause_file(MULTILINE + "r(X)|\n  s. t.")
+        assert parsed.positions == [(3, 1), (5, 3), (9, 1), (10, 6)]
+
+
 class TestParseClause:
     def test_exactly_one_clause_required(self):
         assert str(parse_clause("~p(a)|s(X).")) == "~p(a)|s(X)"
