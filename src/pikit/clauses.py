@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
-from .terms import EMPTY, Literal, Substitution, Variable, _match, apply
+from .terms import EMPTY, Compound, Literal, Substitution, _match, apply
 
 
 @dataclass(frozen=True)
@@ -22,17 +23,14 @@ class Clause:
     def __post_init__(self) -> None:
         ordered = tuple(sorted(set(self.literals), key=lambda l: l.sort_key))
         object.__setattr__(self, "literals", ordered)
+        object.__setattr__(self, "_hash", hash(ordered))
 
     def __hash__(self) -> int:
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash(self.literals)
-            object.__setattr__(self, "_hash", h)
-        return h
+        return self._hash
 
-    @property
+    @cached_property
     def features(self) -> frozenset:
-        """What every clause that θ-subsumes this one has, cached on first use.
+        """What every clause that θ-subsumes this one has.
 
         One set of three kinds of items: ``"p"``/``"~p"`` for each predicate
         and sign, ``(f, arity)`` for each function symbol and constant, and
@@ -41,11 +39,18 @@ class Clause:
         and clause lengths give no such condition: ``p(X)|p(Y)`` subsumes
         ``p(a)``.
         """
-        f = self.__dict__.get("_features")
-        if f is None:
-            f = _features(self.literals)
-            object.__setattr__(self, "_features", f)
-        return f
+        out: set = set()
+        for lit in self.literals:
+            out.add(lit.atom.predicate if lit.positive else "~" + lit.atom.predicate)
+            if lit.ground:
+                out.add(lit)
+            stack = list(lit.atom.args)
+            while stack:
+                t = stack.pop()
+                if isinstance(t, Compound):
+                    out.add((t.functor, len(t.args)))
+                    stack.extend(t.args)
+        return frozenset(out)
 
     def is_fundamental(self) -> bool:
         """False iff some atom occurs both positively and negatively."""
@@ -67,29 +72,9 @@ class Clause:
         return len(self.literals)
 
     def __str__(self) -> str:
-        if not self.literals:
-            return "$false"
-        return "|".join(str(l) for l in self.literals)
+        return "|".join([l.text for l in self.literals]) if self.literals else "$false"
 
     __repr__ = __str__
-
-
-def _features(literals: tuple[Literal, ...]) -> frozenset:
-    out: set = set()
-    for lit in literals:
-        out.add(lit.atom.predicate if lit.positive else "~" + lit.atom.predicate)
-        ground = True
-        stack = list(lit.atom.args)
-        while stack:
-            t = stack.pop()
-            if isinstance(t, Variable):
-                ground = False
-            else:
-                out.add((t.functor, len(t.args)))
-                stack.extend(t.args)
-        if ground:
-            out.add(lit)
-    return frozenset(out)
 
 
 def subsumes(c1: Clause, c2: Clause) -> Substitution | None:
@@ -133,7 +118,7 @@ class AssocClause:
     assoc: Substitution = EMPTY
     parents: tuple[int, int] | None = None
 
-    @property
+    @cached_property
     def key(self) -> tuple[Clause, Substitution]:
         return (self.clause, self.assoc)
 

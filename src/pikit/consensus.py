@@ -22,7 +22,7 @@ from enum import Enum
 from typing import Callable
 
 from .clauses import AssocClause, Clause, ClauseSet
-from .terms import Literal, Substitution, compose, unify
+from .terms import Literal, Substitution, apply, compose, unify
 
 
 @dataclass(frozen=True)
@@ -116,9 +116,9 @@ def consensus(
     a2 = compose(c2.assoc, mgu)
     if a1 != a2:
         return Outcome.BLOCKED
-    rest = [l for l in c1.clause.literals if l != r]
-    rest += [l for l in c2.clause.literals if l != s]
-    resolvent = Clause(tuple(rest)).apply_substitution(mgu)
+    rest = [apply(mgu, l) for l in c1.clause.literals if l != r]
+    rest += [apply(mgu, l) for l in c2.clause.literals if l != s]
+    resolvent = Clause(tuple(rest))
     if not resolvent.is_fundamental():
         return Outcome.NON_FUNDAMENTAL
     return AssocClause(resolvent, a1, parents=parents)

@@ -84,10 +84,9 @@ class _LoadTable:
     """The parses that the entries of one store load share.
 
     Maps the text of each literal and of each bound term to its parse, so a
-    text that repeats is parsed once and its parse is shared, with its
-    cached hash and sort key.  `symbols` is the union of the arities they
-    use, and `agree` says that no symbol in it has two.  One table lives
-    for one `loads_kb` call.
+    text that repeats is parsed once and its parse is shared.  `symbols` is
+    the union of the arities they use, and `agree` says that no symbol in it
+    has two.  One table lives for one `loads_kb` call.
     """
 
     def __init__(self) -> None:

@@ -3,6 +3,10 @@
 Variable names live in one global namespace shared by every clause of a
 knowledge base; clauses are deliberately not standardized apart before
 unification.
+
+Every node fixes its `text`, its `ground` flag and its hash when it is
+built, from those of its arguments, which are built first; a literal also
+fixes its `sort_key`.  Equality stays structural.
 """
 
 from __future__ import annotations
@@ -11,24 +15,29 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Union
 
 
-def _cached_hash(obj, parts) -> int:
-    # Terms are hashed heavily as dict keys during saturation; memoize.
-    h = obj.__dict__.get("_hash")
-    if h is None:
-        h = hash(parts)
-        object.__setattr__(obj, "_hash", h)
-    return h
+def _fix(node, text: str, ground: bool, parts: tuple) -> None:
+    object.__setattr__(node, "text", text)
+    object.__setattr__(node, "ground", ground)
+    object.__setattr__(node, "_hash", hash(parts))
+
+
+def _fix_application(node, head: str, args: tuple) -> None:
+    text = "%s(%s)" % (head, ",".join([a.text for a in args])) if args else head
+    _fix(node, text, all([a.ground for a in args]), (head, args))
 
 
 @dataclass(frozen=True)
 class Variable:
     name: str
 
+    def __post_init__(self) -> None:
+        _fix(self, self.name, False, ("v", self.name))
+
     def __hash__(self) -> int:
-        return _cached_hash(self, ("v", self.name))
+        return self._hash
 
     def __str__(self) -> str:
-        return self.name
+        return self.text
 
     __repr__ = __str__
 
@@ -40,15 +49,11 @@ class Compound:
     functor: str
     args: tuple["Term", ...] = ()
 
-    def __hash__(self) -> int:
-        return _cached_hash(self, (self.functor, self.args))
+    def __post_init__(self) -> None:
+        _fix_application(self, self.functor, self.args)
 
-    def __str__(self) -> str:
-        if not self.args:
-            return self.functor
-        return "%s(%s)" % (self.functor, ",".join(str(a) for a in self.args))
-
-    __repr__ = __str__
+    __hash__ = Variable.__hash__
+    __str__ = __repr__ = Variable.__str__
 
 
 Term = Union[Variable, Compound]
@@ -59,41 +64,33 @@ class Atom:
     predicate: str
     args: tuple[Term, ...] = ()
 
-    def __hash__(self) -> int:
-        return _cached_hash(self, (self.predicate, self.args))
+    def __post_init__(self) -> None:
+        _fix_application(self, self.predicate, self.args)
 
-    def __str__(self) -> str:
-        if not self.args:
-            return self.predicate
-        return "%s(%s)" % (self.predicate, ",".join(str(a) for a in self.args))
-
-    __repr__ = __str__
+    __hash__ = Variable.__hash__
+    __str__ = __repr__ = Variable.__str__
 
 
 @dataclass(frozen=True)
 class Literal:
-    """A possibly negated atom."""
+    """A possibly negated atom.
+
+    `sort_key` is the canonical literal order: predicate, then sign, then
+    argument text.
+    """
 
     atom: Atom
     positive: bool = True
 
-    def __hash__(self) -> int:
-        return _cached_hash(self, (self.atom, self.positive))
+    def __post_init__(self) -> None:
+        atom = self.atom
+        text = atom.text if self.positive else "~" + atom.text
+        _fix(self, text, atom.ground, (atom, self.positive))
+        key = (atom.predicate, 0 if self.positive else 1, tuple([a.text for a in atom.args]))
+        object.__setattr__(self, "sort_key", key)
 
-    @property
-    def sort_key(self) -> tuple:
-        # Canonical literal order: predicate, then sign, then argument text.
-        key = self.__dict__.get("_sort_key")
-        if key is None:
-            sign = 0 if self.positive else 1
-            key = (self.atom.predicate, sign, tuple(str(a) for a in self.atom.args))
-            object.__setattr__(self, "_sort_key", key)
-        return key
-
-    def __str__(self) -> str:
-        return str(self.atom) if self.positive else "~" + str(self.atom)
-
-    __repr__ = __str__
+    __hash__ = Variable.__hash__
+    __str__ = __repr__ = Variable.__str__
 
 
 class Substitution:
@@ -159,11 +156,11 @@ def apply(sub: Substitution | Mapping[str, Term], x):
     if isinstance(x, Variable):
         return sub.get(x.name, x)
     if isinstance(x, Compound):
-        return Compound(x.functor, tuple(apply(sub, a) for a in x.args)) if x.args else x
+        return x if x.ground else Compound(x.functor, tuple(apply(sub, a) for a in x.args))
     if isinstance(x, Atom):
-        return Atom(x.predicate, tuple(apply(sub, a) for a in x.args)) if x.args else x
+        return x if x.ground else Atom(x.predicate, tuple(apply(sub, a) for a in x.args))
     if isinstance(x, Literal):
-        return Literal(apply(sub, x.atom), x.positive)
+        return x if x.ground else Literal(apply(sub, x.atom), x.positive)
     applier = getattr(x, "apply_substitution", None)
     if applier is not None:
         return applier(sub)
@@ -201,7 +198,7 @@ def variables_of(x) -> set[str]:
 def _occurs(name: str, t: Term) -> bool:
     if isinstance(t, Variable):
         return t.name == name
-    return any(_occurs(name, a) for a in t.args)
+    return not t.ground and any(_occurs(name, a) for a in t.args)
 
 
 def _bind(d: dict[str, Term], name: str, term: Term) -> None:

@@ -88,6 +88,17 @@ class TestCompileCommand:
         assert code == 2
         assert "error: terms are nested too deeply" in err
 
+    def test_clause_nested_400_deep_compiles_and_answers(self, workspace, capsys):
+        tmp, _ = workspace
+        src, kb = tmp / "deep.fol", tmp / "deep.pikb"
+        clause = "p(%s)." % nested(400)
+        src.write_text(clause + "\n")
+        code, _, err = run(capsys, "compile", src, "-o", kb)
+        assert code == 0, err
+        code, out, err = run(capsys, "query", kb, clause)
+        assert code == 0, err
+        assert out.startswith("YES")
+
     def test_round_limit_exits_3_and_names_limit(self, workspace, capsys):
         tmp, src = workspace
         src.write_text("p(X,a)|~q(a,f(X)). ~p(b,a)|r(b,Z). ~r(X,f(a))|q(Z,f(a)).")

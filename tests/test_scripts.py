@@ -25,8 +25,12 @@ def test_demo_runs_to_the_recompiled_fold():
     assert "outcome: recompiled" in done.stdout
 
 
-def test_output_hash_runs_on_three_seeds():
-    done = run_script("output_hash.py", "--count", "3")
+# The hash of every output over the first 40 first-order instances: stores,
+# traces, stats counters and entailment answers.  Any drift in them changes it.
+GOLDEN_HASH_40 = "sha256:04f7a6d72c6fa07a39bb3f0d2d88200efa8089f4178eabe3b73a2ca6124216dd"
+
+
+def test_output_hash_matches_golden_on_forty_instances():
+    done = run_script("output_hash.py", "--count", "40")
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[0] == "instances: 3"
-    assert done.stdout.splitlines()[1].startswith("sha256:")
+    assert done.stdout.splitlines() == ["instances: 40", GOLDEN_HASH_40]

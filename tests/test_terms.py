@@ -21,7 +21,7 @@ from pikit import (
     variables_of,
 )
 
-from strategies import atoms, substitutions, terms
+from strategies import atoms, literals, substitutions, terms
 
 X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
 a, b = Compound("a"), Compound("b")
@@ -126,6 +126,42 @@ class TestUnify:
             unify(Atom("p", (a,)), a)
 
 
+class TestDeepGroundTerm:
+    """A node fixes its facts from its children's when it is built, so no
+    use of a 1,000-level term recurses once per level."""
+
+    @staticmethod
+    def build():
+        t = a
+        for _ in range(1000):
+            t = f(t)
+        return t
+
+    @pytest.fixture(scope="class")
+    def deep(self):
+        return self.build()
+
+    def test_str(self, deep):
+        assert str(deep) == "f(" * 1000 + "a" + ")" * 1000
+
+    def test_hash(self, deep):
+        assert hash(deep) == hash(self.build())
+
+    def test_literal_sort_key(self, deep):
+        assert Literal(Atom("p", (deep,))).sort_key == ("p", 0, (deep.text,))
+
+    def test_clause(self, deep):
+        lit = Literal(Atom("p", (deep,)))
+        assert Clause((lit, lit)).literals == (lit,)
+
+    def test_clause_features(self, deep):
+        lit = Literal(Atom("p", (deep,)))
+        assert Clause((lit,)).features == {"p", ("a", 0), ("f", 1), lit}
+
+    def test_apply_returns_the_ground_term_itself(self, deep):
+        assert apply(Substitution({"X": a}), deep) is deep
+
+
 class TestVariablesOf:
     def test_atom(self):
         assert variables_of(Atom("p", (X, f(a)))) == {"X"}
@@ -214,3 +250,43 @@ def test_match_recovers_applied_substitution(a1, s):
     r = match(a1, target)
     assert r is not None
     assert apply(r, a1) == target
+
+
+def reference_text(x):
+    """The recursive printer that the fixed `text` replaces."""
+    if isinstance(x, Variable):
+        return x.name
+    if isinstance(x, Literal):
+        return reference_text(x.atom) if x.positive else "~" + reference_text(x.atom)
+    head = x.functor if isinstance(x, Compound) else x.predicate
+    if not x.args:
+        return head
+    return "%s(%s)" % (head, ",".join(reference_text(t) for t in x.args))
+
+
+def rebuilt(x):
+    """A structurally equal copy that shares no node with `x`."""
+    if isinstance(x, Variable):
+        return Variable(x.name)
+    if isinstance(x, Literal):
+        return Literal(rebuilt(x.atom), x.positive)
+    args = tuple(rebuilt(t) for t in x.args)
+    return Compound(x.functor, args) if isinstance(x, Compound) else Atom(x.predicate, args)
+
+
+@given(terms, atoms, literals)
+def test_fixed_text_and_sort_key_match_recursive_reference(t, at, lit):
+    for x in (t, at, lit):
+        assert x.text == str(x) == reference_text(x)
+    sign = 0 if lit.positive else 1
+    args_text = tuple(reference_text(arg) for arg in lit.atom.args)
+    assert lit.sort_key == (lit.atom.predicate, sign, args_text)
+
+
+@given(terms, literals)
+def test_equal_nodes_built_apart_share_their_fixed_facts(t, lit):
+    for x in (t, lit.atom, lit):
+        twin = rebuilt(x)
+        assert twin == x
+        assert (hash(twin), twin.text, twin.ground) == (hash(x), x.text, x.ground)
+        assert x.ground == (not variables_of(x))
