@@ -1,8 +1,8 @@
 """Command-line interface: compile, add, query, and show.
 
 Exit codes: 0 on success (and YES queries), 1 for NO queries, 2 for
-parse/store/IO errors and for terms nested too deeply, 3 when a resource
-limit is exceeded.
+parse/store/IO errors, negative limits and terms nested too deeply, 3 when
+a resource limit is exceeded.
 """
 
 from __future__ import annotations

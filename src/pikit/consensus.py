@@ -27,8 +27,15 @@ from .terms import Literal, Substitution, apply, compose, unify
 
 @dataclass(frozen=True)
 class ResourceLimits:
+    """Caps on saturation rounds and on clause count; 0 is a legal cap."""
+
     max_rounds: int = 100
     max_clauses: int = 10_000
+
+    def __post_init__(self) -> None:
+        for name, value in (("max-rounds", self.max_rounds), ("max-clauses", self.max_clauses)):
+            if value < 0:
+                raise ValueError("%s limit (%d) must not be negative" % (name, value))
 
 
 DEFAULT_LIMITS = ResourceLimits()

@@ -95,28 +95,28 @@ class _LoadTable:
         self.symbols = Signature()
         self.agree = True
 
-    def _note(self, predicate: str | None, args: tuple[Term, ...]) -> None:
-        """Add a new parse's arities to `symbols`; a second arity clears `agree`."""
+    def _note(self, term: Term) -> None:
+        """Add a new bound term's arities to `symbols`; a second arity clears `agree`."""
         try:
-            if predicate is not None:
-                self.symbols.note_predicate(predicate, len(args))
-            for arg in args:
-                self.symbols.note_term(arg)
+            self.symbols.note_term(term)
         except ValueError:
             self.agree = False
 
     def _literals(self, text: str) -> tuple[Literal, ...] | None:
-        """The entry's literals, or None when a piece of it is no literal."""
+        """The entry's literals, or None when a piece of it is no literal.
+
+        A new literal's arities go into `symbols` as it is parsed, and one
+        that clashes with them makes the piece no literal.
+        """
         out = []
         for piece in text.split("|"):
             lit = self.literals.get(piece)
             if lit is None:
                 try:
-                    lit = _parse_literal(piece)
+                    lit = _parse_literal(piece, self.symbols)
                 except ParseError:
                     return None
                 self.literals[piece] = lit
-                self._note(lit.atom.predicate, lit.atom.args)
             out.append(lit)
         return tuple(out)
 
@@ -126,12 +126,12 @@ class _LoadTable:
         # of each entry.
         if self.agree and "#" not in text:
             literals = self._literals(text)
-            if literals is not None and self.agree:
+            if literals is not None:
                 return Clause(literals)
         # A `#` comments out the entry's closing period, a piece is no
-        # literal, or two literals may disagree on an arity: parse the entry
-        # whole, which gives the error with its position in the entry.  Its
-        # symbols are not in the table, so the final check walks the members.
+        # literal, or an arity clashes: parse the entry whole, which gives
+        # the error with its position in the entry.  The table's symbols are
+        # then incomplete, so the final check walks the members.
         self.agree = False
         try:
             return parse_clause(text + ".")
@@ -146,7 +146,7 @@ class _LoadTable:
             except ParseError as err:
                 raise MalformedStoreError("line %d: bad association term: %s" % (line_no, err))
             self.terms[text] = term
-            self._note(None, (term,))
+            self._note(term)
         return term
 
 

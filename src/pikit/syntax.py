@@ -238,9 +238,12 @@ def parse_term(text: str) -> Term:
     return term
 
 
-def _parse_literal(text: str) -> Literal:
-    """Parse exactly one literal, with no terminating period (store entries)."""
-    parser = _Parser(text)
+def _parse_literal(text: str, signature: Signature) -> Literal:
+    """Parse exactly one literal, with no terminating period (store entries).
+
+    Its arities are noted in `signature`; one that clashes is a ParseError.
+    """
+    parser = _Parser(text, signature)
     lit = parser.parse_literal()
     tok = parser.peek()
     if tok[0] != "eof":

@@ -4,26 +4,35 @@ Variable names live in one global namespace shared by every clause of a
 knowledge base; clauses are deliberately not standardized apart before
 unification.
 
-Every node fixes its `text`, its `ground` flag and its hash when it is
-built, from those of its arguments, which are built first; a literal also
-fixes its `sort_key`.  Equality stays structural.
+Every node fixes its `text`, its `variables` (the frozenset of the
+variable names in it), its `ground` flag and its hash when it is built, from
+those of its arguments, which are built first; a literal also fixes its
+`sort_key`.  Equality stays structural.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, KeysView, Mapping, Union
 
 
-def _fix(node, text: str, ground: bool, parts: tuple) -> None:
+_NO_VARIABLES: frozenset[str] = frozenset()
+
+
+def _fix(node, text: str, variables: frozenset[str], parts: tuple) -> None:
     object.__setattr__(node, "text", text)
-    object.__setattr__(node, "ground", ground)
+    object.__setattr__(node, "variables", variables)
+    object.__setattr__(node, "ground", not variables)
     object.__setattr__(node, "_hash", hash(parts))
 
 
 def _fix_application(node, head: str, args: tuple) -> None:
     text = "%s(%s)" % (head, ",".join([a.text for a in args])) if args else head
-    _fix(node, text, all([a.ground for a in args]), (head, args))
+    # Ground nodes share one empty set; a node with one non-ground argument
+    # shares that argument's set.
+    sets = [a.variables for a in args if a.variables] or [_NO_VARIABLES]
+    variables = sets[0] if len(sets) == 1 else frozenset().union(*sets)
+    _fix(node, text, variables, (head, args))
 
 
 @dataclass(frozen=True)
@@ -31,7 +40,7 @@ class Variable:
     name: str
 
     def __post_init__(self) -> None:
-        _fix(self, self.name, False, ("v", self.name))
+        _fix(self, self.name, frozenset((self.name,)), ("v", self.name))
 
     def __hash__(self) -> int:
         return self._hash
@@ -85,7 +94,7 @@ class Literal:
     def __post_init__(self) -> None:
         atom = self.atom
         text = atom.text if self.positive else "~" + atom.text
-        _fix(self, text, atom.ground, (atom, self.positive))
+        _fix(self, text, atom.variables, (atom, self.positive))
         key = (atom.predicate, 0 if self.positive else 1, tuple([a.text for a in atom.args]))
         object.__setattr__(self, "sort_key", key)
 
@@ -116,6 +125,9 @@ class Substitution:
 
     def items(self) -> Iterator[tuple[str, Term]]:
         return iter(self._bindings.items())
+
+    def keys(self) -> KeysView[str]:
+        return self._bindings.keys()
 
     def is_empty(self) -> bool:
         return not self._bindings
@@ -151,16 +163,18 @@ def apply(sub: Substitution | Mapping[str, Term], x):
 
     `sub` is a Substitution or a plain name-to-term dict.  Works on terms,
     atoms, literals, and anything exposing an `apply_substitution` method
-    (clauses).
+    (clauses).  A node none of whose variables `sub` binds comes back as it is.
     """
     if isinstance(x, Variable):
         return sub.get(x.name, x)
+    if isinstance(x, (Compound, Atom, Literal)) and sub.keys().isdisjoint(x.variables):
+        return x
     if isinstance(x, Compound):
-        return x if x.ground else Compound(x.functor, tuple(apply(sub, a) for a in x.args))
+        return Compound(x.functor, tuple(apply(sub, a) for a in x.args))
     if isinstance(x, Atom):
-        return x if x.ground else Atom(x.predicate, tuple(apply(sub, a) for a in x.args))
+        return Atom(x.predicate, tuple(apply(sub, a) for a in x.args))
     if isinstance(x, Literal):
-        return x if x.ground else Literal(apply(sub, x.atom), x.positive)
+        return Literal(apply(sub, x.atom), x.positive)
     applier = getattr(x, "apply_substitution", None)
     if applier is not None:
         return applier(sub)
@@ -177,28 +191,12 @@ def compose(s1: Substitution, s2: Substitution) -> Substitution:
 
 def variables_of(x) -> set[str]:
     """The free variables of a term, atom, literal, or clause (all are free)."""
-    if isinstance(x, Variable):
-        return {x.name}
-    if isinstance(x, (Compound, Atom)):
-        out: set[str] = set()
-        for a in x.args:
-            out |= variables_of(a)
-        return out
-    if isinstance(x, Literal):
-        return variables_of(x.atom)
+    if isinstance(x, (Variable, Compound, Atom, Literal)):
+        return set(x.variables)
     literals = getattr(x, "literals", None)
     if literals is not None:
-        out = set()
-        for lit in literals:
-            out |= variables_of(lit)
-        return out
+        return set().union(*[lit.variables for lit in literals])
     raise TypeError("cannot collect variables of %s" % type(x).__name__)
-
-
-def _occurs(name: str, t: Term) -> bool:
-    if isinstance(t, Variable):
-        return t.name == name
-    return not t.ground and any(_occurs(name, a) for a in t.args)
 
 
 def _bind(d: dict[str, Term], name: str, term: Term) -> None:
@@ -233,11 +231,11 @@ def unify(a, b) -> Substitution | None:
         if s == t:
             continue
         if isinstance(s, Variable):
-            if _occurs(s.name, t):
+            if s.name in t.variables:
                 return None
             _bind(d, s.name, t)
         elif isinstance(t, Variable):
-            if _occurs(t.name, s):
+            if t.name in s.variables:
                 return None
             _bind(d, t.name, s)
         else:
@@ -281,8 +279,7 @@ def _match(p, t, d: dict[str, Term]) -> dict[str, Term] | None:
     return d
 
 
-def match(pattern, target, bindings: Substitution | None = None) -> Substitution | None:
+def match(pattern, target) -> Substitution | None:
     """One-way matching: a substitution s with apply(s, pattern) == target."""
-    seed = {v: t for v, t in bindings.items()} if bindings is not None else {}
-    d = _match(pattern, target, seed)
+    d = _match(pattern, target, {})
     return None if d is None else Substitution(d)

@@ -122,6 +122,25 @@ class TestCompileCommand:
         code, _, _ = run(capsys, "compile", src, "-o", tmp / "kb.pikb", "--max-rounds", 10)
         assert code == 0
 
+    @pytest.mark.parametrize("flag", ["--max-rounds", "--max-clauses"])
+    def test_negative_limit_flag_exits_2(self, workspace, capsys, flag):
+        tmp, src = workspace
+        out_kb = tmp / "kb.pikb"
+        code, _, err = run(capsys, "compile", src, "-o", out_kb, flag, -1)
+        assert code == 2 and "must not be negative" in err
+        assert not out_kb.exists()
+
+    def test_negative_env_var_round_limit_exits_2(self, workspace, capsys, monkeypatch):
+        tmp, src = workspace
+        kb, out_kb = tmp / "kb.pikb", tmp / "kb2.pikb"
+        run(capsys, "compile", src, "-o", kb)
+        extra = tmp / "extra.fol"
+        extra.write_text("~p(a)|~q(Z).\n")
+        monkeypatch.setenv("PIKIT_MAX_ROUNDS", "-2")
+        code, _, err = run(capsys, "add", kb, extra, "-o", out_kb)
+        assert code == 2 and "max-rounds limit (-2)" in err
+        assert not out_kb.exists()
+
 
 class TestAddCommand:
     def test_add_reports_outcome_and_updates(self, workspace, capsys):

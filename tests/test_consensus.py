@@ -222,6 +222,12 @@ class TestClosure:
         ]
         assert [(e.parents, e.outcome) for e in events] == [((1, 2), "added")]
 
+    def test_negative_cap_is_rejected_when_built(self):
+        for caps in ({"max_rounds": -1}, {"max_clauses": -1}):
+            with pytest.raises(ValueError, match="must not be negative"):
+                ResourceLimits(**caps)
+        assert ResourceLimits(max_rounds=0, max_clauses=0).max_rounds == 0
+
     def test_clause_cap_raises_named_limit(self):
         base = example_chain_inputs()
         with pytest.raises(ResourceLimitExceeded) as err:

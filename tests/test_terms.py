@@ -162,6 +162,33 @@ class TestDeepGroundTerm:
         assert apply(Substitution({"X": a}), deep) is deep
 
 
+class TestDeepTermWithVariable:
+    """A 1,000-level term over a variable: its fixed variable set answers
+    `variables_of`, the occurs check and `apply` without a walk."""
+
+    @staticmethod
+    def nest(t):
+        for _ in range(1000):
+            t = f(t)
+        return t
+
+    @pytest.fixture(scope="class")
+    def deep(self):
+        return self.nest(Y)
+
+    def test_variables_of(self, deep):
+        assert variables_of(deep) == {"Y"}
+
+    def test_apply_of_an_unbound_name_returns_the_term_itself(self, deep):
+        assert apply(Substitution({"Z": a}), deep) is deep
+
+    def test_occurs_check(self):
+        assert unify(X, self.nest(X)) is None
+
+    def test_unify_binds_the_variable_to_the_term(self, deep):
+        assert unify(X, deep).get("X") is deep
+
+
 class TestVariablesOf:
     def test_atom(self):
         assert variables_of(Atom("p", (X, f(a)))) == {"X"}
@@ -290,3 +317,26 @@ def test_equal_nodes_built_apart_share_their_fixed_facts(t, lit):
         assert twin == x
         assert (hash(twin), twin.text, twin.ground) == (hash(x), x.text, x.ground)
         assert x.ground == (not variables_of(x))
+
+
+def reference_variables(x):
+    """The recursive collector that the fixed `variables` replaces."""
+    if isinstance(x, Variable):
+        return {x.name}
+    if isinstance(x, Literal):
+        return reference_variables(x.atom)
+    return set().union(*[reference_variables(t) for t in x.args])
+
+
+@given(terms, atoms, literals)
+def test_fixed_variables_match_recursive_reference(t, at, lit):
+    for x in (t, at, lit):
+        assert x.variables == reference_variables(x)
+        assert x.ground == (not x.variables)
+
+
+@given(st.one_of(terms, atoms, literals), st.dictionaries(st.sampled_from("XYZUV"), terms))
+def test_apply_returns_a_node_whose_variables_it_leaves_unbound(x, bindings):
+    unbound = {name: t for name, t in bindings.items() if name not in x.variables}
+    assert apply(unbound, x) is x
+    assert apply(Substitution(unbound), x) is x
