@@ -203,7 +203,7 @@ class Residue:
     kept: ClauseSet
 
 
-def residue(s: ClauseSet, stats=None) -> Residue:
+def residue(s: ClauseSet, stats=None, settled: int = 0) -> Residue:
     """Subsumption-minimal subset of `s` that still subsumes every member.
 
     Deletion looks only at clause content, never at associations.  When two
@@ -217,6 +217,14 @@ def residue(s: ClauseSet, stats=None) -> Residue:
     clause features alone: j cannot subsume i unless its features are a
     subset of i's, and only the pairs that pass reach `subsumes`.  The count
     is the same whichever way a pair is decided.
+
+    `settled` says that the first `settled` members of `s` are, in any
+    order, the kept set of an earlier residue.  That set is an antichain:
+    if j covered i and both were kept, i's scan shows that i covers j and
+    i < j, and then j's scan deletes j.  So no pair of two settled members
+    is searched, and a settled member's scan starts after them.  The kept
+    set and the count come out as with the default, 0, which searches
+    every pair.
     """
     members = list(s)
     n = len(members)
@@ -237,7 +245,7 @@ def residue(s: ClauseSet, stats=None) -> Residue:
     back: list[tuple[int, int]] = []  # (i, j): j covers i, so i-covers-j was decided
     for i in range(n):
         last = n - 1
-        for j in range(n):
+        for j in range(settled if i < settled else 0, n):
             if j == i or not covers(j, i):
                 continue
             back.append((i, j))

@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 
 from .compiler import add_clauses, compile, entails
 from .consensus import DEFAULT_LIMITS, ResourceLimitExceeded, ResourceLimits, Trace
-from .store import StoreError, load_kb, save_kb, signature_of
+from .store import StoreError, load_kb, save_kb
 from .syntax import ParseError, parse_clause, parse_clause_file
 
 MAX_ROUNDS_ENV = "PIKIT_MAX_ROUNDS"
@@ -67,8 +67,9 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 
 def _cmd_add(args: argparse.Namespace) -> int:
     kb = load_kb(args.kb)
-    # New clauses must respect the arities the KB already commits to.
-    parsed = parse_clause_file(_read(args.input), signature_of(kb))
+    # New clauses must respect the arities the KB already commits to.  The
+    # parse notes their own arities in a copy, so the KB's stay as loaded.
+    parsed = parse_clause_file(_read(args.input), kb.signature.copy())
     with _trace_file(args.trace) as trace:
         report = add_clauses(kb, parsed.clauses, _limits(args), trace)
     for clause, outcome in zip(parsed.clauses, report.outcomes):
@@ -82,7 +83,7 @@ def _cmd_add(args: argparse.Namespace) -> int:
 
 def _cmd_query(args: argparse.Namespace) -> int:
     kb = load_kb(args.kb)
-    query = parse_clause(args.clause, signature_of(kb))
+    query = parse_clause(args.clause, kb.signature.copy())
     answer = entails(kb, query)
     if answer.entailed:
         if answer.tautology:

@@ -21,8 +21,10 @@ from .consensus import (
     ResourceLimits,
     Trace,
     _attempt_pairs,
+    _Tables,
     consensus_closure,
 )
+from .syntax import Signature
 from .terms import Substitution
 
 
@@ -38,12 +40,16 @@ class CompiledKB:
     """A compiled set of prime implicates with run statistics and provenance.
 
     The member set is subsumption-minimal and every member is fundamental;
-    a KB whose only member is the empty clause is inconsistent.
+    a KB whose only member is the empty clause is inconsistent.  A store
+    load sets `signature` to the arities the members use, which it has
+    collected anyway; it is not kept up to date and takes no part in
+    equality.
     """
 
     pi: ClauseSet
     stats: CompileStats = field(default_factory=CompileStats)
     source_digest: str = ""
+    signature: Signature | None = field(default=None, compare=False, repr=False)
 
     @property
     def inconsistent(self) -> bool:
@@ -134,6 +140,14 @@ def add_clause(
     support set only when its (clause, assoc) key has never been in it, so
     clauses the residue deleted from the support set never re-enter.
 
+    Nothing is decided twice within one call.  A pair of members tried in
+    an earlier round replays its attempts, the call's `_Tables` unify each
+    atom pair and compose each (assoc, mgu) pair once, and each round's
+    residue skips the pairs of the previous working set, which an earlier
+    residue has already left minimal.  The first residue searches every
+    pair, since nothing checks that a loaded pi(X) is minimal.  None of
+    this changes a result, a trace event or a counter.
+
     The result is sound: every member is in the consensus closure of X plus
     C.  On first-order inputs it can be coarser than compile(X + [C]).
     Compilation may have subsumed away the association-free clause that was
@@ -159,8 +173,10 @@ def add_clause(
     support_history = [support.members]
     # Every key ever in the support set: the members plus the tombstones.
     seen = {c.key}
-    # The attempts of every (working-set member, support member) pair so far.
+    # The attempts of every (working-set member, support member) pair so far,
+    # and every unify and compose result they needed.
     tried: dict = {}
+    tables = _Tables()
     previous = ClauseSet()
     rounds = 0
     # The support set stays a subset of eta: C survives the first residue
@@ -174,12 +190,19 @@ def add_clause(
         if rounds > limits.max_rounds:
             raise ResourceLimitExceeded("max-rounds", limits.max_rounds, eta)
         derived = _attempt_pairs(
-            eta, support, seen, round_no=rounds, trace=trace, stats=stats, tried=tried
+            eta,
+            support,
+            seen,
+            tables=tables,
+            round_no=rounds,
+            trace=trace,
+            stats=stats,
+            tried=tried,
         )
         working = ClauseSet([*eta, *derived])
         if len(working) > limits.max_clauses:
             raise ResourceLimitExceeded("max-clauses", limits.max_clauses, working)
-        previous, eta = eta, residue(working, stats).kept
+        previous, eta = eta, residue(working, stats, settled=len(eta)).kept
         support = ClauseSet(m for m in [*support, *derived] if m in eta)
         support_history.append(support.members)
         snapshots.append(eta)

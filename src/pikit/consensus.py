@@ -86,20 +86,53 @@ class TraceEvent:
 Trace = Callable[[TraceEvent], None]
 
 
+_MISSING = object()
+
+
+class _Tables:
+    """One run's `unify` and `compose` results, each argument pair decided once.
+
+    Both functions are pure and their values immutable, so a value read here
+    is the value a new call would return.  A miss calls this module's global,
+    whatever it is bound to at the time.  A caller keeps one `_Tables` as long
+    as its `seen` set and drops it when it returns.
+    """
+
+    __slots__ = ("unifiers", "composed")
+
+    def __init__(self) -> None:
+        self.unifiers: dict = {}
+        self.composed: dict = {}
+
+    def unify(self, a, b) -> Substitution | None:
+        got = self.unifiers.get((a, b), _MISSING)
+        if got is _MISSING:
+            got = self.unifiers[a, b] = unify(a, b)
+        return got
+
+    def compose(self, s1: Substitution, s2: Substitution) -> Substitution:
+        got = self.composed.get((s1, s2))
+        if got is None:
+            got = self.composed[s1, s2] = compose(s1, s2)
+        return got
+
+
 def complementary_pairs(
-    c1: AssocClause, c2: AssocClause
+    c1: AssocClause, c2: AssocClause, tables: _Tables | None = None
 ) -> list[tuple[Literal, Literal, Substitution]]:
     """All opposite-sign literal pairs (r in c1, s in c2) whose atoms unify.
 
     Pairs come out in the canonical literal order of c1 then c2, each with
-    its mgu, so enumeration is deterministic.
+    its mgu, so enumeration is deterministic.  With `tables`, each atom pair
+    is unified once per run.
     """
+    unifier = unify if tables is None else tables.unify
     pairs = []
     for r in c1.clause.literals:
         for s in c2.clause.literals:
             if r.positive == s.positive or r.atom.predicate != s.atom.predicate:
                 continue
-            mgu = unify(r.atom, s.atom)
+            mgu = unifier(r.atom, s.atom)
             if mgu is not None:
                 pairs.append((r, s, mgu))
     return pairs
@@ -110,17 +143,20 @@ def consensus(
     c2: AssocClause,
     pair: tuple[Literal, Literal, Substitution],
     parents: tuple[int, int] = (0, 0),
+    tables: _Tables | None = None,
 ) -> AssocClause | Outcome:
     """Consensus of c1 and c2 on one complementary pair.
 
     Returns Outcome.BLOCKED when the parents' associations do not compose
     consistently with the mgu, Outcome.NON_FUNDAMENTAL when the resolvent is
     tautological, and otherwise the resolvent, associated with the composed
-    substitution and carrying `parents`.
+    substitution and carrying `parents`.  With `tables`, each (association,
+    mgu) pair is composed once per run.
     """
     r, s, mgu = pair
-    a1 = compose(c1.assoc, mgu)
-    a2 = compose(c2.assoc, mgu)
+    composer = compose if tables is None else tables.compose
+    a1 = composer(c1.assoc, mgu)
+    a2 = composer(c2.assoc, mgu)
     if a1 != a2:
         return Outcome.BLOCKED
     rest = [apply(mgu, l) for l in c1.clause.literals if l != r]
@@ -136,6 +172,7 @@ def _attempt_pairs(
     new_side: ClauseSet,
     seen: set,
     *,
+    tables: _Tables,
     round_no: int = 1,
     trace: Trace | None = None,
     stats=None,
@@ -158,9 +195,11 @@ def _attempt_pairs(
     same events, with the current round and parent ids, and counts in
     `consensus_attempts` as before.  A replayed resolvent is always a
     duplicate: its key entered `seen` when it was first derived, and a
-    caller passes the same `seen` with the same `tried`.  When
-    base plus the added clauses outgrows `max_clauses`,
-    ResourceLimitExceeded carries that partial set.
+    caller passes the same `seen` with the same `tried`.  `tables` holds
+    the run's `unify` and `compose` results; the caller keeps one as long
+    as `seen`, so every atom pair and every (assoc, mgu) pair of the run
+    reaches those functions once.  When base plus the added clauses
+    outgrows `max_clauses`, ResourceLimitExceeded carries that partial set.
     """
     index = {m.key: i + 1 for i, m in enumerate(base)}
     admitted: list[AssocClause] = []
@@ -174,8 +213,8 @@ def _attempt_pairs(
             attempts = None if tried is None else tried.get((d1.key, d2.key))
             if attempts is None:
                 attempts = [
-                    (pair, consensus(d1, d2, pair, parents=ids))
-                    for pair in complementary_pairs(d1, d2)
+                    (pair, consensus(d1, d2, pair, ids, tables))
+                    for pair in complementary_pairs(d1, d2, tables)
                 ]
                 if tried is not None:
                     tried[d1.key, d2.key] = attempts
@@ -232,12 +271,14 @@ def consensus_closure(
     current = x.copy()
     iterates = [current]
     seen = {m.key for m in current}
+    tables = _Tables()
     fresh: set | None = None  # round 1 attempts every pair
     for i in range(1, limits.max_rounds + 1):
         new = _attempt_pairs(
             current,
             current,
             seen,
+            tables=tables,
             round_no=i,
             trace=trace,
             stats=stats,

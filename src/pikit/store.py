@@ -264,6 +264,7 @@ def loads_kb(text: str) -> CompiledKB:
     message = _undeclared(implied, declared)
     if message is not None:
         raise SignatureConflictError(message)
+    kb.signature = implied
     return kb
 
 

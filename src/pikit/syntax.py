@@ -60,6 +60,9 @@ class Signature:
             for arg in term.args:
                 self.note_term(arg)
 
+    def copy(self) -> "Signature":
+        return Signature(dict(self.predicates), dict(self.functions))
+
 
 def _arity_error(kind: str, name: str, known: int, arity: int) -> ValueError:
     return ValueError(

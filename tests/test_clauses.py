@@ -1,6 +1,7 @@
 """Fundamentality, θ-subsumption with witness, and the subsumption residue."""
 
 import itertools
+import random
 
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
@@ -26,6 +27,7 @@ from pikit import (
     parse_clause,
     residue,
     subsumes,
+    vary_seed,
 )
 
 from strategies import FO_CFG, clauses
@@ -352,6 +354,46 @@ def assert_residue_matches_reference(s):
 def test_residue_matches_pairwise_reference_on_seeded_sets():
     for seed in range(200):
         assert_residue_matches_reference(gen_kb(GenConfig(seed=seed, **FO_CFG)))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(0, 10**9))
+def test_settled_prefix_matches_pairwise_reference(seed):
+    # A residue's output, then newcomers: fresh clauses, and some of the
+    # settled clauses again under another association.
+    cfg = GenConfig(seed=seed, **FO_CFG)
+    settled = residue(gen_kb(cfg)).kept
+    newcomers = [*gen_kb(vary_seed(cfg, 7))]
+    newcomers += [AssocClause(m.clause, Substitution({"X": Compound("a")})) for m in settled][::2]
+    random.Random(seed).shuffle(newcomers)
+    s = ClauseSet([*settled, *newcomers])
+    got_stats, ref_stats = CompileStats(), CompileStats()
+    got = residue(s, got_stats, settled=len(settled)).kept
+    assert got == reference_residue(s, ref_stats)
+    assert got_stats.subsumption_checks == ref_stats.subsumption_checks
+
+
+def test_settled_prefix_is_not_searched(monkeypatch):
+    import pikit.clauses as clauses_module
+
+    # p(X,X) passes the feature test against p(a,b) but does not subsume it.
+    settled = members("p(X,X).", "p(a,b).", "q(b).")
+    s = ClauseSet([*settled, *members("p(a,a)|q(a).", "q(X)|r(a).", "r(b).")])
+    searched = []
+
+    def spy(c1, c2):
+        searched.append((str(c1), str(c2)))
+        return subsumes(c1, c2)
+
+    monkeypatch.setattr(clauses_module, "subsumes", spy)
+    full_stats, skip_stats = CompileStats(), CompileStats()
+    full = residue(s, full_stats)
+    full_searched, searched[:] = list(searched), []
+    assert residue(s, skip_stats, settled=3).kept == full.kept
+    assert skip_stats.subsumption_checks == full_stats.subsumption_checks
+    old = {str(m.clause) for m in settled}
+    assert [p for p in full_searched if old.issuperset(p)] != []
+    assert [p for p in searched if old.issuperset(p)] == []
 
 
 def test_residue_matches_pairwise_reference_on_closure_iterates():

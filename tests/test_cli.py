@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from pikit import cli, load_kb, signature_of, store
 from pikit.cli import main
 
 WORKED = "q(Y).\n~r(f(X),b).\np(X)|r(Y,b)|~q(Z).\n"
@@ -183,6 +184,22 @@ class TestAddCommand:
         assert code == 2
         assert "arity mismatch" in err
 
+    def test_add_parses_against_the_loaded_arities(self, workspace, capsys, monkeypatch):
+        tmp, src = workspace
+        kb, out_kb = tmp / "kb.pikb", tmp / "kb2.pikb"
+        run(capsys, "compile", src, "-o", kb)
+
+        def walk(kb):
+            raise AssertionError("the store load has collected the arities already")
+
+        monkeypatch.setattr(cli, "signature_of", walk, raising=False)
+        extra = tmp / "extra.fol"
+        extra.write_text("~p(a)|~q(Z).\ns(g(a,b)).\n")
+        code, out, _ = run(capsys, "add", kb, extra, "-o", out_kb)
+        assert code == 0
+        assert "recompiled: ~p(a)|~q(Z)." in out and "recompiled: s(g(a,b))." in out
+        assert "pred s/1\nfn a/0\nfn b/0\nfn f/1\nfn g/2\n" in out_kb.read_text()
+
 
 class TestQueryCommand:
     def test_entailed_query_yes_exit_0(self, workspace, capsys):
@@ -236,6 +253,38 @@ class TestQueryCommand:
         code, _, err = run(capsys, "query", kb, "q(a,b).")  # KB committed to q/1
         assert code == 2
         assert "arity mismatch" in err
+
+    def test_query_walks_no_signature_on_a_clean_store(self, workspace, capsys, monkeypatch):
+        tmp, src = workspace
+        kb = tmp / "kb.pikb"
+        run(capsys, "compile", src, "-o", kb)
+
+        def walk(kb):
+            raise AssertionError("the store load has collected the arities already")
+
+        monkeypatch.setattr(cli, "signature_of", walk, raising=False)
+        monkeypatch.setattr(store, "signature_of", walk)
+        code, out, _ = run(capsys, "query", kb, "p(a)|r(Y,b).")
+        assert (code, out) == (0, "YES witness=p(X)|r(Z,b) subst={X->a,Z->Y}\n")
+        code, _, err = run(capsys, "query", kb, "q(a,b).")
+        assert code == 2 and "arity mismatch" in err
+
+    def test_query_symbols_leave_the_loaded_arities_alone(self, workspace, capsys, monkeypatch):
+        tmp, src = workspace
+        kb_path = tmp / "kb.pikb"
+        run(capsys, "compile", src, "-o", kb_path)
+        loaded = []
+
+        def load(path):
+            loaded.append(load_kb(path))
+            return loaded[-1]
+
+        monkeypatch.setattr(cli, "load_kb", load)
+        code, out, _ = run(capsys, "query", kb_path, "s(g(a,b))|q(a).")
+        assert (code, out) == (0, "YES witness=q(Y) subst={Y->a}\n")
+        sig = loaded[0].signature
+        assert sig == signature_of(loaded[0])
+        assert "s" not in sig.predicates and "g" not in sig.functions
 
     def test_added_clause_is_always_entailed_afterwards(self, workspace, capsys):
         tmp, src = workspace

@@ -1,5 +1,7 @@
 """Batch compilation, incremental updates, and entailment queries."""
 
+import collections
+import importlib
 
 import hypothesis.strategies as st
 import pytest
@@ -227,6 +229,86 @@ class TestAddClause:
                 continue
             if report.outcome == "recompiled":
                 assert report.result.stats.consensus_attempts == len(events), seed
+
+
+def _criterion_4_instances(count=50):
+    """(X, C) of criterion-4 seeds 0..count-1, in the FO_CFG shape."""
+    for seed in range(count):
+        cfg = GenConfig(seed=seed, **FO_CFG)
+        yield [m.clause for m in gen_kb(cfg)], gen_clause(vary_seed(cfg, 1_000_003))
+
+
+class TestDecidedOnce:
+    """Work one compile or fold call has done is not done again in that call."""
+
+    def test_each_unify_and_compose_pair_is_decided_once_per_call(self, monkeypatch):
+        engine = importlib.import_module("pikit.consensus")
+        calls = collections.Counter()
+
+        def counted(name):
+            inner = getattr(engine, name)
+
+            def wrapper(a, b):
+                calls[name, a, b] += 1
+                return inner(a, b)
+
+            monkeypatch.setattr(engine, name, wrapper)
+
+        counted("unify")
+        counted("compose")
+
+        def once(run):
+            calls.clear()
+            result = run()
+            assert [k for k, n in calls.items() if n > 1] == []
+            return result, len(calls)
+
+        decided = folds = 0
+        for x, c in _criterion_4_instances():
+            try:
+                kb, n = once(lambda: compile(x))
+                report, m = once(lambda: add_clause(kb, c))
+            except ResourceLimitExceeded:
+                continue
+            decided += n + m
+            folds += report.outcome == "recompiled"
+        assert folds >= 20 and decided > 1000
+
+    def test_round_residues_search_no_pair_of_the_previous_working_set(self, monkeypatch):
+        clauses_module = importlib.import_module("pikit.clauses")
+        compiler_module = importlib.import_module("pikit.compiler")
+        real_residue, real_subsumes = compiler_module.residue, clauses_module.subsumes
+        state = {"previous": frozenset(), "settled": frozenset()}
+        searched = collections.Counter()
+
+        def residue_wrapper(s, *args, **kwargs):
+            state["settled"] = state["previous"]
+            try:
+                out = real_residue(s, *args, **kwargs)
+            finally:
+                state["settled"] = frozenset()
+            state["previous"] = frozenset(id(m.clause) for m in out.kept)
+            return out
+
+        def subsumes_wrapper(c1, c2):
+            settled = state["settled"]
+            if settled:
+                both = id(c1) in settled and id(c2) in settled
+                searched["settled" if both else "round"] += 1
+            return real_subsumes(c1, c2)
+
+        monkeypatch.setattr(compiler_module, "residue", residue_wrapper)
+        monkeypatch.setattr(clauses_module, "subsumes", subsumes_wrapper)
+        for x, c in _criterion_4_instances():
+            try:
+                state["previous"] = frozenset()
+                kb = compile(x)
+                state["previous"] = frozenset()  # the fold's first residue searches every pair
+                add_clause(kb, c)
+            except ResourceLimitExceeded:
+                continue
+        assert searched["settled"] == 0
+        assert searched["round"] > 100
 
 
 class TestAddClauses:

@@ -288,8 +288,9 @@ def reference_loads(text):
     """The store loader that parses entry by entry.
 
     Each clause text goes whole through `parse_clause` and each bound term
-    through `parse_term`, and `signature_of` then walks the members.  It
-    rejects a variable bound twice and a repeated entry where it meets them.
+    through `parse_term`, and `signature_of` then walks the members; the KB
+    keeps what that walk finds.  It rejects a variable bound twice and a
+    repeated entry where it meets them.
     """
     from pikit import Clause, CompileStats, ParseError, Signature, parse_term
 
@@ -384,6 +385,7 @@ def reference_loads(text):
     for name, arity in implied.functions.items():
         if declared.functions.get(name) != arity:
             raise SignatureConflictError("function symbol %r conflicts with signature table" % name)
+    kb.signature = implied
     return kb
 
 
@@ -392,7 +394,7 @@ def outcome(load, text):
         kb = load(text)
     except Exception as err:  # the class and message are what is compared
         return type(err), str(err)
-    return kb.pi.members, kb.stats, kb.source_digest
+    return kb.pi.members, kb.stats, kb.source_digest, kb.signature
 
 
 EDIT_CHARS = "()|,~.#$ ;->\nXYZabfpqr01"
