@@ -10,7 +10,9 @@ a stop records its limit, the partial set and the trace up to it.  The read
 side is covered too: the `compile(X)` store after a load and a dump, and
 the `entails` answer on the loaded KB, for C and for each member's clause.
 Stores carry the stats counters, and trace lines carry every event field.
-Two versions of pikit whose outputs are byte-identical print the same hash.
+A second hash covers the same runs with no trace attached, so the untraced
+path is checked too.  Two versions of pikit whose outputs are
+byte-identical print the same two hashes.
 
     python scripts/output_hash.py --count 500
 """
@@ -49,14 +51,15 @@ HEAVY_SEEDS = frozenset({134, 157, 193, 362})
 TIGHT = ResourceLimits(max_rounds=3, max_clauses=12)
 
 
-def run(fn):
+def run(fn, traced):
     """Lines for fn(trace)'s outputs followed by its trace, one line per event.
 
-    A resource stop gives the limit and the partial set in place of the outputs.
+    A resource stop gives the limit and the partial set in place of the
+    outputs.  Untraced, fn gets None for its trace and no event lines follow.
     """
     events = []
     try:
-        lines = fn(events.append)
+        lines = fn(events.append if traced else None)
     except ResourceLimitExceeded as err:
         lines = ["limit %s %d" % (err.limit, err.value)]
         lines += [m.entry_text for m in err.partial]
@@ -90,7 +93,7 @@ def read_lines(kb, queries):
     return lines
 
 
-def instance_lines(seed):
+def instance_lines(seed, traced):
     cfg = GenConfig(seed=seed, **FO_CFG)
     x = [m.clause for m in gen_kb(cfg)]
     c = gen_clause(vary_seed(cfg, 1_000_003))
@@ -100,16 +103,16 @@ def instance_lines(seed):
         base.append(compile(x, trace=trace))
         return [dumps_kb(base[0])]
 
-    lines = ["seed %d" % seed, *run(compile_x)]
+    lines = ["seed %d" % seed, *run(compile_x, traced)]
     if base:
         lines += read_lines(base[0], [c] + [m.clause for m in base[0].pi])
-    lines += run(lambda t: [dumps_kb(compile(x, TIGHT, t))])
+    lines += run(lambda t: [dumps_kb(compile(x, TIGHT, t))], traced)
     for limits in (DEFAULT_LIMITS, TIGHT):
         if base:
-            lines += run(lambda t: fold_lines(add_clause(base[0], c, limits, t)))
-        lines += run(lambda t: [dumps_kb(compile(x + [c], limits, t))])
+            lines += run(lambda t: fold_lines(add_clause(base[0], c, limits, t)), traced)
+        lines += run(lambda t: [dumps_kb(compile(x + [c], limits, t))], traced)
     if base:
-        lines += run(lambda t: batch_lines(add_clauses(base[0], [c, c], trace=t)))
+        lines += run(lambda t: batch_lines(add_clauses(base[0], [c, c], trace=t)), traced)
     return lines
 
 
@@ -118,14 +121,16 @@ def main() -> None:
     parser.add_argument("--count", type=int, default=500, help="hash seeds 0..count-1")
     args = parser.parse_args()
 
-    h = hashlib.sha256()
+    hashes = {True: hashlib.sha256(), False: hashlib.sha256()}
     seeds = [s for s in range(args.count) if s not in HEAVY_SEEDS]
     for seed in seeds:
-        for line in instance_lines(seed):
-            h.update(line.encode("utf-8"))
-            h.update(b"\n")
+        for traced, h in hashes.items():
+            for line in instance_lines(seed, traced):
+                h.update(line.encode("utf-8"))
+                h.update(b"\n")
     print("instances: %d" % len(seeds))
-    print("sha256:%s" % h.hexdigest())
+    print("sha256:%s" % hashes[True].hexdigest())
+    print("untraced sha256:%s" % hashes[False].hexdigest())
 
 
 if __name__ == "__main__":

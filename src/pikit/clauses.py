@@ -111,16 +111,31 @@ class AssocClause:
     """A clause together with its association and provenance.
 
     Input clauses carry the empty association; consensus results carry the
-    composed substitution and the ids of their parents.
+    composed substitution and the ids of their parents.  A member is its
+    (clause, assoc) pair: equality and the hash, fixed when it is built,
+    ignore `parents`, which only records where the member came from.
     """
 
     clause: Clause
     assoc: Substitution = EMPTY
     parents: tuple[int, int] | None = None
 
-    @cached_property
-    def key(self) -> tuple[Clause, Substitution]:
-        return (self.clause, self.assoc)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.clause, self.assoc)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, AssocClause):
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.clause == other.clause
+            and self.assoc == other.assoc
+        )
 
     @property
     def origin(self) -> str:
@@ -144,45 +159,43 @@ class AssocClause:
 
 
 class ClauseSet:
-    """Insertion-ordered collection of associated clauses.
+    """Insertion-ordered set of associated clauses.
 
     Members are unique by (clause, assoc): the same clause text with a
     different association is kept as a distinct member, since associations
-    gate consensus eligibility.
+    gate consensus eligibility.  Of two equal members the first one added
+    is kept.
     """
 
     __slots__ = ("_members",)
 
     def __init__(self, members: Iterable[AssocClause] = ()):
-        self._members: dict[tuple, AssocClause] = {}
-        for m in members:
-            self.add(m)
+        self._members: dict[AssocClause, None] = dict.fromkeys(members)
 
     def add(self, member: AssocClause) -> bool:
         """Append a member; False when an equal (clause, assoc) pair exists."""
-        k = member.key
-        if k in self._members:
+        if member in self._members:
             return False
-        self._members[k] = member
+        self._members[member] = None
         return True
 
     def __contains__(self, member: AssocClause) -> bool:
-        return member.key in self._members
+        return member in self._members
 
     def __iter__(self) -> Iterator[AssocClause]:
-        return iter(self._members.values())
+        return iter(self._members)
 
     def __len__(self) -> int:
         return len(self._members)
 
     def copy(self) -> "ClauseSet":
         out = ClauseSet()
-        out._members = dict(self._members)
+        out._members = self._members.copy()
         return out
 
     @property
     def members(self) -> tuple[AssocClause, ...]:
-        return tuple(self._members.values())
+        return tuple(self._members)
 
     def clause_texts(self) -> list[str]:
         return [str(m.clause) for m in self]

@@ -137,16 +137,14 @@ def add_clause(
     takes all consensuses with one parent in the working set and one in the
     support set, re-minimizes, and prunes the support set, until two
     consecutive working sets are equal.  A resolvent is added to the
-    support set only when its (clause, assoc) key has never been in it, so
+    support set only when its (clause, assoc) pair has never been in it, so
     clauses the residue deleted from the support set never re-enter.
 
-    Nothing is decided twice within one call.  A pair of members tried in
-    an earlier round replays its attempts, the call's `_Tables` unify each
-    atom pair and compose each (assoc, mgu) pair once, and each round's
-    residue skips the pairs of the previous working set, which an earlier
-    residue has already left minimal.  The first residue searches every
-    pair, since nothing checks that a loaded pi(X) is minimal.  None of
-    this changes a result, a trace event or a counter.
+    The call's `_Tables` unify each atom pair and compose each (assoc, mgu)
+    pair once, and each round's residue skips the pairs of the previous
+    working set, which an earlier residue has already left minimal; the
+    first residue searches every pair, since nothing checks that a loaded
+    pi(X) is minimal.
 
     The result is sound: every member is in the consensus closure of X plus
     C.  On first-order inputs it can be coarser than compile(X + [C]).
@@ -171,11 +169,8 @@ def add_clause(
     snapshots = [eta]
     support = ClauseSet([c])
     support_history = [support.members]
-    # Every key ever in the support set: the members plus the tombstones.
-    seen = {c.key}
-    # The attempts of every (working-set member, support member) pair so far,
-    # and every unify and compose result they needed.
-    tried: dict = {}
+    # Every member ever in the support set, the tombstones included.
+    seen = {c}
     tables = _Tables()
     previous = ClauseSet()
     rounds = 0
@@ -184,7 +179,7 @@ def add_clause(
     # support members that survive.  So eta plus the new resolvents is the
     # whole working set.  Ordered equality suffices: residue keeps the order
     # of its input, which starts with the previous eta, so two consecutive
-    # working sets with equal keys have equal order.
+    # working sets with equal members have equal order.
     while eta != previous:
         rounds += 1
         if rounds > limits.max_rounds:
@@ -197,7 +192,6 @@ def add_clause(
             round_no=rounds,
             trace=trace,
             stats=stats,
-            tried=tried,
         )
         working = ClauseSet([*eta, *derived])
         if len(working) > limits.max_clauses:

@@ -7,8 +7,8 @@ resolvents are discarded.
 
 One engine, `_attempt_pairs`, enumerates and classifies every attempt, for
 batch closure here and for the incremental fold in the compiler.  Its one
-admission rule: a resolvent is added when its (clause, assoc) key is not in
-the caller's `seen` set, and a duplicate otherwise.  The callers differ only
+admission rule: a resolvent is added when no equal (clause, assoc) member is
+in the caller's `seen` set, and a duplicate otherwise.  The callers differ only
 in the pairs they ask for and in what `seen` holds.  Saturation is not
 guaranteed to terminate on first-order inputs, so every closure takes
 explicit resource limits and fails loudly with the partial set when a cap
@@ -95,7 +95,8 @@ class _Tables:
     Both functions are pure and their values immutable, so a value read here
     is the value a new call would return.  A miss calls this module's global,
     whatever it is bound to at the time.  A caller keeps one `_Tables` as long
-    as its `seen` set and drops it when it returns.
+    as its `seen` set and drops it when it returns, so a pair of members
+    met again in a later round reaches neither function again.
     """
 
     __slots__ = ("unifiers", "composed")
@@ -147,6 +148,8 @@ def consensus(
 ) -> AssocClause | Outcome:
     """Consensus of c1 and c2 on one complementary pair.
 
+    `pair` is one of `complementary_pairs(c1, c2)`: its two literals are the
+    parents' own objects, so the resolvent drops them by identity.
     Returns Outcome.BLOCKED when the parents' associations do not compose
     consistently with the mgu, Outcome.NON_FUNDAMENTAL when the resolvent is
     tautological, and otherwise the resolvent, associated with the composed
@@ -159,8 +162,8 @@ def consensus(
     a2 = composer(c2.assoc, mgu)
     if a1 != a2:
         return Outcome.BLOCKED
-    rest = [apply(mgu, l) for l in c1.clause.literals if l != r]
-    rest += [apply(mgu, l) for l in c2.clause.literals if l != s]
+    rest = [apply(mgu, l) for l in c1.clause.literals if l is not r]
+    rest += [apply(mgu, l) for l in c2.clause.literals if l is not s]
     resolvent = Clause(tuple(rest))
     if not resolvent.is_fundamental():
         return Outcome.NON_FUNDAMENTAL
@@ -177,57 +180,40 @@ def _attempt_pairs(
     trace: Trace | None = None,
     stats=None,
     fresh: set | None = None,
-    tried: dict | None = None,
     max_clauses: int | None = None,
 ) -> list[AssocClause]:
     """Attempt consensus over ordered pairs (D1 in base, D2 in new_side).
 
     This is the one place consensus attempts are enumerated and classified.
-    Distinct members only.  A resolvent is added when its (clause, assoc)
-    key is not in `seen`, which then grows by that key; otherwise it is a
-    duplicate.  Returns the added clauses in derivation order.  Parent ids
-    are the 1-based positions of the parents in `base`.  When `fresh` is
-    given, pairs of two non-fresh members are skipped: their consensuses
-    were all attempted in an earlier round, so they can only repeat old
-    outcomes.  When `tried` is given, each pair's attempts are computed
-    once and kept there under the pair's (D1 key, D2 key); a later call
-    replays them instead of unifying and composing again.  A replay emits the
-    same events, with the current round and parent ids, and counts in
-    `consensus_attempts` as before.  A replayed resolvent is always a
-    duplicate: its key entered `seen` when it was first derived, and a
-    caller passes the same `seen` with the same `tried`.  `tables` holds
-    the run's `unify` and `compose` results; the caller keeps one as long
-    as `seen`, so every atom pair and every (assoc, mgu) pair of the run
-    reaches those functions once.  When base plus the added clauses
+    Distinct members only.  A resolvent is added when it is not in `seen`,
+    which then grows by it; otherwise it is a duplicate.  Returns the added
+    clauses in derivation order.  Parent ids are the 1-based positions of
+    the parents in `base`.  When `fresh` is given, pairs of two non-fresh
+    members are skipped: their consensuses were all attempted in an earlier
+    round, so they can only repeat old outcomes.  `tables` holds the run's
+    `unify` and `compose` results.  When base plus the added clauses
     outgrows `max_clauses`, ResourceLimitExceeded carries that partial set.
     """
-    index = {m.key: i + 1 for i, m in enumerate(base)}
+    index = {m: i + 1 for i, m in enumerate(base)}
     admitted: list[AssocClause] = []
     for d1 in base:
         for d2 in new_side:
-            if d1.key == d2.key:
+            if d1 == d2:
                 continue
-            if fresh is not None and d1.key not in fresh and d2.key not in fresh:
+            if fresh is not None and d1 not in fresh and d2 not in fresh:
                 continue
-            ids = (index.get(d1.key, 0), index.get(d2.key, 0))
-            attempts = None if tried is None else tried.get((d1.key, d2.key))
-            if attempts is None:
-                attempts = [
-                    (pair, consensus(d1, d2, pair, ids, tables))
-                    for pair in complementary_pairs(d1, d2, tables)
-                ]
-                if tried is not None:
-                    tried[d1.key, d2.key] = attempts
-            for pair, res in attempts:
+            ids = (index.get(d1, 0), index.get(d2, 0))
+            for pair in complementary_pairs(d1, d2, tables):
+                res = consensus(d1, d2, pair, ids, tables)
                 if stats is not None:
                     stats.consensus_attempts += 1
                 if isinstance(res, Outcome):
                     outcome = res
-                elif res.key in seen:
+                elif res in seen:
                     outcome = Outcome.DUPLICATE
                 else:
                     outcome = Outcome.ADDED
-                    seen.add(res.key)
+                    seen.add(res)
                     admitted.append(res)
                     if max_clauses is not None and len(base) + len(admitted) > max_clauses:
                         partial = ClauseSet([*base, *admitted])
@@ -270,7 +256,7 @@ def consensus_closure(
     hit."""
     current = x.copy()
     iterates = [current]
-    seen = {m.key for m in current}
+    seen = set(current)
     tables = _Tables()
     fresh: set | None = None  # round 1 attempts every pair
     for i in range(1, limits.max_rounds + 1):
@@ -287,7 +273,7 @@ def consensus_closure(
         )
         if not new:
             return ClosureResult(current, iterates, rounds=i - 1)
-        fresh = {m.key for m in new}
+        fresh = set(new)
         current = ClauseSet([*current, *new])
         iterates.append(current)
     raise ResourceLimitExceeded("max-rounds", limits.max_rounds, current)

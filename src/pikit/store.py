@@ -226,8 +226,12 @@ def loads_kb(text: str) -> CompiledKB:
         if line == "end":
             ended = True
         elif kind == "digest":
+            if digest is not None:
+                raise MalformedStoreError("line %d: second digest line" % line_no)
             digest = payload
         elif kind == "stats":
+            if stats is not None:
+                raise MalformedStoreError("line %d: second stats line" % line_no)
             m = _STATS_RE.fullmatch(payload)
             if m is None:
                 raise MalformedStoreError("line %d: bad stats line" % line_no)

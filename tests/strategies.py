@@ -1,4 +1,8 @@
-"""Shared hypothesis strategies for terms, clauses, and substitutions."""
+"""Shared hypothesis strategies for terms, clauses, and substitutions.
+
+Also `entries`: member equality ignores provenance, so a test that compares
+members, clause sets or KBs with `==` compares their entries as well.
+"""
 
 import hypothesis.strategies as st
 
@@ -37,3 +41,8 @@ literals = st.builds(Literal, atoms, st.booleans())
 clauses = st.lists(literals, min_size=1, max_size=3).map(lambda ls: Clause(tuple(ls)))
 
 substitutions = st.dictionaries(st.sampled_from("XYZ"), terms, max_size=3).map(Substitution)
+
+
+def entries(members):
+    """Each member's store entry, origin included, in order."""
+    return [m.entry_text for m in members]

@@ -55,7 +55,7 @@ from pikit import (
     vary_seed,
 )
 
-from strategies import FO_CFG
+from strategies import FO_CFG, entries
 
 EX1 = "p(X,a)|~q(a,f(X)). ~p(b,a)|r(b,Z). ~r(X,f(a))|q(Z,f(a))."
 EX2 = "q(Y). ~r(f(X),b). p(X)|r(Y,b)|~q(Z)."
@@ -409,7 +409,8 @@ def test_criterion_8_property_suites():
             assert subsumes(d.clause, e.clause) is None
         for m in s:
             assert any(subsumes(d.clause, m.clause) is not None for d in kept)
-        assert residue(got.kept).kept == got.kept
+        again = residue(got.kept).kept
+        assert again == got.kept and entries(again) == entries(got.kept)
 
     # Unification: idempotence and correctness on 400 seeded pairs (the
     # non-unifiable ones exercise the failure path).
@@ -447,6 +448,7 @@ def test_criterion_8_property_suites():
             assert all(m in later for m in earlier)
         again = consensus_closure(closure.clauses, limits)
         assert again.clauses == closure.clauses
+        assert entries(again.clauses) == entries(closure.clauses)
         assert again.rounds == 0
         checked += 1
 
@@ -475,5 +477,6 @@ def test_criterion_8_property_suites():
             kb = compile(base, limits)
         except ResourceLimitExceeded:
             continue
-        assert loads_kb(dumps_kb(kb)) == kb
+        again = loads_kb(dumps_kb(kb))
+        assert again == kb and entries(again.pi) == entries(kb.pi)
         checked += 1

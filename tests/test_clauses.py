@@ -30,7 +30,7 @@ from pikit import (
     vary_seed,
 )
 
-from strategies import FO_CFG, clauses
+from strategies import FO_CFG, clauses, entries
 
 
 def cl(text):
@@ -250,7 +250,8 @@ class TestResidue:
 
     def test_singleton_is_kept(self):
         s = members("p(X).")
-        assert residue(s).kept == s
+        kept = residue(s).kept
+        assert kept == s and entries(kept) == entries(s)
 
     def test_variants_keep_the_earlier_member(self):
         s = members("p(X)|q(Y,b).", "p(Z)|q(X,b).")
@@ -317,6 +318,7 @@ def test_residue_is_minimal_covering_and_idempotent(seed):
     # idempotence
     again = residue(got.kept)
     assert again.kept == got.kept
+    assert entries(again.kept) == entries(got.kept)
     assert [m for m in got.kept if m not in again.kept] == []
 
 
@@ -347,7 +349,8 @@ def reference_residue(s, stats):
 
 def assert_residue_matches_reference(s):
     got_stats, ref_stats = CompileStats(), CompileStats()
-    assert residue(s, got_stats).kept == reference_residue(s, ref_stats)
+    got, ref = residue(s, got_stats).kept, reference_residue(s, ref_stats)
+    assert got == ref and entries(got) == entries(ref)
     assert got_stats.subsumption_checks == ref_stats.subsumption_checks
 
 
@@ -389,7 +392,8 @@ def test_settled_prefix_is_not_searched(monkeypatch):
     full_stats, skip_stats = CompileStats(), CompileStats()
     full = residue(s, full_stats)
     full_searched, searched[:] = list(searched), []
-    assert residue(s, skip_stats, settled=3).kept == full.kept
+    skip = residue(s, skip_stats, settled=3)
+    assert skip.kept == full.kept and entries(skip.kept) == entries(full.kept)
     assert skip_stats.subsumption_checks == full_stats.subsumption_checks
     old = {str(m.clause) for m in settled}
     assert [p for p in full_searched if old.issuperset(p)] != []
@@ -419,6 +423,17 @@ class TestClauseSetEqual:
         s1 = members(("p(X).", {"Y": Compound("a")}))
         s2 = members("p(X).")
         assert s1 != s2
+
+    def test_parents_are_not_part_of_identity(self):
+        first = AssocClause(cl("p(X)."), Substitution({"Y": Compound("a")}), (1, 2))
+        second = AssocClause(cl("p(X)."), Substitution({"Y": Compound("a")}), (3, 4))
+        assert first == second and hash(first) == hash(second)
+        assert first != AssocClause(cl("p(X)."), parents=(1, 2))
+        s = ClauseSet([first])
+        assert second in s and not s.add(second)
+        assert entries(s) == ["p(X) ; assoc Y->a ; origin consensus(1,2)"]
+        kept = ClauseSet([second, first]).members
+        assert len(kept) == 1 and kept[0] is second
 
 
 class TestClauseSet:

@@ -320,6 +320,17 @@ class TestShowCommand:
         assert code == 0
         assert "q(Y)|r(g(a,b)) ; assoc X->g(a,b) ; origin consensus(1,2)" in out
 
+    def test_second_stats_line_exits_2(self, workspace, capsys):
+        tmp, src = workspace
+        kb = tmp / "kb.pikb"
+        run(capsys, "compile", src, "-o", kb)
+        extra = "stats rounds=9 consensus_attempts=0 subsumption_checks=0\n"
+        kb.write_text(kb.read_text().replace("\npred ", "\n" + extra + "pred ", 1))
+        for argv in (["show", kb], ["query", kb, "q(a)."]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert "line 4: second stats line" in err
+
     def test_show_malformed_store_exits_2(self, workspace, capsys):
         tmp, _ = workspace
         bad = tmp / "bad.pikb"

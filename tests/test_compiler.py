@@ -34,7 +34,7 @@ from pikit import (
     vary_seed,
 )
 
-from strategies import FO_CFG
+from strategies import FO_CFG, entries
 
 BASE_KB = "q(Y). ~r(f(X),b). p(X)|r(Y,b)|~q(Z)."
 ADDED = "~p(a)|~q(Z)."
@@ -153,12 +153,14 @@ class TestAddClause:
         report = add_clause(kb, cl("q(a)|s(b)."))  # subsumed by q(Y)
         assert report.outcome == "absorbed"
         assert report.result.pi == kb.pi
+        assert entries(report.result.pi) == entries(kb.pi)
 
     def test_existing_member_is_absorbed(self):
         kb = base_compiled()
         report = add_clause(kb, cl("q(Y)."))
         assert report.outcome == "absorbed"
         assert report.result.pi == kb.pi
+        assert entries(report.result.pi) == entries(kb.pi)
 
     def test_added_clause_may_displace_old_members(self):
         kb = compile([cl("p(a)|q(b).")])
@@ -323,6 +325,7 @@ class TestAddClauses:
         batch = add_clauses(kb, [cl(ADDED)])
         single = add_clause(kb, cl(ADDED))
         assert batch.result.pi == single.result.pi
+        assert entries(batch.result.pi) == entries(single.result.pi)
         assert batch.outcomes == [single.outcome]
 
     def test_resource_errors_carry_clause_index(self):
@@ -462,7 +465,7 @@ def test_compile_is_idempotent_on_compiled_sets(seed):
         again = compile(kb.pi, limits)
     except ResourceLimitExceeded:
         return
-    assert again.pi == kb.pi
+    assert again.pi == kb.pi and entries(again.pi) == entries(kb.pi)
 
 
 @settings(deadline=None, max_examples=80)

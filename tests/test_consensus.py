@@ -30,7 +30,7 @@ from pikit import (
 )
 from pikit.consensus import consensus
 
-from strategies import substitutions
+from strategies import entries, substitutions
 
 
 def cl(text):
@@ -180,11 +180,12 @@ class TestClosure:
         assert len(got.clauses) == 7
         assert len(got.iterates) == 3
         assert got.iterates[-1] == got.clauses
+        assert entries(got.iterates[-1]) == entries(got.clauses)
 
     def test_single_clause_is_its_own_closure(self):
         base = input_clauses([cl("q(Y).")])
         got = consensus_closure(base)
-        assert got.clauses == base
+        assert got.clauses == base and entries(got.clauses) == entries(base)
         assert got.rounds == 0
 
     def test_ground_closure_matches_resolution_oracle(self):
@@ -280,6 +281,7 @@ def test_closure_iterates_form_increasing_chain_and_are_stable(seed):
         assert len(later) > len(earlier)
     again = consensus_closure(got.clauses, ResourceLimits(max_rounds=30, max_clauses=2000))
     assert again.clauses == got.clauses
+    assert entries(again.clauses) == entries(got.clauses)
     assert again.rounds == 0
 
 

@@ -6,7 +6,7 @@ import re
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
-from strategies import FO_CFG
+from strategies import FO_CFG, entries
 
 from pikit import (
     AssocClause,
@@ -42,12 +42,18 @@ def worked_kb():
     return add_clause(kb, parse_clause("~p(a)|~q(Z).")).result
 
 
+def assert_same_kb(got, kb):
+    assert got == kb
+    assert entries(got.pi) == entries(kb.pi)
+
+
 class TestRoundTrip:
     def test_worked_example_round_trips_exactly(self):
         kb = worked_kb()
         again = loads_kb(dumps_kb(kb))
         assert again == kb
-        assert again.pi.members == kb.pi.members  # order, assocs, origins
+        assert again.pi.members == kb.pi.members  # order, clauses, assocs
+        assert entries(again.pi) == entries(kb.pi)  # and origins
         assert again.stats == kb.stats
         assert again.source_digest == kb.source_digest
 
@@ -62,13 +68,13 @@ class TestRoundTrip:
         kb = compile(parse_clause_file("p. ~p.").clauses)
         again = loads_kb(dumps_kb(kb))
         assert again.inconsistent
-        assert again == kb
+        assert_same_kb(again, kb)
 
     def test_association_binding_a_binary_term_round_trips(self):
         kb = compile(parse_clause_file("p(X)|r(X). ~p(g(a,b))|q(Y).").clauses)
         text = dumps_kb(kb)
         assert "clause q(Y)|r(g(a,b)) ; assoc X->g(a,b) ; origin consensus(1,2)\n" in text
-        assert loads_kb(text) == kb
+        assert_same_kb(loads_kb(text), kb)
 
     def test_several_bindings_with_commas_round_trip(self):
         a, c = Compound("a"), Compound("c")
@@ -76,15 +82,15 @@ class TestRoundTrip:
         kb = CompiledKB(ClauseSet([AssocClause(parse_clause("q(Y)."), assoc, (1, 2))]))
         text = dumps_kb(kb)
         assert "assoc X->g(a,c),Z->g(Y,a) ;" in text
-        assert loads_kb(text) == kb
+        assert_same_kb(loads_kb(text), kb)
 
     def test_save_and_load_files(self, tmp_path):
         kb = worked_kb()
         path = tmp_path / "kb.pikb"
         save_kb(kb, str(path))
-        assert load_kb(str(path)) == kb
+        assert_same_kb(load_kb(str(path)), kb)
         save_kb(kb, str(path))  # overwrite in place
-        assert load_kb(str(path)) == kb
+        assert_same_kb(load_kb(str(path)), kb)
 
     @settings(deadline=None, max_examples=60)
     @given(st.integers(0, 10**9))
@@ -106,7 +112,7 @@ class TestRoundTrip:
             kb = compile(gen_kb(cfg), ResourceLimits(max_rounds=20, max_clauses=500))
         except ResourceLimitExceeded:
             return
-        assert loads_kb(dumps_kb(kb)) == kb
+        assert_same_kb(loads_kb(dumps_kb(kb)), kb)
 
 
 # A store whose first entry is on line 9, declaring p/1, q/1, a, b and f/1.
@@ -260,6 +266,15 @@ class TestStoreErrors:
         with pytest.raises(MalformedStoreError):
             loads_kb(text)
 
+    @pytest.mark.parametrize(
+        "extra", ["stats rounds=9 consensus_attempts=0 subsumption_checks=0", "digest sha256:1"]
+    )
+    def test_second_digest_or_stats_line(self, extra):
+        text = store("p(a)" + IN).replace("pred p/1\n", extra + "\npred p/1\n", 1)
+        kind = extra.split()[0]
+        with pytest.raises(MalformedStoreError, match="^line 4: second %s line$" % kind):
+            loads_kb(text)
+
     def test_missing_digest_or_stats(self):
         lines = [l for l in dumps_kb(worked_kb()).splitlines() if not l.startswith("digest")]
         with pytest.raises(MalformedStoreError):
@@ -314,8 +329,12 @@ def reference_loads(text):
         if line == "end":
             ended = True
         elif kind == "digest":
+            if digest is not None:
+                raise MalformedStoreError("line %d: second digest line" % n)
             digest = payload
         elif kind == "stats":
+            if stats is not None:
+                raise MalformedStoreError("line %d: second stats line" % n)
             m = _STATS_RE.fullmatch(payload)
             if m is None:
                 raise MalformedStoreError("line %d: bad stats line" % n)
@@ -394,7 +413,7 @@ def outcome(load, text):
         kb = load(text)
     except Exception as err:  # the class and message are what is compared
         return type(err), str(err)
-    return kb.pi.members, kb.stats, kb.source_digest, kb.signature
+    return kb.pi.members, entries(kb.pi), kb.stats, kb.source_digest, kb.signature
 
 
 EDIT_CHARS = "()|,~.#$ ;->\nXYZabfpqr01"
@@ -410,7 +429,7 @@ def test_loader_matches_entry_by_entry_reference(seed):
         return
     text = dumps_kb(kb)
     assert outcome(loads_kb, text) == outcome(reference_loads, text)
-    assert loads_kb(text) == kb
+    assert_same_kb(loads_kb(text), kb)
     # One-character edits, three in four of them among the entries.
     rng = random.Random(seed)
     entries = text.find("\nclause ")
