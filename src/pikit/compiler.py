@@ -43,13 +43,17 @@ class CompiledKB:
     a KB whose only member is the empty clause is inconsistent.  A store
     load sets `signature` to the arities the members use, which it has
     collected anyway; it is not kept up to date and takes no part in
-    equality.
+    equality.  `compile` and `add_clause` set `minimal`: their `pi` is a
+    residue's output, so `add_clause` need not search its pairs again.  A
+    caller who edits `pi` must set it back to False.  Neither fact takes
+    part in equality.
     """
 
     pi: ClauseSet
     stats: CompileStats = field(default_factory=CompileStats)
     source_digest: str = ""
     signature: Signature | None = field(default=None, compare=False, repr=False)
+    minimal: bool = field(default=False, compare=False, repr=False)
 
     @property
     def inconsistent(self) -> bool:
@@ -104,7 +108,7 @@ def compile(
     minimal = residue(closure.clauses, stats)
     stats.rounds = closure.rounds
     digest = source_digest if source_digest is not None else clause_set_digest(members)
-    return CompiledKB(minimal.kept, stats, digest)
+    return CompiledKB(minimal.kept, stats, digest, minimal=True)
 
 
 @dataclass
@@ -141,10 +145,15 @@ def add_clause(
     clauses the residue deleted from the support set never re-enter.
 
     The call's `_Tables` unify each atom pair and compose each (assoc, mgu)
-    pair once, and each round's residue skips the pairs of the previous
-    working set, which an earlier residue has already left minimal; the
-    first residue searches every pair, since nothing checks that a loaded
-    pi(X) is minimal.
+    pair once.  Each residue skips the pairs that an earlier residue has
+    already left minimal: a round's residue those of the previous working
+    set, and the first residue those of pi(X) when `kb.minimal` says that
+    `compile` or `add_clause` made it.  A loaded or hand-built KB gets the
+    full first residue, since nothing checks that its pi(X) is minimal.
+    From the second round on, an untraced fold attempts only the pairs with
+    a member that the previous round derived: every other pair met in that
+    round, so its attempts are counted, not repeated.  A traced fold
+    attempts every pair, so that each attempt gives an event.
 
     The result is sound: every member is in the consensus closure of X plus
     C.  On first-order inputs it can be coarser than compile(X + [C]).
@@ -165,7 +174,7 @@ def add_clause(
         return IncrementalReport(kb, "absorbed", [()], [kb.pi])
 
     stats = CompileStats()
-    eta = residue(ClauseSet([*kb.pi, c]), stats).kept
+    eta = residue(ClauseSet([*kb.pi, c]), stats, settled=len(kb.pi) if kb.minimal else 0).kept
     snapshots = [eta]
     support = ClauseSet([c])
     support_history = [support.members]
@@ -173,6 +182,7 @@ def add_clause(
     seen = {c}
     tables = _Tables()
     previous = ClauseSet()
+    fresh: set | None = None  # round 1 attempts every pair
     rounds = 0
     # The support set stays a subset of eta: C survives the first residue
     # because nothing in pi(X) subsumes it, and each round keeps only the
@@ -184,7 +194,7 @@ def add_clause(
         rounds += 1
         if rounds > limits.max_rounds:
             raise ResourceLimitExceeded("max-rounds", limits.max_rounds, eta)
-        derived = _attempt_pairs(
+        derived, repeats = _attempt_pairs(
             eta,
             support,
             seen,
@@ -192,17 +202,20 @@ def add_clause(
             round_no=rounds,
             trace=trace,
             stats=stats,
+            fresh=fresh if trace is None else None,
         )
+        stats.consensus_attempts += repeats
         working = ClauseSet([*eta, *derived])
         if len(working) > limits.max_clauses:
             raise ResourceLimitExceeded("max-clauses", limits.max_clauses, working)
         previous, eta = eta, residue(working, stats, settled=len(eta)).kept
+        fresh = {m for m in derived if m in eta}
         support = ClauseSet(m for m in [*support, *derived] if m in eta)
         support_history.append(support.members)
         snapshots.append(eta)
 
     stats.rounds = rounds
-    result = CompiledKB(eta, stats, chain_digest(kb.source_digest, c.clause))
+    result = CompiledKB(eta, stats, chain_digest(kb.source_digest, c.clause), minimal=True)
     return IncrementalReport(result, "recompiled", support_history, snapshots)
 
 

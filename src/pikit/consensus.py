@@ -6,13 +6,18 @@ mgu to the same substitution; otherwise the attempt is blocked.  Tautological
 resolvents are discarded.
 
 One engine, `_attempt_pairs`, enumerates and classifies every attempt, for
-batch closure here and for the incremental fold in the compiler.  Its one
-admission rule: a resolvent is added when no equal (clause, assoc) member is
-in the caller's `seen` set, and a duplicate otherwise.  The callers differ only
-in the pairs they ask for and in what `seen` holds.  Saturation is not
-guaranteed to terminate on first-order inputs, so every closure takes
-explicit resource limits and fails loudly with the partial set when a cap
-is hit.
+batch closure here and for the incremental fold in the compiler.  It indexes
+both sides by distinct literal, unifies each complementary literal pair
+once, and groups the other side's occurrences by the composition of their
+association with the mgu, so it builds only the resolvents of unblocked
+attempts and counts the blocked ones; with a trace attached it visits
+every attempt, in the same order.  Its one admission rule: a resolvent is
+added when no equal (clause, assoc) member is in the caller's `seen` set,
+and a duplicate otherwise.  The callers differ only in the pairs they ask
+for, in what `seen` holds, and in what they do with the count of the pairs
+they did not ask for again.  Saturation is not guaranteed to terminate on
+first-order inputs, so every closure takes explicit resource limits and
+fails loudly with the partial set when a cap is hit.
 """
 
 from __future__ import annotations
@@ -119,21 +124,19 @@ class _Tables:
 
 
 def complementary_pairs(
-    c1: AssocClause, c2: AssocClause, tables: _Tables | None = None
+    c1: AssocClause, c2: AssocClause
 ) -> list[tuple[Literal, Literal, Substitution]]:
     """All opposite-sign literal pairs (r in c1, s in c2) whose atoms unify.
 
     Pairs come out in the canonical literal order of c1 then c2, each with
-    its mgu, so enumeration is deterministic.  With `tables`, each atom pair
-    is unified once per run.
+    its mgu, so enumeration is deterministic.
     """
-    unifier = unify if tables is None else tables.unify
     pairs = []
     for r in c1.clause.literals:
         for s in c2.clause.literals:
             if r.positive == s.positive or r.atom.predicate != s.atom.predicate:
                 continue
-            mgu = unifier(r.atom, s.atom)
+            mgu = unify(r.atom, s.atom)
             if mgu is not None:
                 pairs.append((r, s, mgu))
     return pairs
@@ -170,6 +173,21 @@ def consensus(
     return AssocClause(resolvent, a1, parents=parents)
 
 
+def _occurrences(members: ClauseSet, position: dict, fresh: set | None) -> dict:
+    """Each distinct literal of `members` -> its occurrences, in member order.
+
+    An occurrence is (member position, literal position, member, the
+    member's position in the base or -1, whether the member is fresh).
+    """
+    index: dict[Literal, list] = {}
+    for i, m in enumerate(members):
+        j = position.get(m, -1)
+        new = fresh is None or m in fresh
+        for k, lit in enumerate(m.clause.literals):
+            index.setdefault(lit, []).append((i, k, m, j, new))
+    return index
+
+
 def _attempt_pairs(
     base: ClauseSet,
     new_side: ClauseSet,
@@ -181,55 +199,118 @@ def _attempt_pairs(
     stats=None,
     fresh: set | None = None,
     max_clauses: int | None = None,
-) -> list[AssocClause]:
+) -> tuple[list[AssocClause], int]:
     """Attempt consensus over ordered pairs (D1 in base, D2 in new_side).
 
     This is the one place consensus attempts are enumerated and classified.
-    Distinct members only.  A resolvent is added when it is not in `seen`,
-    which then grows by it; otherwise it is a duplicate.  Returns the added
-    clauses in derivation order.  Parent ids are the 1-based positions of
-    the parents in `base`.  When `fresh` is given, pairs of two non-fresh
-    members are skipped: their consensuses were all attempted in an earlier
-    round, so they can only repeat old outcomes.  `tables` holds the run's
-    `unify` and `compose` results.  When base plus the added clauses
-    outgrows `max_clauses`, ResourceLimitExceeded carries that partial set.
+    An attempt is a pair of distinct members and a literal pair (R in D1,
+    S in D2) of opposite signs on one predicate whose atoms unify.  Each
+    side is indexed by distinct literal, so each literal pair is unified
+    once, and only when some attempt uses it.  The D2 occurrences of S are
+    bucketed by the composition of their association with the mgu; an
+    attempt is blocked exactly when D1's composition differs, so only the
+    occurrences in D1's bucket are visited and the rest are counted.  With
+    a trace attached every occurrence is visited, and the blocked ones are
+    reported as such.  Visits run in the order of (D1 position, D2
+    position, R position, S position), the order of the nested loops over
+    members and literals, so events, parent ids, admissions and a limit
+    stop come out in that order.
+
+    A resolvent is added when it is not in `seen`, which then grows by it;
+    otherwise it is a duplicate.  Parent ids are the 1-based positions of
+    the parents in `base` (0 for a D2 outside it).  When `fresh` is given,
+    pairs of two non-fresh members are not attempted: the caller attempted
+    each of them in an earlier round, so each can only repeat an outcome it
+    had then, blocked, non-fundamental or duplicate.  Returns the added
+    clauses in derivation order and the number of those repeated attempts.
+    `tables` holds the run's `unify` and `compose` results.  When base plus
+    the added clauses outgrows `max_clauses`, ResourceLimitExceeded carries
+    that partial set.
     """
-    index = {m: i + 1 for i, m in enumerate(base)}
+    position = {m: i for i, m in enumerate(base)}
+    left = _occurrences(base, position, fresh)
+    right: dict[tuple[str, bool], list] = {}
+    for lit, occ in _occurrences(new_side, position, fresh).items():
+        right.setdefault((lit.atom.predicate, lit.positive), []).append((lit, occ))
+    attempts = repeats = 0
+    hits = []
+    for r_lit, rs in left.items():
+        opposite = right.get((r_lit.atom.predicate, not r_lit.positive))
+        if opposite is None:
+            continue
+        r_fresh = sum(o[4] for o in rs)
+        r_at = {o[0]: o[4] for o in rs}
+        for s_lit, ss in opposite:
+            s_fresh = sum(o[4] for o in ss)
+            # Self pairs, one member holding both literals: True when fresh.
+            both = [f for o in ss if (f := r_at.get(o[3])) is not None]
+            old = (len(rs) - r_fresh) * (len(ss) - s_fresh) - both.count(False)
+            new = len(rs) * len(ss) - len(both) - old
+            if not old + new:
+                continue
+            mgu = tables.unify(r_lit.atom, s_lit.atom)
+            if mgu is None:
+                continue
+            repeats += old
+            if not new:
+                continue
+            attempts += new
+            # Only occurrences that meet a partner are composed: a fresh
+            # member pairs with every other holder of the opposite literal,
+            # an old one only with the fresh holders.
+            partners = [
+                (o, tables.compose(o[2].assoc, mgu))
+                for o in ss
+                if (len(rs) > (o[3] in r_at) if o[4] else r_fresh)
+            ]
+            buckets: dict[Substitution, list] = {}
+            if trace is None:
+                for o, key in partners:
+                    buckets.setdefault(key, []).append((o, key))
+            s_at = {o[3] for o in ss}
+            for i1, k1, d1, _, new1 in rs:
+                if not (len(ss) > (i1 in s_at) if new1 else s_fresh):
+                    continue
+                key1 = tables.compose(d1.assoc, mgu)
+                for (i2, k2, d2, j2, new2), key2 in (
+                    partners if trace is not None else buckets.get(key1, ())
+                ):
+                    if j2 != i1 and (new1 or new2):
+                        hits.append((i1, i2, k1, k2, d1, d2, j2, mgu, key1 != key2))
+    if stats is not None:
+        stats.consensus_attempts += attempts
     admitted: list[AssocClause] = []
-    for d1 in base:
-        for d2 in new_side:
-            if d1 == d2:
-                continue
-            if fresh is not None and d1 not in fresh and d2 not in fresh:
-                continue
-            ids = (index.get(d1, 0), index.get(d2, 0))
-            for pair in complementary_pairs(d1, d2, tables):
-                res = consensus(d1, d2, pair, ids, tables)
-                if stats is not None:
-                    stats.consensus_attempts += 1
-                if isinstance(res, Outcome):
-                    outcome = res
-                elif res in seen:
-                    outcome = Outcome.DUPLICATE
-                else:
-                    outcome = Outcome.ADDED
-                    seen.add(res)
-                    admitted.append(res)
-                    if max_clauses is not None and len(base) + len(admitted) > max_clauses:
-                        partial = ClauseSet([*base, *admitted])
-                        raise ResourceLimitExceeded("max-clauses", max_clauses, partial)
-                if trace is not None:
-                    trace(
-                        TraceEvent(
-                            round_no,
-                            ids,
-                            (str(d1.clause), str(d2.clause)),
-                            pair[2],
-                            outcome.value,
-                            None if isinstance(res, Outcome) else str(res.clause),
-                        )
-                    )
-    return admitted
+    hits.sort()  # the four positions tell any two hits apart
+    for i1, _, k1, k2, d1, d2, j2, mgu, blocked in hits:
+        ids = (i1 + 1, j2 + 1)
+        if blocked:
+            res = outcome = Outcome.BLOCKED
+        else:
+            pair = (d1.clause.literals[k1], d2.clause.literals[k2], mgu)
+            res = consensus(d1, d2, pair, ids, tables)
+            if isinstance(res, Outcome):
+                outcome = res
+            elif res in seen:
+                outcome = Outcome.DUPLICATE
+            else:
+                outcome = Outcome.ADDED
+                seen.add(res)
+                admitted.append(res)
+                if max_clauses is not None and len(base) + len(admitted) > max_clauses:
+                    partial = ClauseSet([*base, *admitted])
+                    raise ResourceLimitExceeded("max-clauses", max_clauses, partial)
+        if trace is not None:
+            trace(
+                TraceEvent(
+                    round_no,
+                    ids,
+                    (str(d1.clause), str(d2.clause)),
+                    mgu,
+                    outcome.value,
+                    None if isinstance(res, Outcome) else str(res.clause),
+                )
+            )
+    return admitted, repeats
 
 
 @dataclass
@@ -260,7 +341,7 @@ def consensus_closure(
     tables = _Tables()
     fresh: set | None = None  # round 1 attempts every pair
     for i in range(1, limits.max_rounds + 1):
-        new = _attempt_pairs(
+        new, _ = _attempt_pairs(
             current,
             current,
             seen,

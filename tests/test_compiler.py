@@ -8,11 +8,14 @@ import pytest
 from hypothesis import given, settings
 
 from pikit import (
+    DEFAULT_LIMITS,
     EMPTY,
     AssocClause,
+    CompiledKB,
     Compound,
     GenConfig,
     GroundUniverse,
+    Outcome,
     ResourceLimitExceeded,
     ResourceLimits,
     Substitution,
@@ -25,6 +28,7 @@ from pikit import (
     gen_clause,
     gen_kb,
     input_clauses,
+    loads_kb,
     models_of,
     parse_clause,
     parse_clause_file,
@@ -305,12 +309,132 @@ class TestDecidedOnce:
             try:
                 state["previous"] = frozenset()
                 kb = compile(x)
-                state["previous"] = frozenset()  # the fold's first residue searches every pair
+                # The fold's first residue skips the pairs of the compiled pi.
                 add_clause(kb, c)
             except ResourceLimitExceeded:
                 continue
         assert searched["settled"] == 0
         assert searched["round"] > 100
+
+
+TIGHT = ResourceLimits(max_rounds=3, max_clauses=12)
+
+
+def _outputs(run):
+    """The members and stats of run()'s KB, or its limit and partial set."""
+    try:
+        kb = run()
+    except ResourceLimitExceeded as err:
+        return err.limit, entries(err.partial)
+    return entries(kb.pi), kb.stats
+
+
+class TestCountedAttempts:
+    """The engine visits only unblocked attempts, and an untraced fold only
+    the pairs with a member new in that round; it counts the others."""
+
+    def test_untraced_runs_count_every_traced_event(self, monkeypatch):
+        compiler_module = importlib.import_module("pikit.compiler")
+        real_add_clause = compiler_module.add_clause
+        events, counts = [], []
+
+        def fold(kb, clause, limits, trace):
+            # Each finished fold's attempts: its trace events or its stats' count.
+            before = len(events)
+            report = real_add_clause(kb, clause, limits, trace)
+            own = report.result.stats.consensus_attempts if report.outcome == "recompiled" else 0
+            counts.append(len(events) - before if trace else own)
+            return report
+
+        monkeypatch.setattr(compiler_module, "add_clause", fold)
+        folds = 0
+        for seed, (x, c) in enumerate(_criterion_4_instances(100)):
+            d = gen_clause(vary_seed(GenConfig(seed=seed, **FO_CFG), 2_000_003))
+            for limits in (DEFAULT_LIMITS, TIGHT):
+                try:
+                    kb = compile(x, limits)
+                except ResourceLimitExceeded:
+                    kb = None
+                runs = {}
+                for trace in (None, events.append):
+                    events.clear()
+                    counts.clear()
+                    got = [_outputs(lambda: compile(x, limits, trace))]
+                    compile_events = len(events)
+                    if kb is not None:
+                        got.append(_outputs(lambda: fold(kb, c, limits, trace).result))
+                        got.append(_outputs(lambda: add_clauses(kb, [c, d], limits, trace).result))
+                    runs[trace] = got, list(counts)
+                assert runs[None] == runs[events.append], (seed, limits)
+                if kb is not None:
+                    assert kb.stats.consensus_attempts == compile_events, (seed, limits)
+                folds += sum(1 for n in counts if n)
+        assert folds > 150
+
+    def test_untraced_runs_never_build_a_blocked_or_old_attempt(self, monkeypatch):
+        engine = importlib.import_module("pikit.consensus")
+        compiler_module = importlib.import_module("pikit.compiler")
+        real_consensus, real_attempt_pairs = engine.consensus, compiler_module._attempt_pairs
+        calls = []  # (round, d1, d2, outcome) of each consensus call in a fold
+        state = {"round": 0}
+
+        def consensus_spy(c1, c2, *args):
+            res = real_consensus(c1, c2, *args)
+            calls.append((state["round"], c1, c2, res))
+            return res
+
+        def attempt_pairs_spy(*args, **kwargs):
+            state["round"] += 1
+            return real_attempt_pairs(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "consensus", consensus_spy)
+        monkeypatch.setattr(compiler_module, "_attempt_pairs", attempt_pairs_spy)
+        later_rounds = 0
+        for x, c in _criterion_4_instances(100):
+            try:
+                calls.clear()
+                kb = compile(x)
+                assert Outcome.BLOCKED not in [res for *_, res in calls]
+                calls.clear()
+                state["round"] = 0
+                report = add_clause(kb, c)
+            except ResourceLimitExceeded:
+                continue
+            assert Outcome.BLOCKED not in [res for *_, res in calls]
+            # New in round k: the support members that round k-1 derived.
+            support = [set(snap) for snap in report.support_history]
+            for k, d1, d2, _ in calls:
+                if k > 1:
+                    new = support[k - 1] - support[k - 2]
+                    assert d1 in new or d2 in new
+                    later_rounds += 1
+        assert later_rounds > 40
+
+
+class TestMinimalFact:
+    """`add_clause` trusts pi(X) to be minimal only when the KB says so."""
+
+    REDUNDANT = (
+        "PIKB 1\ndigest sha256:0\nstats rounds=0 consensus_attempts=0 subsumption_checks=0\n"
+        "pred p/1\npred q/1\nfn a/0\n"
+        "clause p(X) ; assoc ; origin input\n"
+        "clause p(a)|q(a) ; assoc ; origin input\n"
+        "end\n"
+    )
+
+    def test_a_loaded_kb_gets_the_full_first_residue(self):
+        report = add_clause(loads_kb(self.REDUNDANT), cl("r(a)."))
+        assert report.outcome == "recompiled"
+        assert report.result.pi.clause_texts() == ["p(X)", "r(a)"]
+        assert report.result.stats.subsumption_checks == 7
+
+    def test_compile_and_add_clause_set_the_fact_and_a_load_does_not(self):
+        kb = base_compiled()
+        folded = add_clause(kb, cl(ADDED)).result
+        assert kb.minimal and folded.minimal
+        assert not loads_kb(dumps_kb(folded)).minimal
+        assert not loads_kb(self.REDUNDANT).minimal
+        assert loads_kb(dumps_kb(folded)) == folded  # the fact takes no part in ==
 
 
 class TestAddClauses:
