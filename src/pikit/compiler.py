@@ -42,9 +42,8 @@ class CompiledKB:
     The member set is subsumption-minimal and every member is fundamental;
     a KB whose only member is the empty clause is inconsistent.  A store
     load sets `signature` to the arities the members use, which it has
-    collected anyway; it is not kept up to date and takes no part in
-    equality.  `compile` and `add_clause` set `minimal`: their `pi` is a
-    residue's output, so `add_clause` need not search its pairs again.  A
+    collected anyway; it is not kept up to date.  `compile` and
+    `add_clause` set `minimal`, since their `pi` is a residue's output; a
     caller who edits `pi` must set it back to False.  Neither fact takes
     part in equality.
     """

@@ -203,29 +203,26 @@ def _attempt_pairs(
     """Attempt consensus over ordered pairs (D1 in base, D2 in new_side).
 
     This is the one place consensus attempts are enumerated and classified.
-    An attempt is a pair of distinct members and a literal pair (R in D1,
-    S in D2) of opposite signs on one predicate whose atoms unify.  Each
-    side is indexed by distinct literal, so each literal pair is unified
-    once, and only when some attempt uses it.  The D2 occurrences of S are
-    bucketed by the composition of their association with the mgu; an
-    attempt is blocked exactly when D1's composition differs, so only the
-    occurrences in D1's bucket are visited and the rest are counted.  With
-    a trace attached every occurrence is visited, and the blocked ones are
-    reported as such.  Visits run in the order of (D1 position, D2
-    position, R position, S position), the order of the nested loops over
-    members and literals, so events, parent ids, admissions and a limit
-    stop come out in that order.
+    An attempt is two distinct members and a literal pair (R in D1, S in D2)
+    of opposite signs on one predicate whose atoms unify.  Both sides are
+    indexed by distinct literal, so each literal pair is unified once, and
+    only when some attempt uses it.  An attempt is blocked exactly when the
+    two associations compose differently with the mgu, so the holders of S
+    are bucketed by that composition: untraced, only D1's bucket is visited
+    and the blocked attempts are counted; traced, every attempt is visited
+    and reported.  Visits run in (D1, D2, R, S) position order, the order of
+    nested loops over members and literals, so events, parent ids,
+    admissions and a limit stop come out in that order.
 
     A resolvent is added when it is not in `seen`, which then grows by it;
-    otherwise it is a duplicate.  Parent ids are the 1-based positions of
-    the parents in `base` (0 for a D2 outside it).  When `fresh` is given,
-    pairs of two non-fresh members are not attempted: the caller attempted
-    each of them in an earlier round, so each can only repeat an outcome it
-    had then, blocked, non-fundamental or duplicate.  Returns the added
-    clauses in derivation order and the number of those repeated attempts.
-    `tables` holds the run's `unify` and `compose` results.  When base plus
-    the added clauses outgrows `max_clauses`, ResourceLimitExceeded carries
-    that partial set.
+    otherwise it is a duplicate.  Parent ids are 1-based positions in `base`
+    (0 for a D2 outside it).  When `fresh` is given, pairs of two non-fresh
+    members are not attempted: the caller attempted each in an earlier
+    round, so each can only repeat its outcome then, blocked,
+    non-fundamental or duplicate.  Returns the added clauses in derivation
+    order and the number of those repeated attempts.  `tables` holds the
+    run's `unify` and `compose` results.  When base plus the added clauses
+    outgrows `max_clauses`, ResourceLimitExceeded carries that partial set.
     """
     position = {m: i for i, m in enumerate(base)}
     left = _occurrences(base, position, fresh)
@@ -242,35 +239,27 @@ def _attempt_pairs(
         r_at = {o[0]: o[4] for o in rs}
         for s_lit, ss in opposite:
             s_fresh = sum(o[4] for o in ss)
-            # Self pairs, one member holding both literals: True when fresh.
+            # Attempts pair two distinct holders; `both` lists the members
+            # that hold R and S, True for a fresh one.  The pairs of two old
+            # holders are the repeats, and the rest are attempted now.
             both = [f for o in ss if (f := r_at.get(o[3])) is not None]
-            old = (len(rs) - r_fresh) * (len(ss) - s_fresh) - both.count(False)
-            new = len(rs) * len(ss) - len(both) - old
-            if not old + new:
+            old_pairs = (len(rs) - r_fresh) * (len(ss) - s_fresh) - both.count(False)
+            new_pairs = len(rs) * len(ss) - len(both) - old_pairs
+            if not old_pairs + new_pairs:
                 continue
             mgu = tables.unify(r_lit.atom, s_lit.atom)
             if mgu is None:
                 continue
-            repeats += old
-            if not new:
+            repeats += old_pairs
+            if not new_pairs:
                 continue
-            attempts += new
-            # Only occurrences that meet a partner are composed: a fresh
-            # member pairs with every other holder of the opposite literal,
-            # an old one only with the fresh holders.
-            partners = [
-                (o, tables.compose(o[2].assoc, mgu))
-                for o in ss
-                if (len(rs) > (o[3] in r_at) if o[4] else r_fresh)
-            ]
+            attempts += new_pairs
+            partners = [(o, tables.compose(o[2].assoc, mgu)) for o in ss]
             buckets: dict[Substitution, list] = {}
             if trace is None:
                 for o, key in partners:
                     buckets.setdefault(key, []).append((o, key))
-            s_at = {o[3] for o in ss}
             for i1, k1, d1, _, new1 in rs:
-                if not (len(ss) > (i1 in s_at) if new1 else s_fresh):
-                    continue
                 key1 = tables.compose(d1.assoc, mgu)
                 for (i2, k2, d2, j2, new2), key2 in (
                     partners if trace is not None else buckets.get(key1, ())
