@@ -228,7 +228,8 @@ def _attempt_pairs(
     left = _occurrences(base, position, fresh)
     right: dict[tuple[str, bool], list] = {}
     for lit, occ in _occurrences(new_side, position, fresh).items():
-        right.setdefault((lit.atom.predicate, lit.positive), []).append((lit, occ))
+        holders = right.setdefault((lit.atom.predicate, lit.positive), [])
+        holders.append((lit, occ, sum(o[4] for o in occ)))
     attempts = repeats = 0
     hits = []
     for r_lit, rs in left.items():
@@ -237,19 +238,18 @@ def _attempt_pairs(
             continue
         r_fresh = sum(o[4] for o in rs)
         r_at = {o[0]: o[4] for o in rs}
-        for s_lit, ss in opposite:
-            s_fresh = sum(o[4] for o in ss)
+        for s_lit, ss, s_fresh in opposite:
+            if len(rs) == len(ss) == 1 and rs[0][0] == ss[0][3]:
+                continue  # one member holds both: no attempt uses the pair
+            mgu = tables.unify(r_lit.atom, s_lit.atom)
+            if mgu is None:
+                continue
             # Attempts pair two distinct holders; `both` lists the members
             # that hold R and S, True for a fresh one.  The pairs of two old
             # holders are the repeats, and the rest are attempted now.
             both = [f for o in ss if (f := r_at.get(o[3])) is not None]
             old_pairs = (len(rs) - r_fresh) * (len(ss) - s_fresh) - both.count(False)
             new_pairs = len(rs) * len(ss) - len(both) - old_pairs
-            if not old_pairs + new_pairs:
-                continue
-            mgu = tables.unify(r_lit.atom, s_lit.atom)
-            if mgu is None:
-                continue
             repeats += old_pairs
             if not new_pairs:
                 continue
