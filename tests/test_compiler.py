@@ -11,7 +11,6 @@ from pikit import (
     DEFAULT_LIMITS,
     EMPTY,
     AssocClause,
-    CompiledKB,
     Compound,
     GenConfig,
     GroundUniverse,
@@ -375,7 +374,7 @@ class TestCountedAttempts:
         engine = importlib.import_module("pikit.consensus")
         compiler_module = importlib.import_module("pikit.compiler")
         real_consensus, real_attempt_pairs = engine.consensus, compiler_module._attempt_pairs
-        calls = []  # (round, d1, d2, outcome) of each consensus call in a fold
+        calls = []  # (fold round, d1, d2, outcome) of each consensus call
         state = {"round": 0}
 
         def consensus_spy(c1, c2, *args):
