@@ -6,18 +6,19 @@ mgu to the same substitution; otherwise the attempt is blocked.  Tautological
 resolvents are discarded.
 
 One engine, `_attempt_pairs`, enumerates and classifies every attempt, for
-batch closure here and for the incremental fold in the compiler.  It indexes
-both sides by distinct literal, unifies each complementary literal pair
-once, and groups the other side's occurrences by the composition of their
-association with the mgu, so it builds only the resolvents of unblocked
-attempts and counts the blocked ones; with a trace attached it visits
-every attempt, in the same order.  Its one admission rule: a resolvent is
-added when no equal (clause, assoc) member is in the caller's `seen` set,
-and a duplicate otherwise.  The callers differ only in the pairs they ask
-for, in what `seen` holds, and in what they do with the count of the pairs
-they did not ask for again.  Saturation is not guaranteed to terminate on
-first-order inputs, so every closure takes explicit resource limits and
-fails loudly with the partial set when a cap is hit.
+batch closure here and for the incremental fold in the compiler.  Its new
+side lies inside its base, so one index of the base by distinct literal
+serves both sides.  It unifies each complementary literal pair once,
+counts the blocked attempts and builds each unblocked resolvent from the
+composition it bucketed the attempt by; with a trace attached it visits
+every attempt, in nested-loop order, the second parent by its new-side
+position (a fold's support set can order members unlike its working set).
+Its one admission rule: a resolvent is added when no equal (clause, assoc)
+member is in the caller's `seen` set, and a duplicate otherwise.  The
+tests check it against `complementary_pairs` and `consensus`.  Saturation
+is not guaranteed to terminate on first-order inputs, so every closure
+takes explicit resource limits and fails loudly with the partial set when
+a cap is hit.
 """
 
 from __future__ import annotations
@@ -147,7 +148,6 @@ def consensus(
     c2: AssocClause,
     pair: tuple[Literal, Literal, Substitution],
     parents: tuple[int, int] = (0, 0),
-    tables: _Tables | None = None,
 ) -> AssocClause | Outcome:
     """Consensus of c1 and c2 on one complementary pair.
 
@@ -156,36 +156,30 @@ def consensus(
     Returns Outcome.BLOCKED when the parents' associations do not compose
     consistently with the mgu, Outcome.NON_FUNDAMENTAL when the resolvent is
     tautological, and otherwise the resolvent, associated with the composed
-    substitution and carrying `parents`.  With `tables`, each (association,
-    mgu) pair is composed once per run.
+    substitution and carrying `parents`.  This is the engine's reference:
+    `_attempt_pairs` decides the same attempts without composing any twice.
     """
-    r, s, mgu = pair
-    composer = compose if tables is None else tables.compose
-    a1 = composer(c1.assoc, mgu)
-    a2 = composer(c2.assoc, mgu)
-    if a1 != a2:
+    assoc = compose(c1.assoc, pair[2])
+    if assoc != compose(c2.assoc, pair[2]):
         return Outcome.BLOCKED
+    return _resolve(c1, c2, pair, assoc, parents)
+
+
+def _resolve(
+    c1: AssocClause,
+    c2: AssocClause,
+    pair: tuple[Literal, Literal, Substitution],
+    assoc: Substitution,
+    parents: tuple[int, int],
+) -> AssocClause | Outcome:
+    """`consensus` of an attempt whose associations compose to `assoc`."""
+    r, s, mgu = pair
     rest = [apply(mgu, l) for l in c1.clause.literals if l is not r]
     rest += [apply(mgu, l) for l in c2.clause.literals if l is not s]
     resolvent = Clause(tuple(rest))
     if not resolvent.is_fundamental():
         return Outcome.NON_FUNDAMENTAL
-    return AssocClause(resolvent, a1, parents=parents)
-
-
-def _occurrences(members: ClauseSet, position: dict, fresh: set | None) -> dict:
-    """Each distinct literal of `members` -> its occurrences, in member order.
-
-    An occurrence is (member position, literal position, member, the
-    member's position in the base or -1, whether the member is fresh).
-    """
-    index: dict[Literal, list] = {}
-    for i, m in enumerate(members):
-        j = position.get(m, -1)
-        new = fresh is None or m in fresh
-        for k, lit in enumerate(m.clause.literals):
-            index.setdefault(lit, []).append((i, k, m, j, new))
-    return index
+    return AssocClause(resolvent, assoc, parents=parents)
 
 
 def _attempt_pairs(
@@ -204,42 +198,51 @@ def _attempt_pairs(
 
     This is the one place consensus attempts are enumerated and classified.
     An attempt is two distinct members and a literal pair (R in D1, S in D2)
-    of opposite signs on one predicate whose atoms unify.  Both sides are
-    indexed by distinct literal, so each literal pair is unified once, and
-    only when some attempt uses it.  An attempt is blocked exactly when the
-    two associations compose differently with the mgu, so the holders of S
-    are bucketed by that composition: untraced, only D1's bucket is visited
-    and the blocked attempts are counted; traced, every attempt is visited
-    and reported.  Visits run in (D1, D2, R, S) position order, the order of
-    nested loops over members and literals, so events, parent ids,
-    admissions and a limit stop come out in that order.
+    of opposite signs on one predicate whose atoms unify.  `new_side` lies
+    inside `base`, so one index of `base` by distinct literal gives the
+    holders of R, and those of its holders in `new_side` the holders of S;
+    each literal pair is unified once, and only when some attempt uses it.
+    An attempt is blocked exactly when the two associations compose
+    differently with the mgu, so the holders of S are bucketed by that
+    composition: untraced, only D1's bucket is visited and the blocked
+    attempts are counted; traced, every attempt is visited and reported.
+    An unblocked resolvent takes the bucket's composition.  Visits run in
+    (D1, D2, R, S) position order, the order of nested loops over the two
+    sides, so events, parent ids (1-based positions in `base`), admissions
+    and a limit stop come out in it.  D2 goes by its `new_side` position: a
+    fold's support set can hold a member later than its working set does.
 
     A resolvent is added when it is not in `seen`, which then grows by it;
-    otherwise it is a duplicate.  Parent ids are 1-based positions in `base`
-    (0 for a D2 outside it).  When `fresh` is given, pairs of two non-fresh
-    members are not attempted: the caller attempted each in an earlier
-    round, so each can only repeat its outcome then, blocked,
+    otherwise it is a duplicate.  When `fresh` is given, pairs of two
+    non-fresh members are not attempted: the caller attempted each in an
+    earlier round, so each can only repeat its outcome then, blocked,
     non-fundamental or duplicate.  Returns the added clauses in derivation
     order and the number of those repeated attempts.  `tables` holds the
     run's `unify` and `compose` results.  When base plus the added clauses
     outgrows `max_clauses`, ResourceLimitExceeded carries that partial set.
     """
-    position = {m: i for i, m in enumerate(base)}
-    left = _occurrences(base, position, fresh)
+    at = {m: j for j, m in enumerate(new_side)}
+    index: dict[Literal, list] = {}  # (i in base, k, member, fresh, j in new_side or None)
+    for i, m in enumerate(base):
+        new = fresh is None or m in fresh
+        j = at.get(m)
+        for k, lit in enumerate(m.clause.literals):
+            index.setdefault(lit, []).append((i, k, m, new, j))
     right: dict[tuple[str, bool], list] = {}
-    for lit, occ in _occurrences(new_side, position, fresh).items():
-        holders = right.setdefault((lit.atom.predicate, lit.positive), [])
-        holders.append((lit, occ, sum(o[4] for o in occ)))
+    for lit, occ in index.items():
+        if ss := [o for o in occ if o[4] is not None]:
+            holders = right.setdefault((lit.atom.predicate, lit.positive), [])
+            holders.append((lit, ss, sum(o[3] for o in ss)))
     attempts = repeats = 0
     hits = []
-    for r_lit, rs in left.items():
+    for r_lit, rs in index.items():
         opposite = right.get((r_lit.atom.predicate, not r_lit.positive))
         if opposite is None:
             continue
-        r_fresh = sum(o[4] for o in rs)
-        r_at = {o[0]: o[4] for o in rs}
+        r_fresh = sum(o[3] for o in rs)
+        r_at = {o[0]: o[3] for o in rs}
         for s_lit, ss, s_fresh in opposite:
-            if len(rs) == len(ss) == 1 and rs[0][0] == ss[0][3]:
+            if len(rs) == len(ss) == 1 and rs[0][0] == ss[0][0]:
                 continue  # one member holds both: no attempt uses the pair
             mgu = tables.unify(r_lit.atom, s_lit.atom)
             if mgu is None:
@@ -247,7 +250,7 @@ def _attempt_pairs(
             # Attempts pair two distinct holders; `both` lists the members
             # that hold R and S, True for a fresh one.  The pairs of two old
             # holders are the repeats, and the rest are attempted now.
-            both = [f for o in ss if (f := r_at.get(o[3])) is not None]
+            both = [f for o in ss if (f := r_at.get(o[0])) is not None]
             old_pairs = (len(rs) - r_fresh) * (len(ss) - s_fresh) - both.count(False)
             new_pairs = len(rs) * len(ss) - len(both) - old_pairs
             repeats += old_pairs
@@ -259,24 +262,25 @@ def _attempt_pairs(
             if trace is None:
                 for o, key in partners:
                     buckets.setdefault(key, []).append((o, key))
-            for i1, k1, d1, _, new1 in rs:
+            for i1, k1, d1, new1, _ in rs:
                 key1 = tables.compose(d1.assoc, mgu)
-                for (i2, k2, d2, j2, new2), key2 in (
+                for (i2, k2, d2, new2, j2), key2 in (
                     partners if trace is not None else buckets.get(key1, ())
                 ):
-                    if j2 != i1 and (new1 or new2):
-                        hits.append((i1, i2, k1, k2, d1, d2, j2, mgu, key1 != key2))
+                    if i2 != i1 and (new1 or new2):
+                        assoc = key1 if key1 == key2 else None  # None: blocked
+                        hits.append((i1, j2, k1, k2, i2, d1, d2, mgu, assoc))
     if stats is not None:
         stats.consensus_attempts += attempts
     admitted: list[AssocClause] = []
     hits.sort()  # the four positions tell any two hits apart
-    for i1, _, k1, k2, d1, d2, j2, mgu, blocked in hits:
-        ids = (i1 + 1, j2 + 1)
-        if blocked:
+    for i1, _, k1, k2, i2, d1, d2, mgu, assoc in hits:
+        ids = (i1 + 1, i2 + 1)
+        if assoc is None:
             res = outcome = Outcome.BLOCKED
         else:
             pair = (d1.clause.literals[k1], d2.clause.literals[k2], mgu)
-            res = consensus(d1, d2, pair, ids, tables)
+            res = _resolve(d1, d2, pair, assoc, ids)
             if isinstance(res, Outcome):
                 outcome = res
             elif res in seen:

@@ -34,40 +34,28 @@ class Signature:
     predicates: dict[str, int] = field(default_factory=dict)
     functions: dict[str, int] = field(default_factory=dict)
 
-    def note_predicate(self, name: str, arity: int) -> None:
-        known = self.predicates.get(name)
-        if known is None:
-            self.predicates[name] = arity
-        elif known != arity:
-            raise _arity_error("predicate", name, known, arity)
-
-    def note_function(self, name: str, arity: int) -> None:
-        known = self.functions.get(name)
-        if known is None:
-            self.functions[name] = arity
-        elif known != arity:
-            raise _arity_error("function symbol", name, known, arity)
+    def note(self, kind: str, name: str, arity: int) -> None:
+        """Record the arity of a "predicate" or "function symbol"; a clash raises."""
+        table = self.predicates if kind == "predicate" else self.functions
+        known = table.setdefault(name, arity)
+        if known != arity:
+            message = "arity mismatch: %s '%s' used with arity %d after arity %d"
+            raise ValueError(message % (kind, name, arity, known))
 
     def note_clause(self, clause: Clause) -> None:
         for lit in clause.literals:
-            self.note_predicate(lit.atom.predicate, len(lit.atom.args))
+            self.note("predicate", lit.atom.predicate, len(lit.atom.args))
             for arg in lit.atom.args:
                 self.note_term(arg)
 
     def note_term(self, term: Term) -> None:
         if isinstance(term, Compound):
-            self.note_function(term.functor, len(term.args))
+            self.note("function symbol", term.functor, len(term.args))
             for arg in term.args:
                 self.note_term(arg)
 
     def copy(self) -> "Signature":
         return Signature(dict(self.predicates), dict(self.functions))
-
-
-def _arity_error(kind: str, name: str, known: int, arity: int) -> ValueError:
-    return ValueError(
-        "arity mismatch: %s '%s' used with arity %d after arity %d" % (kind, name, arity, known)
-    )
 
 
 @dataclass
@@ -91,13 +79,8 @@ _TOKEN = re.compile(
 )
 
 
-def _line_col(text: str, offset: int) -> tuple[int, int]:
-    """The 1-based line and column of one offset, for an error message."""
-    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
-
-
 def _line_cols(text: str, offsets: list[int]) -> list[tuple[int, int]]:
-    """`_line_col` of ascending offsets, reading the text once in all."""
+    """The 1-based line and column of each ascending offset, reading the text once."""
     out = []
     line, line_start, prev = 1, 0, 0
     for offset in offsets:
@@ -116,7 +99,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     for m in _TOKEN.finditer(text):
         kind = m.lastgroup
         if kind == "bad":
-            raise ParseError("unexpected character %r" % m.group(), *_line_col(text, m.start()))
+            message = "unexpected character %r" % m.group()
+            raise ParseError(message, *_line_cols(text, [m.start()])[0])
         if kind != "ws" and kind != "comment":
             tokens.append((kind, m.group(), m.start()))
     tokens.append(("eof", "", len(text)))
@@ -131,7 +115,7 @@ class _Parser:
         self.signature = signature if signature is not None else Signature()
 
     def error(self, message: str, tok: tuple[str, str, int]) -> ParseError:
-        return ParseError(message, *_line_col(self.text, tok[2]))
+        return ParseError(message, *_line_cols(self.text, [tok[2]])[0])
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -141,11 +125,19 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def note(self, note_symbol, tok: tuple[str, str, int], arity: int) -> None:
+    def note(self, kind: str, tok: tuple[str, str, int], arity: int) -> None:
         try:
-            note_symbol(tok[1], arity)
+            self.signature.note(kind, tok[1], arity)
         except ValueError as err:
             raise self.error(str(err), tok) from None
+
+    def parse_whole(self, parse, what: str):
+        """`parse(self)`, which must read to the end of the text."""
+        node = parse(self)
+        tok = self.tokens[self.pos]
+        if tok[0] != "eof":
+            raise self.error("trailing input after %s: %r" % (what, tok[1]), tok)
+        return node
 
     def parse_file(self) -> ClauseFile:
         out = ClauseFile(signature=self.signature)
@@ -186,7 +178,7 @@ class _Parser:
             raise self.error("expected a predicate, found %r" % (tok[1] or "end of input"), tok)
         self.next()
         args = self.parse_args()
-        self.note(self.signature.note_predicate, tok, len(args))
+        self.note("predicate", tok, len(args))
         return Atom(tok[1], args)
 
     def parse_args(self) -> tuple[Term, ...]:
@@ -214,7 +206,7 @@ class _Parser:
         if tok[0] == "lident":
             self.next()
             args = self.parse_args()
-            self.note(self.signature.note_function, tok, len(args))
+            self.note("function symbol", tok, len(args))
             return Compound(tok[1], args)
         raise self.error("expected a term, found %r" % (tok[1] or "end of input"), tok)
 
@@ -233,12 +225,7 @@ def parse_clause(text: str, signature: Signature | None = None) -> Clause:
 
 def parse_term(text: str) -> Term:
     """Parse a single term (used for association bindings)."""
-    parser = _Parser(text)
-    term = parser.parse_term()
-    tok = parser.peek()
-    if tok[0] != "eof":
-        raise parser.error("trailing input after term: %r" % tok[1], tok)
-    return term
+    return _Parser(text).parse_whole(_Parser.parse_term, "term")
 
 
 def _parse_literal(text: str, signature: Signature) -> Literal:
@@ -246,12 +233,7 @@ def _parse_literal(text: str, signature: Signature) -> Literal:
 
     Its arities are noted in `signature`; one that clashes is a ParseError.
     """
-    parser = _Parser(text, signature)
-    lit = parser.parse_literal()
-    tok = parser.peek()
-    if tok[0] != "eof":
-        raise parser.error("trailing input after literal: %r" % tok[1], tok)
-    return lit
+    return _Parser(text, signature).parse_whole(_Parser.parse_literal, "literal")
 
 
 def print_clause(c: Clause) -> str:

@@ -14,7 +14,6 @@ from pikit import (
     Compound,
     GenConfig,
     GroundUniverse,
-    Outcome,
     ResourceLimitExceeded,
     ResourceLimits,
     Substitution,
@@ -22,6 +21,7 @@ from pikit import (
     add_clauses,
     check_implicate_semantically,
     compile,
+    compose,
     dumps_kb,
     entails,
     gen_clause,
@@ -223,6 +223,31 @@ class TestAddClause:
             "end\n"
         )
 
+    def test_fold_orders_a_second_parent_by_its_support_position(self):
+        # Round 1 derives q|r, equal to the input q|r: eta keeps the input at
+        # position 2 while the support set holds the resolvent second.  So
+        # round 2 pairs ~r|s with ~p|r before q|r, though eta holds q|r first.
+        kb = compile(parse_clause_file("p|q. q|r. ~r|s.").clauses)
+        events = []
+        for trace in (events.append, None):
+            report = add_clause(kb, cl("~p|r."), trace=trace)
+            stats = report.result.stats
+            assert (stats.rounds, stats.consensus_attempts, stats.subsumption_checks) == (2, 6, 80)
+            assert [m.entry_text for m in report.support_history[1]] == [
+                "~p|r ; assoc ; origin input",
+                "q|r ; assoc ; origin consensus(1,5)",
+                "~p|s ; assoc ; origin consensus(3,5)",
+            ]
+            assert report.snapshot_history[1].members[1].entry_text == "q|r ; assoc ; origin input"
+        assert [(e.round, e.parents, e.outcome, e.result_text) for e in events] == [
+            (1, (1, 5), "added", "q|r"),
+            (1, (3, 5), "added", "~p|s"),
+            (2, (1, 5), "duplicate", "q|r"),
+            (2, (1, 6), "added", "q|s"),
+            (2, (3, 5), "duplicate", "~p|s"),
+            (2, (3, 2), "duplicate", "q|s"),
+        ]
+
     def test_fold_counts_one_attempt_per_trace_event(self):
         for seed in range(50):
             cfg = GenConfig(seed=seed, **FO_CFG)
@@ -373,41 +398,43 @@ class TestCountedAttempts:
     def test_untraced_runs_never_build_a_blocked_or_old_attempt(self, monkeypatch):
         engine = importlib.import_module("pikit.consensus")
         compiler_module = importlib.import_module("pikit.compiler")
-        real_consensus, real_attempt_pairs = engine.consensus, compiler_module._attempt_pairs
-        calls = []  # (fold round, d1, d2, outcome) of each consensus call
+        real_resolve, real_attempt_pairs = engine._resolve, compiler_module._attempt_pairs
+        calls = []  # (fold round, d1, d2) of each resolvent built
         state = {"round": 0}
 
-        def consensus_spy(c1, c2, *args):
-            res = real_consensus(c1, c2, *args)
-            calls.append((state["round"], c1, c2, res))
-            return res
+        def resolve_spy(c1, c2, pair, assoc, parents):
+            # Only an unblocked attempt is built, from the one composition.
+            mgu = pair[2]
+            assert compose(c1.assoc, mgu) == compose(c2.assoc, mgu) == assoc
+            calls.append((state["round"], c1, c2))
+            return real_resolve(c1, c2, pair, assoc, parents)
 
         def attempt_pairs_spy(*args, **kwargs):
             state["round"] += 1
             return real_attempt_pairs(*args, **kwargs)
 
-        monkeypatch.setattr(engine, "consensus", consensus_spy)
+        monkeypatch.setattr(engine, "_resolve", resolve_spy)
         monkeypatch.setattr(compiler_module, "_attempt_pairs", attempt_pairs_spy)
-        later_rounds = 0
+        built = later_rounds = 0
         for x, c in _criterion_4_instances(100):
             try:
                 calls.clear()
                 kb = compile(x)
-                assert Outcome.BLOCKED not in [res for *_, res in calls]
+                built += len(calls)
                 calls.clear()
                 state["round"] = 0
                 report = add_clause(kb, c)
             except ResourceLimitExceeded:
                 continue
-            assert Outcome.BLOCKED not in [res for *_, res in calls]
+            built += len(calls)
             # New in round k: the support members that round k-1 derived.
             support = [set(snap) for snap in report.support_history]
-            for k, d1, d2, _ in calls:
+            for k, d1, d2 in calls:
                 if k > 1:
                     new = support[k - 1] - support[k - 2]
                     assert d1 in new or d2 in new
                     later_rounds += 1
-        assert later_rounds > 40
+        assert later_rounds > 40 and built > 500
 
 
 class TestMinimalFact:

@@ -1,5 +1,6 @@
 """Consensus pairs, association gating, the saturation step, and closure."""
 
+import importlib
 import itertools
 
 import hypothesis.strategies as st
@@ -16,21 +17,26 @@ from pikit import (
     ResourceLimitExceeded,
     ResourceLimits,
     Substitution,
+    TraceEvent,
     Variable,
+    add_clause,
     check_implicate_semantically,
+    compile,
     complementary_pairs,
     compose,
     consensus_closure,
+    gen_clause,
     gen_kb,
     input_clauses,
     parse_clause,
     parse_clause_file,
     same_models,
     truth_table_entails,
+    vary_seed,
 )
-from pikit.consensus import consensus
+from pikit.consensus import _Tables, consensus
 
-from strategies import entries, substitutions
+from strategies import FO_CFG, entries, substitutions
 
 
 def cl(text):
@@ -334,3 +340,81 @@ def test_first_order_consensus_results_are_implicates_over_herbrand(seed):
                 except CapacityError:
                     continue
                 assert ok
+
+
+def nested_loop_round(base, new_side, seen, fresh, round_no):
+    """One round of the pair engine as nested loops over members and pairs.
+
+    D1 runs over `base` and D2 over `new_side`, skipping the same member and,
+    when `fresh` is given, the pairs of two members outside it; each pair of
+    `complementary_pairs(D1, D2)` is decided by `consensus` under base
+    positions as parent ids.  Returns the trace events and the admitted
+    members, growing a copy of `seen` as the engine does.
+    """
+    position = {m: i for i, m in enumerate(base, 1)}
+    seen = set(seen)
+    events, admitted = [], []
+    for i, d1 in enumerate(base, 1):
+        for d2 in new_side:
+            if d1 == d2 or (fresh is not None and d1 not in fresh and d2 not in fresh):
+                continue
+            ids = (i, position[d2])
+            for pair in complementary_pairs(d1, d2):
+                res = consensus(d1, d2, pair, ids)
+                if isinstance(res, Outcome):
+                    outcome = res
+                elif res in seen:
+                    outcome = Outcome.DUPLICATE
+                else:
+                    outcome = Outcome.ADDED
+                    seen.add(res)
+                    admitted.append(res)
+                texts = (str(d1.clause), str(d2.clause))
+                result = None if isinstance(res, Outcome) else str(res.clause)
+                events.append(TraceEvent(round_no, ids, texts, pair[2], outcome.value, result))
+    return events, admitted
+
+
+# The fold that `TestAddClause` in test_compiler.py pins: round 1 derives a
+# member equal to an input, which the support set then holds later than eta.
+EQUAL_MEMBER_FOLD = ("p|q. q|r. ~r|s.", "~p|r.")
+
+
+def test_pair_engine_matches_nested_loops(monkeypatch):
+    """Every round that `compile` and `add_clause` ask of the engine, traced
+    or not, gives the events and admissions of `nested_loop_round`."""
+    engine = importlib.import_module("pikit.consensus")
+    compiler_module = importlib.import_module("pikit.compiler")
+    real = engine._attempt_pairs
+    rounds = []
+
+    def recorded(base, new_side, seen, **kwargs):
+        fresh, round_no = kwargs.get("fresh"), kwargs.get("round_no", 1)
+        rounds.append((base.copy(), new_side.copy(), set(seen), fresh, round_no))
+        return real(base, new_side, seen, **kwargs)
+
+    monkeypatch.setattr(engine, "_attempt_pairs", recorded)
+    monkeypatch.setattr(compiler_module, "_attempt_pairs", recorded)
+    x, c = EQUAL_MEMBER_FOLD
+    instances = [(parse_clause_file(x).clauses, cl(c))]
+    for seed in range(100):
+        cfg = GenConfig(seed=seed, **FO_CFG)
+        instances.append(([m.clause for m in gen_kb(cfg)], gen_clause(vary_seed(cfg, 1_000_003))))
+    for x, c in instances:
+        try:
+            kb = compile(x)
+            add_clause(kb, c)
+            add_clause(kb, c, trace=[].append)
+        except ResourceLimitExceeded:
+            continue
+    assert len(rounds) > 400
+    for base, new_side, seen, fresh, round_no in rounds:
+        events, expected = nested_loop_round(base, new_side, seen, fresh, round_no)
+        traced = []
+        for trace in (traced.append, None):
+            got, _ = real(
+                base, new_side, set(seen), tables=_Tables(), round_no=round_no,
+                trace=trace, fresh=fresh,
+            )
+            assert [(m, m.parents) for m in got] == [(m, m.parents) for m in expected]
+        assert traced == events
