@@ -36,10 +36,7 @@ def main() -> None:
     print("\ncompiled prime implicates:")
     for member in kb.pi:
         print("   %s" % member.entry_text)
-    print(
-        "stats: rounds=%d consensus_attempts=%d subsumption_checks=%d"
-        % (kb.stats.rounds, kb.stats.consensus_attempts, kb.stats.subsumption_checks)
-    )
+    print("stats: %s" % kb.stats.format())
 
     print("\nfolding in %s" % NEW_CLAUSE)
     events = []

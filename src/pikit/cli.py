@@ -102,10 +102,7 @@ def _cmd_show(args: argparse.Namespace) -> int:
         print("  %d. %s" % (i, member.entry_text))
     if kb.inconsistent:
         print("inconsistent: the prime implicates reduce to the empty clause")
-    print(
-        "stats: rounds=%d consensus_attempts=%d subsumption_checks=%d"
-        % (kb.stats.rounds, kb.stats.consensus_attempts, kb.stats.subsumption_checks)
-    )
+    print("stats: %s" % kb.stats.format())
     print("digest: %s" % kb.source_digest)
     return 0
 
@@ -155,7 +152,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     except ResourceLimitExceeded as err:
-        print("error: %s" % err, file=sys.stderr)
+        # `add` notes which clause of its input hit the limit.
+        at = err.clause_index
+        where = "" if at is None else "%s, clause %d: " % (args.input, at + 1)
+        print("error: %s%s" % (where, err), file=sys.stderr)
         return 3
     except (ParseError, StoreError, OSError, ValueError) as err:
         print("error: %s" % err, file=sys.stderr)

@@ -20,8 +20,7 @@ from .consensus import (
     ResourceLimitExceeded,
     ResourceLimits,
     Trace,
-    _attempt_pairs,
-    _Tables,
+    _Rounds,
     consensus_closure,
 )
 from .syntax import Signature
@@ -33,6 +32,11 @@ class CompileStats:
     rounds: int = 0
     consensus_attempts: int = 0
     subsumption_checks: int = 0
+
+    def format(self) -> str:
+        """The counters as a store's `stats` line and `pikit show` print them."""
+        counts = (self.rounds, self.consensus_attempts, self.subsumption_checks)
+        return "rounds=%d consensus_attempts=%d subsumption_checks=%d" % counts
 
 
 @dataclass
@@ -143,16 +147,17 @@ def add_clause(
     support set only when its (clause, assoc) pair has never been in it, so
     clauses the residue deleted from the support set never re-enter.
 
-    The call's `_Tables` unify each atom pair and compose each (assoc, mgu)
-    pair once.  Each residue skips the pairs that an earlier residue has
-    already left minimal: a round's residue those of the previous working
-    set, and the first residue those of pi(X) when `kb.minimal` says that
-    `compile` or `add_clause` made it.  A loaded or hand-built KB gets the
-    full first residue, since nothing checks that its pi(X) is minimal.
+    The rounds are those of the pair engine, `_Rounds`, which keeps the
+    call's admissions, `unify` and `compose` memo, round count and cap.
     From the second round on, an untraced fold attempts only the pairs with
     a member that the previous round derived: every other pair met in that
     round, so its attempts are counted, not repeated.  A traced fold
-    attempts every pair, so that each attempt gives an event.
+    attempts every pair, so that each attempt gives an event.  Each residue
+    skips the pairs that an earlier residue has already left minimal: a
+    round's residue those of the previous working set, and the first
+    residue those of pi(X) when `kb.minimal` says that `compile` or
+    `add_clause` made it.  A loaded or hand-built KB gets the full first
+    residue, since nothing checks that its pi(X) is minimal.
 
     The result is sound: every member is in the consensus closure of X plus
     C.  On first-order inputs it can be coarser than compile(X + [C]).
@@ -177,12 +182,10 @@ def add_clause(
     snapshots = [eta]
     support = ClauseSet([c])
     support_history = [support.members]
-    # Every member ever in the support set, the tombstones included.
-    seen = {c}
-    tables = _Tables()
+    # The rounds' `seen` is every member ever in the support set, the
+    # tombstones included.
+    rounds = _Rounds([c], limits.max_rounds, trace, stats, fold=True)
     previous = ClauseSet()
-    fresh: set | None = None  # round 1 attempts every pair
-    rounds = 0
     # The support set stays a subset of eta: C survives the first residue
     # because nothing in pi(X) subsumes it, and each round keeps only the
     # support members that survive.  So eta plus the new resolvents is the
@@ -190,30 +193,16 @@ def add_clause(
     # of its input, which starts with the previous eta, so two consecutive
     # working sets with equal members have equal order.
     while eta != previous:
-        rounds += 1
-        if rounds > limits.max_rounds:
-            raise ResourceLimitExceeded("max-rounds", limits.max_rounds, eta)
-        derived, repeats = _attempt_pairs(
-            eta,
-            support,
-            seen,
-            tables=tables,
-            round_no=rounds,
-            trace=trace,
-            stats=stats,
-            fresh=fresh if trace is None else None,
-        )
-        stats.consensus_attempts += repeats
+        derived = rounds.next(eta, support)
         working = ClauseSet([*eta, *derived])
         if len(working) > limits.max_clauses:
             raise ResourceLimitExceeded("max-clauses", limits.max_clauses, working)
         previous, eta = eta, residue(working, stats, settled=len(eta)).kept
-        fresh = {m for m in derived if m in eta}
         support = ClauseSet(m for m in [*support, *derived] if m in eta)
         support_history.append(support.members)
         snapshots.append(eta)
 
-    stats.rounds = rounds
+    stats.rounds = rounds.round
     result = CompiledKB(eta, stats, chain_digest(kb.source_digest, c.clause), minimal=True)
     return IncrementalReport(result, "recompiled", support_history, snapshots)
 

@@ -5,20 +5,21 @@ mgu, but is only defined when both parents' associations compose with the
 mgu to the same substitution; otherwise the attempt is blocked.  Tautological
 resolvents are discarded.
 
-One engine, `_attempt_pairs`, enumerates and classifies every attempt, for
-batch closure here and for the incremental fold in the compiler.  Its new
-side lies inside its base, so one index of the base by distinct literal
-serves both sides.  It unifies each complementary literal pair once,
-counts the blocked attempts and builds each unblocked resolvent from the
-composition it bucketed the attempt by; with a trace attached it visits
-every attempt, in nested-loop order, the second parent by its new-side
-position (a fold's support set can order members unlike its working set).
-Its one admission rule: a resolvent is added when no equal (clause, assoc)
-member is in the caller's `seen` set, and a duplicate otherwise.  The
-tests check it against `complementary_pairs` and `consensus`.  Saturation
-is not guaranteed to terminate on first-order inputs, so every closure
-takes explicit resource limits and fails loudly with the partial set when
-a cap is hit.
+One engine, `_Rounds`, enumerates and classifies every consensus attempt,
+for the rounds of batch closure here and of the incremental fold in the
+compiler.  Each round pairs a base with a new side that lies inside it: the
+closure pairs each iterate with itself, the fold its working set with its
+support set.  From the second round on, only the pairs with a member that
+the previous round added are built (semi-naive evaluation), unless a traced
+fold asks for every attempt.  One engine object lives for one closure or
+fold call and keeps what passes from round to round: the `seen` admissions,
+the fresh members, the `unify` and `compose` memo and the round count that
+the max-rounds cap bounds.  Its one admission rule: a resolvent is added
+when no equal (clause, assoc) member is in `seen`, and a duplicate
+otherwise.  The tests check it against `complementary_pairs` and
+`consensus`.  Saturation is not guaranteed to terminate on first-order
+inputs, so every closure takes explicit resource limits and fails loudly
+with the partial set when a cap is hit.
 """
 
 from __future__ import annotations
@@ -33,7 +34,12 @@ from .terms import Literal, Substitution, apply, compose, unify
 
 @dataclass(frozen=True)
 class ResourceLimits:
-    """Caps on saturation rounds and on clause count; 0 is a legal cap."""
+    """Caps on saturation rounds and on clause count; 0 is a legal cap.
+
+    `max_rounds` counts every engine round, the last one that finds nothing
+    new included.  `compile` leaves that round out of the `rounds` it
+    reports, so a KB compiled in N rounds needed N + 1; the fold counts it.
+    """
 
     max_rounds: int = 100
     max_clauses: int = 10_000
@@ -92,38 +98,6 @@ class TraceEvent:
 Trace = Callable[[TraceEvent], None]
 
 
-_MISSING = object()
-
-
-class _Tables:
-    """One run's `unify` and `compose` results, each argument pair decided once.
-
-    Both functions are pure and their values immutable, so a value read here
-    is the value a new call would return.  A miss calls this module's global,
-    whatever it is bound to at the time.  A caller keeps one `_Tables` as long
-    as its `seen` set and drops it when it returns, so a pair of members
-    met again in a later round reaches neither function again.
-    """
-
-    __slots__ = ("unifiers", "composed")
-
-    def __init__(self) -> None:
-        self.unifiers: dict = {}
-        self.composed: dict = {}
-
-    def unify(self, a, b) -> Substitution | None:
-        got = self.unifiers.get((a, b), _MISSING)
-        if got is _MISSING:
-            got = self.unifiers[a, b] = unify(a, b)
-        return got
-
-    def compose(self, s1: Substitution, s2: Substitution) -> Substitution:
-        got = self.composed.get((s1, s2))
-        if got is None:
-            got = self.composed[s1, s2] = compose(s1, s2)
-        return got
-
-
 def complementary_pairs(
     c1: AssocClause, c2: AssocClause
 ) -> list[tuple[Literal, Literal, Substitution]]:
@@ -157,7 +131,7 @@ def consensus(
     consistently with the mgu, Outcome.NON_FUNDAMENTAL when the resolvent is
     tautological, and otherwise the resolvent, associated with the composed
     substitution and carrying `parents`.  This is the engine's reference:
-    `_attempt_pairs` decides the same attempts without composing any twice.
+    a `_Rounds` round decides the same attempts without composing any twice.
     """
     assoc = compose(c1.assoc, pair[2])
     if assoc != compose(c2.assoc, pair[2]):
@@ -182,128 +156,162 @@ def _resolve(
     return AssocClause(resolvent, assoc, parents=parents)
 
 
-def _attempt_pairs(
-    base: ClauseSet,
-    new_side: ClauseSet,
-    seen: set,
-    *,
-    tables: _Tables,
-    round_no: int = 1,
-    trace: Trace | None = None,
-    stats=None,
-    fresh: set | None = None,
-    max_clauses: int | None = None,
-) -> tuple[list[AssocClause], int]:
-    """Attempt consensus over ordered pairs (D1 in base, D2 in new_side).
+_MISSING = object()
 
-    This is the one place consensus attempts are enumerated and classified.
-    An attempt is two distinct members and a literal pair (R in D1, S in D2)
-    of opposite signs on one predicate whose atoms unify.  `new_side` lies
-    inside `base`, so one index of `base` by distinct literal gives the
-    holders of R, and those of its holders in `new_side` the holders of S;
-    each literal pair is unified once, and only when some attempt uses it.
-    An attempt is blocked exactly when the two associations compose
-    differently with the mgu, so the holders of S are bucketed by that
-    composition: untraced, only D1's bucket is visited and the blocked
-    attempts are counted; traced, every attempt is visited and reported.
-    An unblocked resolvent takes the bucket's composition.  Visits run in
-    (D1, D2, R, S) position order, the order of nested loops over the two
-    sides, so events, parent ids (1-based positions in `base`), admissions
-    and a limit stop come out in it.  D2 goes by its `new_side` position: a
-    fold's support set can hold a member later than its working set does.
 
-    A resolvent is added when it is not in `seen`, which then grows by it;
-    otherwise it is a duplicate.  When `fresh` is given, pairs of two
-    non-fresh members are not attempted: the caller attempted each in an
-    earlier round, so each can only repeat its outcome then, blocked,
-    non-fundamental or duplicate.  Returns the added clauses in derivation
-    order and the number of those repeated attempts.  `tables` holds the
-    run's `unify` and `compose` results.  When base plus the added clauses
-    outgrows `max_clauses`, ResourceLimitExceeded carries that partial set.
+class _Rounds:
+    """The rounds of one closure or one fold, each pairing a base with a new side.
+
+    `next` runs a round: it attempts consensus over ordered pairs (D1 in
+    base, D2 in new_side).  An attempt is two distinct members and a
+    literal pair (R in D1, S in D2) of opposite signs on one predicate whose
+    atoms unify.  `new_side` lies inside `base`, so one index of `base` by
+    distinct literal gives the holders of R, and those of its holders in
+    `new_side` the holders of S; each literal pair is unified once, and only
+    when some attempt uses it.  An attempt is blocked exactly when the two
+    associations compose differently with the mgu, so the holders of S are
+    bucketed by that composition: untraced, only D1's bucket is visited and
+    the blocked attempts are counted; traced, every attempt is visited and
+    reported.  An unblocked resolvent takes the bucket's composition.
+    Visits run in (D1, D2, R, S) position order, the order of nested loops
+    over the two sides, so events, parent ids (1-based positions in
+    `base`), admissions and a limit stop come out in it.  D2 goes by its
+    `new_side` position: a fold's support set can hold a member later than
+    its working set does.
+
+    The object keeps what passes from round to round of its one call.  A
+    resolvent is added when it is not in `seen`, which then grows by it,
+    and is a duplicate otherwise.  `fresh` holds what the previous round
+    added.  An old pair, of two members of `base` outside `fresh`, met in
+    the previous round and can only repeat its outcome: blocked,
+    non-fundamental or duplicate.  What one costs is the one way the
+    callers differ: the closure neither attempts nor counts it, and the
+    fold counts it untraced and attempts it traced, so that each attempt
+    gives an event.  The `unify` and `compose` memo holds each pure
+    function's value once per argument pair; a miss calls this module's
+    global, whatever it is bound to at the time.  `round` is the number of
+    the last round begun, and round `max_rounds` + 1 raises
+    ResourceLimitExceeded with its base instead.
     """
-    at = {m: j for j, m in enumerate(new_side)}
-    index: dict[Literal, list] = {}  # (i in base, k, member, fresh, j in new_side or None)
-    for i, m in enumerate(base):
-        new = fresh is None or m in fresh
-        j = at.get(m)
-        for k, lit in enumerate(m.clause.literals):
-            index.setdefault(lit, []).append((i, k, m, new, j))
-    right: dict[tuple[str, bool], list] = {}
-    for lit, occ in index.items():
-        if ss := [o for o in occ if o[4] is not None]:
-            holders = right.setdefault((lit.atom.predicate, lit.positive), [])
-            holders.append((lit, ss, sum(o[3] for o in ss)))
-    attempts = repeats = 0
-    hits = []
-    for r_lit, rs in index.items():
-        opposite = right.get((r_lit.atom.predicate, not r_lit.positive))
-        if opposite is None:
-            continue
-        r_fresh = sum(o[3] for o in rs)
-        r_at = {o[0]: o[3] for o in rs}
-        for s_lit, ss, s_fresh in opposite:
-            if len(rs) == len(ss) == 1 and rs[0][0] == ss[0][0]:
-                continue  # one member holds both: no attempt uses the pair
-            mgu = tables.unify(r_lit.atom, s_lit.atom)
-            if mgu is None:
+
+    def __init__(self, seen, max_rounds: int, trace: Trace | None, stats, *, fold=False):
+        self.seen = set(seen)
+        self.max_rounds = max_rounds
+        self.trace = trace
+        self.stats = stats
+        self.fold = fold
+        self.fresh: set | None = None
+        self.round = 0
+        self._unifiers: dict = {}
+        self._composed: dict = {}
+
+    def _unify(self, a, b) -> Substitution | None:
+        got = self._unifiers.get((a, b), _MISSING)
+        if got is _MISSING:
+            got = self._unifiers[a, b] = unify(a, b)
+        return got
+
+    def _compose(self, s1: Substitution, s2: Substitution) -> Substitution:
+        got = self._composed.get((s1, s2))
+        if got is None:
+            got = self._composed[s1, s2] = compose(s1, s2)
+        return got
+
+    def next(
+        self, base: ClauseSet, new_side: ClauseSet, max_clauses: int | None = None
+    ) -> list[AssocClause]:
+        """Run the next round and return the clauses it added, in derivation
+        order.  When base plus the added clauses outgrows `max_clauses`,
+        ResourceLimitExceeded carries that partial set."""
+        if self.round >= self.max_rounds:
+            raise ResourceLimitExceeded("max-rounds", self.max_rounds, base)
+        self.round += 1
+        trace, seen = self.trace, self.seen
+        fresh = None if self.fold and trace is not None else self.fresh
+        at = {m: j for j, m in enumerate(new_side)}
+        index: dict[Literal, list] = {}  # (i in base, k, member, fresh, j in new_side or None)
+        for i, m in enumerate(base):
+            new = fresh is None or m in fresh
+            j = at.get(m)
+            for k, lit in enumerate(m.clause.literals):
+                index.setdefault(lit, []).append((i, k, m, new, j))
+        right: dict[tuple[str, bool], list] = {}
+        for lit, occ in index.items():
+            if ss := [o for o in occ if o[4] is not None]:
+                holders = right.setdefault((lit.atom.predicate, lit.positive), [])
+                holders.append((lit, ss, sum(o[3] for o in ss)))
+        attempts = repeats = 0
+        hits = []
+        for r_lit, rs in index.items():
+            opposite = right.get((r_lit.atom.predicate, not r_lit.positive))
+            if opposite is None:
                 continue
-            # Attempts pair two distinct holders; `both` lists the members
-            # that hold R and S, True for a fresh one.  The pairs of two old
-            # holders are the repeats, and the rest are attempted now.
-            both = [f for o in ss if (f := r_at.get(o[0])) is not None]
-            old_pairs = (len(rs) - r_fresh) * (len(ss) - s_fresh) - both.count(False)
-            new_pairs = len(rs) * len(ss) - len(both) - old_pairs
-            repeats += old_pairs
-            if not new_pairs:
-                continue
-            attempts += new_pairs
-            partners = [(o, tables.compose(o[2].assoc, mgu)) for o in ss]
-            buckets: dict[Substitution, list] = {}
-            if trace is None:
-                for o, key in partners:
-                    buckets.setdefault(key, []).append((o, key))
-            for i1, k1, d1, new1, _ in rs:
-                key1 = tables.compose(d1.assoc, mgu)
-                for (i2, k2, d2, new2, j2), key2 in (
-                    partners if trace is not None else buckets.get(key1, ())
-                ):
-                    if i2 != i1 and (new1 or new2):
-                        assoc = key1 if key1 == key2 else None  # None: blocked
-                        hits.append((i1, j2, k1, k2, i2, d1, d2, mgu, assoc))
-    if stats is not None:
-        stats.consensus_attempts += attempts
-    admitted: list[AssocClause] = []
-    hits.sort()  # the four positions tell any two hits apart
-    for i1, _, k1, k2, i2, d1, d2, mgu, assoc in hits:
-        ids = (i1 + 1, i2 + 1)
-        if assoc is None:
-            res = outcome = Outcome.BLOCKED
-        else:
-            pair = (d1.clause.literals[k1], d2.clause.literals[k2], mgu)
-            res = _resolve(d1, d2, pair, assoc, ids)
-            if isinstance(res, Outcome):
-                outcome = res
-            elif res in seen:
-                outcome = Outcome.DUPLICATE
+            r_fresh = sum(o[3] for o in rs)
+            r_at = {o[0]: o[3] for o in rs}
+            for s_lit, ss, s_fresh in opposite:
+                if len(rs) == len(ss) == 1 and rs[0][0] == ss[0][0]:
+                    continue  # one member holds both: no attempt uses the pair
+                mgu = self._unify(r_lit.atom, s_lit.atom)
+                if mgu is None:
+                    continue
+                # Attempts pair two distinct holders; `both` lists the members
+                # that hold R and S, True for a fresh one.  The pairs of two old
+                # holders are the repeats, and the rest are attempted now.
+                both = [f for o in ss if (f := r_at.get(o[0])) is not None]
+                old_pairs = (len(rs) - r_fresh) * (len(ss) - s_fresh) - both.count(False)
+                new_pairs = len(rs) * len(ss) - len(both) - old_pairs
+                repeats += old_pairs
+                if not new_pairs:
+                    continue
+                attempts += new_pairs
+                partners = [(o, self._compose(o[2].assoc, mgu)) for o in ss]
+                buckets: dict[Substitution, list] = {}
+                if trace is None:
+                    for o, key in partners:
+                        buckets.setdefault(key, []).append((o, key))
+                for i1, k1, d1, new1, _ in rs:
+                    key1 = self._compose(d1.assoc, mgu)
+                    for (i2, k2, d2, new2, j2), key2 in (
+                        partners if trace is not None else buckets.get(key1, ())
+                    ):
+                        if i2 != i1 and (new1 or new2):
+                            assoc = key1 if key1 == key2 else None  # None: blocked
+                            hits.append((i1, j2, k1, k2, i2, d1, d2, mgu, assoc))
+        if self.stats is not None:
+            self.stats.consensus_attempts += attempts + (repeats if self.fold else 0)
+        admitted: list[AssocClause] = []
+        hits.sort()  # the four positions tell any two hits apart
+        for i1, _, k1, k2, i2, d1, d2, mgu, assoc in hits:
+            ids = (i1 + 1, i2 + 1)
+            if assoc is None:
+                res = outcome = Outcome.BLOCKED
             else:
-                outcome = Outcome.ADDED
-                seen.add(res)
-                admitted.append(res)
-                if max_clauses is not None and len(base) + len(admitted) > max_clauses:
-                    partial = ClauseSet([*base, *admitted])
-                    raise ResourceLimitExceeded("max-clauses", max_clauses, partial)
-        if trace is not None:
-            trace(
-                TraceEvent(
-                    round_no,
-                    ids,
-                    (str(d1.clause), str(d2.clause)),
-                    mgu,
-                    outcome.value,
-                    None if isinstance(res, Outcome) else str(res.clause),
+                pair = (d1.clause.literals[k1], d2.clause.literals[k2], mgu)
+                res = _resolve(d1, d2, pair, assoc, ids)
+                if isinstance(res, Outcome):
+                    outcome = res
+                elif res in seen:
+                    outcome = Outcome.DUPLICATE
+                else:
+                    outcome = Outcome.ADDED
+                    seen.add(res)
+                    admitted.append(res)
+                    if max_clauses is not None and len(base) + len(admitted) > max_clauses:
+                        partial = ClauseSet([*base, *admitted])
+                        raise ResourceLimitExceeded("max-clauses", max_clauses, partial)
+            if trace is not None:
+                trace(
+                    TraceEvent(
+                        self.round,
+                        ids,
+                        (str(d1.clause), str(d2.clause)),
+                        mgu,
+                        outcome.value,
+                        None if isinstance(res, Outcome) else str(res.clause),
+                    )
                 )
-            )
-    return admitted, repeats
+        self.fresh = set(admitted)
+        return admitted
 
 
 @dataclass
@@ -330,24 +338,8 @@ def consensus_closure(
     hit."""
     current = x.copy()
     iterates = [current]
-    seen = set(current)
-    tables = _Tables()
-    fresh: set | None = None  # round 1 attempts every pair
-    for i in range(1, limits.max_rounds + 1):
-        new, _ = _attempt_pairs(
-            current,
-            current,
-            seen,
-            tables=tables,
-            round_no=i,
-            trace=trace,
-            stats=stats,
-            fresh=fresh,
-            max_clauses=limits.max_clauses,
-        )
-        if not new:
-            return ClosureResult(current, iterates, rounds=i - 1)
-        fresh = set(new)
+    rounds = _Rounds(current, limits.max_rounds, trace, stats)
+    while new := rounds.next(current, current, limits.max_clauses):
         current = ClauseSet([*current, *new])
         iterates.append(current)
-    raise ResourceLimitExceeded("max-rounds", limits.max_rounds, current)
+    return ClosureResult(current, iterates, rounds=rounds.round - 1)

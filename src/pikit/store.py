@@ -59,10 +59,7 @@ def dumps_kb(kb: CompiledKB) -> str:
     sig = signature_of(kb)
     lines = ["%s %d" % (FORMAT_NAME, FORMAT_VERSION)]
     lines.append("digest %s" % kb.source_digest)
-    lines.append(
-        "stats rounds=%d consensus_attempts=%d subsumption_checks=%d"
-        % (kb.stats.rounds, kb.stats.consensus_attempts, kb.stats.subsumption_checks)
-    )
+    lines.append("stats %s" % kb.stats.format())
     for name in sorted(sig.predicates):
         lines.append("pred %s/%d" % (name, sig.predicates[name]))
     for name in sorted(sig.functions):

@@ -169,6 +169,20 @@ class TestAddCommand:
         assert "absorbed: q(a)|s(b)." in out
         assert "unchanged: s(X)|~s(X)." in out
 
+    def test_add_limit_names_the_clause_that_hit_it(self, workspace, capsys):
+        tmp, src = workspace
+        kb, out_kb = tmp / "kb.pikb", tmp / "kb2.pikb"
+        run(capsys, "compile", src, "-o", kb)
+        extra = tmp / "new.fol"
+        extra.write_text("q(a).\n~p(a)|~q(Z).\n")
+        code, _, err = run(capsys, "add", kb, extra, "-o", out_kb, "--max-rounds", 1)
+        assert code == 3
+        assert err == (
+            "error: %s, clause 2: max-rounds limit (1) exceeded before reaching a fixpoint\n"
+            % extra
+        )
+        assert not out_kb.exists()
+
     def test_add_onto_missing_kb_exits_2(self, workspace, capsys):
         tmp, src = workspace
         code, _, err = run(capsys, "add", tmp / "nope.pikb", src, "-o", tmp / "x.pikb")

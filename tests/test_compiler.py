@@ -261,6 +261,43 @@ class TestAddClause:
                 assert report.result.stats.consensus_attempts == len(events), seed
 
 
+# A round cap counts every engine round, the last one that finds nothing new
+# included.  `compile` reports its rounds without that last one and the fold
+# with it, so a compiled KB that reports N rounds needed a cap of N + 1.
+# Each row: input, added clause (None: compile only), cap, and the reported
+# rounds or the partial set the cap stops with.
+ROUND_CAPS = [
+    ("p(a). ~p(X)|q(X).", None, 0, ["p(a)", "~p(X)|q(X)"]),
+    ("p(a). ~p(X)|q(X).", None, 1, ["p(a)", "~p(X)|q(X)", "q(a)"]),
+    ("p(a). ~p(X)|q(X).", None, 2, 1),
+    ("p(a).", None, 0, ["p(a)"]),
+    ("p(a).", None, 1, 0),
+    (BASE_KB, ADDED, 0, ["q(Y)", "~r(f(X),b)", "p(X)|r(Z,b)", "p(X)|~q(Z)", "~p(a)|~q(Z)"]),
+    (BASE_KB, ADDED, 1, ["q(Y)", "~r(f(X),b)", "p(X)|r(Z,b)", "p(X)|~q(Z)", "~p(a)"]),
+    (BASE_KB, ADDED, 2, ["q(Y)", "~r(f(X),b)", "p(X)|~q(Z)", "~p(a)", "r(Z,b)"]),
+    (BASE_KB, ADDED, 3, 3),
+]
+
+
+@pytest.mark.parametrize("x, added, max_rounds, expected", ROUND_CAPS)
+def test_round_cap_counts_every_engine_round(x, added, max_rounds, expected):
+    limits = ResourceLimits(max_rounds=max_rounds)
+    clauses = parse_clause_file(x).clauses
+
+    def run():
+        if added is None:
+            return compile(clauses, limits)
+        return add_clause(compile(clauses), cl(added), limits).result
+
+    if isinstance(expected, int):
+        assert run().stats.rounds == expected
+        return
+    with pytest.raises(ResourceLimitExceeded) as err:
+        run()
+    assert (err.value.limit, err.value.value) == ("max-rounds", max_rounds)
+    assert err.value.partial.clause_texts() == expected
+
+
 def _criterion_4_instances(count=50):
     """(X, C) of criterion-4 seeds 0..count-1, in the FO_CFG shape."""
     for seed in range(count):
@@ -397,8 +434,7 @@ class TestCountedAttempts:
 
     def test_untraced_runs_never_build_a_blocked_or_old_attempt(self, monkeypatch):
         engine = importlib.import_module("pikit.consensus")
-        compiler_module = importlib.import_module("pikit.compiler")
-        real_resolve, real_attempt_pairs = engine._resolve, compiler_module._attempt_pairs
+        real_resolve, real_next = engine._resolve, engine._Rounds.next
         calls = []  # (fold round, d1, d2) of each resolvent built
         state = {"round": 0}
 
@@ -409,12 +445,12 @@ class TestCountedAttempts:
             calls.append((state["round"], c1, c2))
             return real_resolve(c1, c2, pair, assoc, parents)
 
-        def attempt_pairs_spy(*args, **kwargs):
-            state["round"] += 1
-            return real_attempt_pairs(*args, **kwargs)
+        def next_spy(self, *args):
+            state["round"] = self.round + 1
+            return real_next(self, *args)
 
         monkeypatch.setattr(engine, "_resolve", resolve_spy)
-        monkeypatch.setattr(compiler_module, "_attempt_pairs", attempt_pairs_spy)
+        monkeypatch.setattr(engine._Rounds, "next", next_spy)
         built = later_rounds = 0
         for x, c in _criterion_4_instances(100):
             try:
@@ -422,7 +458,6 @@ class TestCountedAttempts:
                 kb = compile(x)
                 built += len(calls)
                 calls.clear()
-                state["round"] = 0
                 report = add_clause(kb, c)
             except ResourceLimitExceeded:
                 continue

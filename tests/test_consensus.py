@@ -1,6 +1,5 @@
 """Consensus pairs, association gating, the saturation step, and closure."""
 
-import importlib
 import itertools
 
 import hypothesis.strategies as st
@@ -34,7 +33,7 @@ from pikit import (
     truth_table_entails,
     vary_seed,
 )
-from pikit.consensus import _Tables, consensus
+from pikit.consensus import _Rounds, consensus
 
 from strategies import FO_CFG, entries, substitutions
 
@@ -383,18 +382,16 @@ EQUAL_MEMBER_FOLD = ("p|q. q|r. ~r|s.", "~p|r.")
 def test_pair_engine_matches_nested_loops(monkeypatch):
     """Every round that `compile` and `add_clause` ask of the engine, traced
     or not, gives the events and admissions of `nested_loop_round`."""
-    engine = importlib.import_module("pikit.consensus")
-    compiler_module = importlib.import_module("pikit.compiler")
-    real = engine._attempt_pairs
+    real = _Rounds.next
     rounds = []
 
-    def recorded(base, new_side, seen, **kwargs):
-        fresh, round_no = kwargs.get("fresh"), kwargs.get("round_no", 1)
-        rounds.append((base.copy(), new_side.copy(), set(seen), fresh, round_no))
-        return real(base, new_side, seen, **kwargs)
+    def recorded(self, base, new_side, max_clauses=None):
+        # The fresh set the round skips old pairs by; a traced fold skips none.
+        fresh = None if self.fold and self.trace is not None else self.fresh
+        rounds.append((base.copy(), new_side.copy(), set(self.seen), fresh, self.round + 1))
+        return real(self, base, new_side, max_clauses)
 
-    monkeypatch.setattr(engine, "_attempt_pairs", recorded)
-    monkeypatch.setattr(compiler_module, "_attempt_pairs", recorded)
+    monkeypatch.setattr(_Rounds, "next", recorded)
     x, c = EQUAL_MEMBER_FOLD
     instances = [(parse_clause_file(x).clauses, cl(c))]
     for seed in range(100):
@@ -412,9 +409,8 @@ def test_pair_engine_matches_nested_loops(monkeypatch):
         events, expected = nested_loop_round(base, new_side, seen, fresh, round_no)
         traced = []
         for trace in (traced.append, None):
-            got, _ = real(
-                base, new_side, set(seen), tables=_Tables(), round_no=round_no,
-                trace=trace, fresh=fresh,
-            )
+            engine = _Rounds(seen, round_no, trace, None)
+            engine.fresh, engine.round = fresh, round_no - 1
+            got = real(engine, base, new_side)
             assert [(m, m.parents) for m in got] == [(m, m.parents) for m in expected]
         assert traced == events
