@@ -40,20 +40,7 @@ from .consensus import (
     complementary_pairs,
     consensus_closure,
 )
-from .oracle import (
-    CapacityError,
-    GenConfig,
-    GroundUniverse,
-    check_implicate_semantically,
-    gen_clause,
-    gen_kb,
-    ground_instances,
-    models_of,
-    propositional_prime_implicates,
-    same_models,
-    truth_table_entails,
-    vary_seed,
-)
+from .oracle import GenConfig, gen_clause, gen_kb, vary_seed
 from .store import (
     MalformedStoreError,
     SignatureConflictError,
@@ -87,14 +74,13 @@ from .terms import (
     compose,
     match,
     unify,
-    variables_of,
 )
 
 __all__ = [
     "__version__",
     # terms
     "Variable", "Compound", "Term", "Atom", "Literal", "Substitution", "EMPTY",
-    "apply", "compose", "unify", "match", "variables_of",
+    "apply", "compose", "unify", "match",
     # clauses
     "Clause", "AssocClause", "ClauseSet", "Residue",
     "subsumes", "residue",
@@ -107,10 +93,7 @@ __all__ = [
     "compile", "add_clause", "add_clauses", "entails", "input_clauses",
     "clause_set_digest", "chain_digest",
     # oracle
-    "GroundUniverse", "GenConfig", "CapacityError",
-    "propositional_prime_implicates", "ground_instances",
-    "check_implicate_semantically", "truth_table_entails", "same_models",
-    "models_of", "gen_kb", "gen_clause", "vary_seed",
+    "GenConfig", "gen_kb", "gen_clause", "vary_seed",
     # syntax
     "ParseError", "Signature", "ClauseFile",
     "parse_clause_file", "parse_clause", "parse_term",

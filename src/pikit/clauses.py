@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .terms import EMPTY, Compound, Literal, Substitution, _match, apply
+from .terms import EMPTY, Compound, Literal, Substitution, _match
 
 
 @dataclass(frozen=True)
@@ -62,9 +62,6 @@ class Clause:
     def is_empty(self) -> bool:
         return not self.literals
 
-    def apply_substitution(self, sub: Substitution) -> "Clause":
-        return Clause(tuple(apply(sub, l) for l in self.literals))
-
     def __iter__(self) -> Iterator[Literal]:
         return iter(self.literals)
 
@@ -78,7 +75,7 @@ class Clause:
 
 
 def subsumes(c1: Clause, c2: Clause) -> Substitution | None:
-    """Witness substitution s with apply(s, c1) ⊆ c2, or None.
+    """Witness s with apply(s, l) in c2 for every literal l of c1, or None.
 
     Complete backtracking search over literal-to-literal matchings; the
     first witness in canonical literal order is returned, so the result is

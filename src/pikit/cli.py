@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
-import os
 import sys
 from typing import Iterator, Sequence
 
@@ -19,16 +18,9 @@ from .consensus import DEFAULT_LIMITS, ResourceLimitExceeded, ResourceLimits, Tr
 from .store import StoreError, load_kb, save_kb
 from .syntax import ParseError, parse_clause, parse_clause_file
 
-MAX_ROUNDS_ENV = "PIKIT_MAX_ROUNDS"
-
 
 def _limits(args: argparse.Namespace) -> ResourceLimits:
-    max_rounds = args.max_rounds
-    if max_rounds is None:
-        env = os.environ.get(MAX_ROUNDS_ENV)
-        max_rounds = int(env) if env else DEFAULT_LIMITS.max_rounds
-    max_clauses = args.max_clauses if args.max_clauses is not None else DEFAULT_LIMITS.max_clauses
-    return ResourceLimits(max_rounds=max_rounds, max_clauses=max_clauses)
+    return ResourceLimits(max_rounds=args.max_rounds, max_clauses=args.max_clauses)
 
 
 @contextlib.contextmanager
@@ -108,8 +100,12 @@ def _cmd_show(args: argparse.Namespace) -> int:
 
 
 def _add_limit_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--max-rounds", type=int, default=None, help="saturation round cap")
-    sub.add_argument("--max-clauses", type=int, default=None, help="clause count cap")
+    sub.add_argument(
+        "--max-rounds", type=int, default=DEFAULT_LIMITS.max_rounds, help="saturation round cap"
+    )
+    sub.add_argument(
+        "--max-clauses", type=int, default=DEFAULT_LIMITS.max_clauses, help="clause count cap"
+    )
     sub.add_argument("--trace", default=None, help="write one line per consensus attempt")
 
 

@@ -60,10 +60,9 @@ class Signature:
 
 @dataclass
 class ClauseFile:
-    """Parsed clause file: clauses in order, with source positions."""
+    """Parsed clause file: clauses in order, with the signature they use."""
 
     clauses: list[Clause] = field(default_factory=list)
-    positions: list[tuple[int, int]] = field(default_factory=list)
     signature: Signature = field(default_factory=Signature)
 
 
@@ -79,18 +78,9 @@ _TOKEN = re.compile(
 )
 
 
-def _line_cols(text: str, offsets: list[int]) -> list[tuple[int, int]]:
-    """The 1-based line and column of each ascending offset, reading the text once."""
-    out = []
-    line, line_start, prev = 1, 0, 0
-    for offset in offsets:
-        newlines = text.count("\n", prev, offset)
-        if newlines:
-            line += newlines
-            line_start = text.rfind("\n", prev, offset) + 1
-        out.append((line, offset - line_start + 1))
-        prev = offset
-    return out
+def _line_col(text: str, offset: int) -> tuple[int, int]:
+    """The 1-based line and column of an offset into the text."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -100,7 +90,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         kind = m.lastgroup
         if kind == "bad":
             message = "unexpected character %r" % m.group()
-            raise ParseError(message, *_line_cols(text, [m.start()])[0])
+            raise ParseError(message, *_line_col(text, m.start()))
         if kind != "ws" and kind != "comment":
             tokens.append((kind, m.group(), m.start()))
     tokens.append(("eof", "", len(text)))
@@ -115,7 +105,7 @@ class _Parser:
         self.signature = signature if signature is not None else Signature()
 
     def error(self, message: str, tok: tuple[str, str, int]) -> ParseError:
-        return ParseError(message, *_line_cols(self.text, [tok[2]])[0])
+        return ParseError(message, *_line_col(self.text, tok[2]))
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -141,14 +131,11 @@ class _Parser:
 
     def parse_file(self) -> ClauseFile:
         out = ClauseFile(signature=self.signature)
-        starts = []
         while self.peek()[0] != "eof":
             tok = self.peek()
             if tok[0] == "punct" and tok[1] == ".":
                 raise self.error("empty clause", tok)
-            starts.append(tok[2])
             out.clauses.append(self.parse_clause_line())
-        out.positions = _line_cols(self.text, starts)
         return out
 
     def parse_clause_line(self) -> Clause:

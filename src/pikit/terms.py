@@ -162,8 +162,8 @@ def apply(sub: Substitution | Mapping[str, Term], x):
     """Simultaneously replace every variable bound by `sub` inside `x`.
 
     `sub` is a Substitution or a plain name-to-term dict.  Works on terms,
-    atoms, literals, and anything exposing an `apply_substitution` method
-    (clauses).  A node none of whose variables `sub` binds comes back as it is.
+    atoms and literals; a clause is rebuilt literal by literal by its caller.
+    A node none of whose variables `sub` binds comes back as it is.
     """
     if isinstance(x, Variable):
         return sub.get(x.name, x)
@@ -175,9 +175,6 @@ def apply(sub: Substitution | Mapping[str, Term], x):
         return Atom(x.predicate, tuple(apply(sub, a) for a in x.args))
     if isinstance(x, Literal):
         return Literal(apply(sub, x.atom), x.positive)
-    applier = getattr(x, "apply_substitution", None)
-    if applier is not None:
-        return applier(sub)
     raise TypeError("cannot apply a substitution to %s" % type(x).__name__)
 
 
@@ -187,16 +184,6 @@ def compose(s1: Substitution, s2: Substitution) -> Substitution:
     for v, t in s2.items():
         out.setdefault(v, t)
     return Substitution(out)
-
-
-def variables_of(x) -> set[str]:
-    """The free variables of a term, atom, literal, or clause (all are free)."""
-    if isinstance(x, (Variable, Compound, Atom, Literal)):
-        return set(x.variables)
-    literals = getattr(x, "literals", None)
-    if literals is not None:
-        return set().union(*[lit.variables for lit in literals])
-    raise TypeError("cannot collect variables of %s" % type(x).__name__)
 
 
 def _bind(d: dict[str, Term], name: str, term: Term) -> None:

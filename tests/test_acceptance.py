@@ -6,7 +6,9 @@ incremental fold guarantees on first-order inputs: it is sound, never
 stronger than batch compilation, and exact wherever association gating
 never blocked a step.  It prints, but does not gate, the exact agreement
 rate: the fold can be coarser when compilation subsumed away a clause that
-was the only unblocked route to a later consensus.  See the README section
+was the only unblocked route to a later consensus.  It also prints, and
+does not gate, how many instances are refuted by their ground instances
+while batch compilation does not return $false.  See the README section
 "Incremental updates on first-order inputs" and
 tests/test_compiler.py::TestKnownIncrementalDivergence for the pinned
 minimal instance.
@@ -43,18 +45,23 @@ from pikit import (
     gen_kb,
     input_clauses,
     loads_kb,
-    models_of,
     parse_clause,
     parse_clause_file,
     print_clause_file,
-    propositional_prime_implicates,
     residue,
-    same_models,
     subsumes,
     unify,
     vary_seed,
 )
 
+from oracles import (
+    GroundUniverse,
+    ground_instances,
+    models_of,
+    propositional_prime_implicates,
+    same_models,
+    satisfiable,
+)
 from strategies import FO_CFG, entries
 
 EX1 = "p(X,a)|~q(a,f(X)). ~p(b,a)|r(b,Z). ~r(X,f(a))|q(Z,f(a))."
@@ -279,6 +286,21 @@ def test_criterion_4_batch_incremental_equivalence():
             agree - sum(run.agrees for run in ungated),
             len(ungated),
         )
+    )
+    # Gating gap, tracked but not gated: an unsatisfiable set of ground
+    # instances refutes X + [C] (Herbrand; Gilmore 1960), so each instance
+    # that compile leaves without $false is a refutation it misses.
+    universe = GroundUniverse(("a", "b"), (("f", 1),), 1)
+    refuted = [
+        run
+        for run in finished
+        if not satisfiable(g for c in run.inputs for g in ground_instances(c, universe))
+    ]
+    missed = [run.seed for run in refuted if not run.batch.inconsistent]
+    print(
+        "criterion 4: %d instances are unsatisfiable over {a, b, f(a), f(b)}; "
+        "compile leaves %d of them without $false, seeds %s"
+        % (len(refuted), len(missed), missed)
     )
 
     for run in finished:

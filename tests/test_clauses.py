@@ -15,7 +15,6 @@ from pikit import (
     CompileStats,
     Compound,
     GenConfig,
-    GroundUniverse,
     Literal,
     ResourceLimitExceeded,
     Substitution,
@@ -23,13 +22,13 @@ from pikit import (
     apply,
     consensus_closure,
     gen_kb,
-    ground_instances,
     parse_clause,
     residue,
     subsumes,
     vary_seed,
 )
 
+from oracles import GroundUniverse, ground_instances
 from strategies import FO_CFG, clauses, entries
 
 
@@ -121,7 +120,7 @@ class TestSubsumes:
         c1, c2 = cl("p(X)."), cl("p(f(b))|q(a,a).")
         w = subsumes(c1, c2)
         assert w is not None
-        assert set(apply(w, c1).literals) <= set(c2.literals)
+        assert {apply(w, l) for l in c1.literals} <= set(c2.literals)
 
     def test_empty_clause_subsumes_everything(self):
         assert subsumes(Clause(), cl("p(X).")) == EMPTY
@@ -154,7 +153,7 @@ def test_subsumes_agrees_with_brute_force(c1, c2):
     expected = brute_force_subsumes(c1, c2)
     assert (got is None) == (expected is None)
     if got is not None:
-        assert set(apply(got, c1).literals) <= set(c2.literals)
+        assert {apply(got, l) for l in c1.literals} <= set(c2.literals)
 
 
 @settings(deadline=None, max_examples=80)

@@ -113,33 +113,12 @@ class TestCompileCommand:
         assert code == 3
         assert "max-clauses" in err
 
-    def test_env_var_round_limit_fallback(self, workspace, capsys, monkeypatch):
-        tmp, src = workspace
-        src.write_text("p(X,a)|~q(a,f(X)). ~p(b,a)|r(b,Z). ~r(X,f(a))|q(Z,f(a)).")
-        monkeypatch.setenv("PIKIT_MAX_ROUNDS", "1")
-        code, _, err = run(capsys, "compile", src, "-o", tmp / "kb.pikb")
-        assert code == 3 and "max-rounds" in err
-        # An explicit flag overrides the environment.
-        code, _, _ = run(capsys, "compile", src, "-o", tmp / "kb.pikb", "--max-rounds", 10)
-        assert code == 0
-
     @pytest.mark.parametrize("flag", ["--max-rounds", "--max-clauses"])
     def test_negative_limit_flag_exits_2(self, workspace, capsys, flag):
         tmp, src = workspace
         out_kb = tmp / "kb.pikb"
         code, _, err = run(capsys, "compile", src, "-o", out_kb, flag, -1)
         assert code == 2 and "must not be negative" in err
-        assert not out_kb.exists()
-
-    def test_negative_env_var_round_limit_exits_2(self, workspace, capsys, monkeypatch):
-        tmp, src = workspace
-        kb, out_kb = tmp / "kb.pikb", tmp / "kb2.pikb"
-        run(capsys, "compile", src, "-o", kb)
-        extra = tmp / "extra.fol"
-        extra.write_text("~p(a)|~q(Z).\n")
-        monkeypatch.setenv("PIKIT_MAX_ROUNDS", "-2")
-        code, _, err = run(capsys, "add", kb, extra, "-o", out_kb)
-        assert code == 2 and "max-rounds limit (-2)" in err
         assert not out_kb.exists()
 
 
@@ -213,6 +192,16 @@ class TestAddCommand:
         assert code == 0
         assert "recompiled: ~p(a)|~q(Z)." in out and "recompiled: s(g(a,b))." in out
         assert "pred s/1\nfn a/0\nfn b/0\nfn f/1\nfn g/2\n" in out_kb.read_text()
+
+    def test_negative_round_limit_exits_2(self, workspace, capsys):
+        tmp, src = workspace
+        kb, out_kb = tmp / "kb.pikb", tmp / "kb2.pikb"
+        run(capsys, "compile", src, "-o", kb)
+        extra = tmp / "extra.fol"
+        extra.write_text("~p(a)|~q(Z).\n")
+        code, _, err = run(capsys, "add", kb, extra, "-o", out_kb, "--max-rounds", -2)
+        assert code == 2 and "max-rounds limit (-2)" in err
+        assert not out_kb.exists()
 
 
 class TestQueryCommand:

@@ -13,13 +13,11 @@ from pikit import (
     AssocClause,
     Compound,
     GenConfig,
-    GroundUniverse,
     ResourceLimitExceeded,
     ResourceLimits,
     Substitution,
     add_clause,
     add_clauses,
-    check_implicate_semantically,
     compile,
     compose,
     dumps_kb,
@@ -28,15 +26,14 @@ from pikit import (
     gen_kb,
     input_clauses,
     loads_kb,
-    models_of,
     parse_clause,
     parse_clause_file,
     residue,
-    same_models,
     subsumes,
     vary_seed,
 )
 
+from oracles import GroundUniverse, check_implicate_semantically, models_of, same_models
 from strategies import FO_CFG, entries
 
 BASE_KB = "q(Y). ~r(f(X),b). p(X)|r(Y,b)|~q(Z)."

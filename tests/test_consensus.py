@@ -8,10 +8,8 @@ from hypothesis import HealthCheck, given, settings
 
 from pikit import (
     AssocClause,
-    CapacityError,
     Compound,
     GenConfig,
-    GroundUniverse,
     Outcome,
     ResourceLimitExceeded,
     ResourceLimits,
@@ -19,7 +17,6 @@ from pikit import (
     TraceEvent,
     Variable,
     add_clause,
-    check_implicate_semantically,
     compile,
     complementary_pairs,
     compose,
@@ -29,12 +26,17 @@ from pikit import (
     input_clauses,
     parse_clause,
     parse_clause_file,
-    same_models,
-    truth_table_entails,
     vary_seed,
 )
 from pikit.consensus import _Rounds, consensus
 
+from oracles import (
+    CapacityError,
+    GroundUniverse,
+    check_implicate_semantically,
+    same_models,
+    truth_table_entails,
+)
 from strategies import FO_CFG, entries, substitutions
 
 

@@ -1,28 +1,36 @@
 """The brute-force oracles and the seeded instance generators."""
 
 import itertools
+import random
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from pikit import (
-    CapacityError,
+    Atom,
     Clause,
+    Compound,
     GenConfig,
-    GroundUniverse,
-    check_implicate_semantically,
+    Literal,
     compile,
     gen_clause,
     gen_kb,
-    ground_instances,
-    models_of,
     parse_clause,
     parse_clause_file,
-    propositional_prime_implicates,
     subsumes,
-    truth_table_entails,
     vary_seed,
+)
+
+from oracles import (
+    CapacityError,
+    GroundUniverse,
+    check_implicate_semantically,
+    ground_instances,
+    models_of,
+    propositional_prime_implicates,
+    satisfiable,
+    truth_table_entails,
 )
 from strategies import entries
 
@@ -119,6 +127,37 @@ class TestCheckImplicateSemantically:
         u = GroundUniverse(("a", "b", "c"))
         with pytest.raises(CapacityError):
             check_implicate_semantically(kb, cl("p(a,a,a)."), u, max_atoms=16)
+
+
+class TestSatisfiable:
+    def test_small_cases(self):
+        assert satisfiable([])
+        assert not satisfiable([Clause()])
+        assert satisfiable(parse_clause_file("p|q. ~p|q. p|~q.").clauses)
+        assert not satisfiable(parse_clause_file("p|q. ~p|q. p|~q. ~p|~q.").clauses)
+        assert satisfiable(parse_clause_file("p|~p. q.").clauses)
+
+    def test_agrees_with_the_truth_table(self):
+        """Random ground sets over six atoms, tautologies included: DPLL finds
+        a model exactly when the truth table has one."""
+        atoms = [Atom(p, (Compound(c),)) for p in "pqr" for c in "ab"]
+        outcomes = []
+        for seed in range(1000):
+            rng = random.Random(seed)
+            clauses = [
+                Clause(
+                    tuple(
+                        Literal(rng.choice(atoms), rng.random() < 0.5)
+                        for _ in range(rng.randint(1, 3))
+                    )
+                )
+                for _ in range(rng.randint(1, 14))
+            ]
+            expected = bool(models_of(clauses))
+            assert satisfiable(clauses) == expected, (seed, clauses)
+            outcomes.append(expected)
+        # Both answers occur often, so neither branch of the search goes unchecked.
+        assert min(outcomes.count(True), outcomes.count(False)) >= 100
 
 
 class TestGenerators:

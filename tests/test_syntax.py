@@ -41,10 +41,6 @@ class TestParseClauseFile:
         parsed = parse_clause_file(text)
         assert len(parsed.clauses) == 2
 
-    def test_positions_point_at_clause_starts(self):
-        parsed = parse_clause_file("p(a).\n  q(b).")
-        assert parsed.positions == [(1, 1), (2, 3)]
-
     def test_zero_arity_predicates(self):
         parsed = parse_clause_file("p. ~q|p.")
         assert [str(c) for c in parsed.clauses] == ["p", "p|~q"]
@@ -128,19 +124,6 @@ class TestErrorPositions:
         with pytest.raises(ParseError) as err:
             parse(text)
         assert str(err.value) == "line %d, col %d: %s" % (line, col, message)
-
-    def test_positions_on_a_long_file(self):
-        text, starts = "", []
-        for i in range(900):
-            text += ("", " ", "\n", "  # note\n\n\t")[i % 4]
-            starts.append(len(text))
-            text += ("p(a).", "q(b,X)|\n  ~p(Y).", "r(f(a)).")[i % 3]
-        naive = [(text.count("\n", 0, i) + 1, i - text.rfind("\n", 0, i)) for i in starts]
-        assert parse_clause_file(text).positions == naive
-
-    def test_positions_skip_comments_and_blank_lines(self):
-        parsed = parse_clause_file(MULTILINE + "r(X)|\n  s. t.")
-        assert parsed.positions == [(3, 1), (5, 3), (9, 1), (10, 6)]
 
 
 class TestParseClause:
