@@ -64,7 +64,6 @@ from .syntax import (
 )
 from .terms import (
     EMPTY,
-    Atom,
     Compound,
     Literal,
     Substitution,
@@ -72,15 +71,14 @@ from .terms import (
     Variable,
     apply,
     compose,
-    match,
     unify,
 )
 
 __all__ = [
     "__version__",
     # terms
-    "Variable", "Compound", "Term", "Atom", "Literal", "Substitution", "EMPTY",
-    "apply", "compose", "unify", "match",
+    "Variable", "Compound", "Term", "Literal", "Substitution", "EMPTY",
+    "apply", "compose", "unify",
     # clauses
     "Clause", "AssocClause", "ClauseSet", "Residue",
     "subsumes", "residue",

@@ -41,8 +41,8 @@ class Clause:
         """
         out: set = set()
         for lit in self.literals:
-            out.add(lit.atom.predicate if lit.positive else "~" + lit.atom.predicate)
-            if lit.ground:
+            out.add(lit.atom.functor if lit.positive else "~" + lit.atom.functor)
+            if not lit.variables:
                 out.add(lit)
             stack = list(lit.atom.args)
             while stack:

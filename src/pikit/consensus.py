@@ -109,7 +109,7 @@ def complementary_pairs(
     pairs = []
     for r in c1.clause.literals:
         for s in c2.clause.literals:
-            if r.positive == s.positive or r.atom.predicate != s.atom.predicate:
+            if r.positive == s.positive or r.atom.functor != s.atom.functor:
                 continue
             mgu = unify(r.atom, s.atom)
             if mgu is not None:
@@ -238,12 +238,12 @@ class _Rounds:
         right: dict[tuple[str, bool], list] = {}
         for lit, occ in index.items():
             if ss := [o for o in occ if o[4] is not None]:
-                holders = right.setdefault((lit.atom.predicate, lit.positive), [])
+                holders = right.setdefault((lit.atom.functor, lit.positive), [])
                 holders.append((lit, ss, sum(o[3] for o in ss)))
         attempts = repeats = 0
         hits = []
         for r_lit, rs in index.items():
-            opposite = right.get((r_lit.atom.predicate, not r_lit.positive))
+            opposite = right.get((r_lit.atom.functor, not r_lit.positive))
             if opposite is None:
                 continue
             r_fresh = sum(o[3] for o in rs)

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, replace
 
 from .clauses import AssocClause, Clause, ClauseSet
-from .terms import Atom, Compound, Literal, Term, Variable
+from .terms import Compound, Literal, Term, Variable
 
 
 @dataclass(frozen=True)
@@ -65,16 +65,16 @@ def _gen_term(cfg: GenConfig, rng: random.Random, depth: int) -> Term:
     return Compound(fn, (_gen_term(cfg, rng, depth + 1),))
 
 
-def _gen_atom(cfg: GenConfig, rng: random.Random) -> Atom:
+def _gen_atom(cfg: GenConfig, rng: random.Random) -> Compound:
     i = rng.randrange(cfg.num_predicates)
     arity = _predicate_arity(cfg, i)
-    return Atom(_name(_PREDICATES, i), tuple(_gen_term(cfg, rng, 0) for _ in range(arity)))
+    return Compound(_name(_PREDICATES, i), tuple(_gen_term(cfg, rng, 0) for _ in range(arity)))
 
 
 def _gen_clause(cfg: GenConfig, rng: random.Random) -> Clause:
     lo, hi = cfg.clause_len_range
     want = rng.randint(lo, hi)
-    used: dict[Atom, bool] = {}
+    used: dict[Compound, bool] = {}
     literals: list[Literal] = []
     attempts = 0
     while len(literals) < want and attempts < 200:

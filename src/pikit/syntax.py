@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .clauses import Clause
-from .terms import Atom, Compound, Literal, Term, Variable
+from .terms import Compound, Literal, Term, Variable
 
 
 class ParseError(Exception):
@@ -44,13 +44,12 @@ class Signature:
 
     def note_clause(self, clause: Clause) -> None:
         for lit in clause.literals:
-            self.note("predicate", lit.atom.predicate, len(lit.atom.args))
-            for arg in lit.atom.args:
-                self.note_term(arg)
+            self.note_term(lit.atom, "predicate")
 
-    def note_term(self, term: Term) -> None:
+    def note_term(self, term: Term, kind: str = "function symbol") -> None:
+        """Note `term`'s head as `kind` and the symbols under it as functions."""
         if isinstance(term, Compound):
-            self.note("function symbol", term.functor, len(term.args))
+            self.note(kind, term.functor, len(term.args))
             for arg in term.args:
                 self.note_term(arg)
 
@@ -159,14 +158,14 @@ class _Parser:
             positive = False
         return Literal(self.parse_atom(), positive)
 
-    def parse_atom(self) -> Atom:
+    def parse_atom(self) -> Compound:
         tok = self.peek()
         if tok[0] != "lident":
             raise self.error("expected a predicate, found %r" % (tok[1] or "end of input"), tok)
         self.next()
         args = self.parse_args()
         self.note("predicate", tok, len(args))
-        return Atom(tok[1], args)
+        return Compound(tok[1], args)
 
     def parse_args(self) -> tuple[Term, ...]:
         tok = self.peek()

@@ -1,13 +1,17 @@
-"""First-order syntax: terms, atoms, literals, and substitutions.
+"""First-order syntax: terms, literals, and substitutions.
+
+An atom is a `Compound` whose functor is the predicate, so unification and
+matching treat atoms and terms alike (Robinson, 1965); the grammar keeps
+predicates and function symbols apart by position.
 
 Variable names live in one global namespace shared by every clause of a
 knowledge base; clauses are deliberately not standardized apart before
 unification.
 
 Every node fixes its `text`, its `variables` (the frozenset of the
-variable names in it), its `ground` flag and its hash when it is built, from
-those of its arguments, which are built first; a literal also fixes its
-`sort_key`.  Equality stays structural.
+variable names in it) and its hash when it is built, from those of its
+arguments, which are built first; a literal also fixes its `sort_key`.
+Equality stays structural.
 """
 
 from __future__ import annotations
@@ -22,17 +26,7 @@ _NO_VARIABLES: frozenset[str] = frozenset()
 def _fix(node, text: str, variables: frozenset[str], parts: tuple) -> None:
     object.__setattr__(node, "text", text)
     object.__setattr__(node, "variables", variables)
-    object.__setattr__(node, "ground", not variables)
     object.__setattr__(node, "_hash", hash(parts))
-
-
-def _fix_application(node, head: str, args: tuple) -> None:
-    text = "%s(%s)" % (head, ",".join([a.text for a in args])) if args else head
-    # Ground nodes share one empty set; a node with one non-ground argument
-    # shares that argument's set.
-    sets = [a.variables for a in args if a.variables] or [_NO_VARIABLES]
-    variables = sets[0] if len(sets) == 1 else frozenset().union(*sets)
-    _fix(node, text, variables, (head, args))
 
 
 @dataclass(frozen=True)
@@ -53,31 +47,26 @@ class Variable:
 
 @dataclass(frozen=True)
 class Compound:
-    """A function application; a constant is a compound with no arguments."""
+    """A function or predicate application; a constant is a compound with
+    no arguments, and a literal's atom is a compound over its predicate."""
 
     functor: str
     args: tuple["Term", ...] = ()
 
     def __post_init__(self) -> None:
-        _fix_application(self, self.functor, self.args)
+        head, args = self.functor, self.args
+        text = "%s(%s)" % (head, ",".join([a.text for a in args])) if args else head
+        # Ground nodes share one empty set; a node with one non-ground
+        # argument shares that argument's set.
+        sets = [a.variables for a in args if a.variables] or [_NO_VARIABLES]
+        variables = sets[0] if len(sets) == 1 else frozenset().union(*sets)
+        _fix(self, text, variables, (head, args))
 
     __hash__ = Variable.__hash__
     __str__ = __repr__ = Variable.__str__
 
 
 Term = Union[Variable, Compound]
-
-
-@dataclass(frozen=True)
-class Atom:
-    predicate: str
-    args: tuple[Term, ...] = ()
-
-    def __post_init__(self) -> None:
-        _fix_application(self, self.predicate, self.args)
-
-    __hash__ = Variable.__hash__
-    __str__ = __repr__ = Variable.__str__
 
 
 @dataclass(frozen=True)
@@ -88,14 +77,14 @@ class Literal:
     argument text.
     """
 
-    atom: Atom
+    atom: Compound
     positive: bool = True
 
     def __post_init__(self) -> None:
         atom = self.atom
         text = atom.text if self.positive else "~" + atom.text
         _fix(self, text, atom.variables, (atom, self.positive))
-        key = (atom.predicate, 0 if self.positive else 1, tuple([a.text for a in atom.args]))
+        key = (atom.functor, 0 if self.positive else 1, tuple([a.text for a in atom.args]))
         object.__setattr__(self, "sort_key", key)
 
     __hash__ = Variable.__hash__
@@ -161,18 +150,17 @@ EMPTY = Substitution()
 def apply(sub: Substitution | Mapping[str, Term], x):
     """Simultaneously replace every variable bound by `sub` inside `x`.
 
-    `sub` is a Substitution or a plain name-to-term dict.  Works on terms,
-    atoms and literals; a clause is rebuilt literal by literal by its caller.
-    A node none of whose variables `sub` binds comes back as it is.
+    `sub` is a Substitution or a plain name-to-term dict.  Works on terms
+    (atoms included) and literals; a clause is rebuilt literal by literal by
+    its caller.  A node none of whose variables `sub` binds comes back as it
+    is.
     """
     if isinstance(x, Variable):
         return sub.get(x.name, x)
-    if isinstance(x, (Compound, Atom, Literal)) and sub.keys().isdisjoint(x.variables):
+    if isinstance(x, (Compound, Literal)) and sub.keys().isdisjoint(x.variables):
         return x
     if isinstance(x, Compound):
         return Compound(x.functor, tuple(apply(sub, a) for a in x.args))
-    if isinstance(x, Atom):
-        return Atom(x.predicate, tuple(apply(sub, a) for a in x.args))
     if isinstance(x, Literal):
         return Literal(apply(sub, x.atom), x.positive)
     raise TypeError("cannot apply a substitution to %s" % type(x).__name__)
@@ -193,24 +181,23 @@ def _bind(d: dict[str, Term], name: str, term: Term) -> None:
     d[name] = term
 
 
-def unify(a, b) -> Substitution | None:
-    """Most general unifier of two terms or two atoms, or None.
+def unify(a: Term, b: Term) -> Substitution | None:
+    """Most general unifier of two terms (atoms included), or None.
 
     Robinson-style with occurs check; the result is idempotent.  Equations
     are solved left to right, so a variable meeting another variable binds
     the left one to the right.
     """
-    if isinstance(a, Atom) or isinstance(b, Atom):
-        if not (isinstance(a, Atom) and isinstance(b, Atom)):
-            raise TypeError("cannot unify an atom with a term")
-        if a.predicate != b.predicate or len(a.args) != len(b.args):
+    if isinstance(a, Compound) and isinstance(b, Compound):
+        # Two atoms, mostly: check their heads once, then solve their
+        # arguments, rather than compare the whole atoms first.
+        if a.functor != b.functor or len(a.args) != len(b.args):
             return None
-        pairs = list(zip(a.args, b.args))
+        stack = list(reversed(list(zip(a.args, b.args))))
     else:
-        pairs = [(a, b)]
+        stack = [(a, b)]
 
     d: dict[str, Term] = {}
-    stack = list(reversed(pairs))
     while stack:
         s, t = stack.pop()
         s = apply(d, s)
@@ -238,16 +225,6 @@ def _match(p, t, d: dict[str, Term]) -> dict[str, Term] | None:
     Identity bindings are kept in the map (they pin a variable to itself for
     later consistency checks); callers normalize at the end.
     """
-    if isinstance(p, Atom) or isinstance(t, Atom):
-        if not (isinstance(p, Atom) and isinstance(t, Atom)):
-            raise TypeError("cannot match an atom against a term")
-        if p.predicate != t.predicate or len(p.args) != len(t.args):
-            return None
-        for pa, ta in zip(p.args, t.args):
-            d = _match(pa, ta, d)
-            if d is None:
-                return None
-        return d
     if isinstance(p, Variable):
         bound = d.get(p.name)
         if bound is None:
@@ -264,9 +241,3 @@ def _match(p, t, d: dict[str, Term]) -> dict[str, Term] | None:
         if d is None:
             return None
     return d
-
-
-def match(pattern, target) -> Substitution | None:
-    """One-way matching: a substitution s with apply(s, pattern) == target."""
-    d = _match(pattern, target, {})
-    return None if d is None else Substitution(d)

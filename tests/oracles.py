@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from pikit import AssocClause, Atom, Clause, ClauseSet, Compound, Literal, Substitution, Term, apply
+from pikit import AssocClause, Clause, ClauseSet, Compound, Literal, Substitution, Term, apply
 
 
 class CapacityError(Exception):
@@ -72,12 +72,12 @@ def _plain_clauses(kb: Iterable[Clause | AssocClause] | ClauseSet) -> list[Claus
     return out
 
 
-def _atom_index(clauses: Sequence[Clause]) -> dict[Atom, int]:
+def _atom_index(clauses: Sequence[Clause]) -> dict[Compound, int]:
     atoms = sorted({l.atom for c in clauses for l in c.literals}, key=str)
     return {a: i for i, a in enumerate(atoms)}
 
 
-def _clause_masks(c: Clause, index: dict[Atom, int]) -> tuple[int, int]:
+def _clause_masks(c: Clause, index: dict[Compound, int]) -> tuple[int, int]:
     pos = neg = 0
     for l in c.literals:
         bit = 1 << index[l.atom]
@@ -88,7 +88,7 @@ def _clause_masks(c: Clause, index: dict[Atom, int]) -> tuple[int, int]:
     return pos, neg
 
 
-def models_of(clauses: Sequence[Clause], index: dict[Atom, int] | None = None) -> list[int]:
+def models_of(clauses: Sequence[Clause], index: dict[Compound, int] | None = None) -> list[int]:
     """Truth-table models of a ground clause set, as true-atom bitmasks."""
     if index is None:
         index = _atom_index(clauses)
@@ -129,7 +129,7 @@ def satisfiable(clauses: Iterable[Clause]) -> bool:
     then split on a literal of the first clause left.  Atoms are numbered
     from 1 and a literal is its atom's number, negated for a negative one.
     """
-    index: dict[Atom, int] = {}
+    index: dict[Compound, int] = {}
     cnf = [
         frozenset(
             index.setdefault(l.atom, len(index) + 1) * (1 if l.positive else -1)

@@ -6,7 +6,7 @@ members, clause sets or KBs with `==` compares their entries as well.
 
 import hypothesis.strategies as st
 
-from pikit import Atom, Clause, Compound, Literal, Substitution, Variable
+from pikit import Clause, Compound, Literal, Substitution, Variable
 
 # The first-order instance shape of acceptance criterion 4, for GenConfig.
 FO_CFG = dict(
@@ -31,9 +31,9 @@ terms = st.recursive(
 
 # Arities are fixed per predicate, matching the one-KB invariant.
 atoms = st.one_of(
-    st.builds(lambda t: Atom("p", (t,)), terms),
-    st.builds(lambda a, b: Atom("q", (a, b)), terms, terms),
-    st.builds(lambda t: Atom("r", (t,)), terms),
+    st.builds(lambda t: Compound("p", (t,)), terms),
+    st.builds(lambda a, b: Compound("q", (a, b)), terms, terms),
+    st.builds(lambda t: Compound("r", (t,)), terms),
 )
 
 literals = st.builds(Literal, atoms, st.booleans())

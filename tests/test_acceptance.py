@@ -22,7 +22,6 @@ import time
 from dataclasses import dataclass
 
 from pikit import (
-    Atom,
     Clause,
     CompiledKB,
     Compound,
@@ -410,8 +409,8 @@ def _random_term(rng, depth=0):
 def _random_atom_pair(rng):
     predicate, arity = rng.choice([("p", 1), ("q", 2)])
     return (
-        Atom(predicate, tuple(_random_term(rng) for _ in range(arity))),
-        Atom(predicate, tuple(_random_term(rng) for _ in range(arity))),
+        Compound(predicate, tuple(_random_term(rng) for _ in range(arity))),
+        Compound(predicate, tuple(_random_term(rng) for _ in range(arity))),
     )
 
 

@@ -9,7 +9,6 @@ from hypothesis import HealthCheck, given, settings
 from pikit import (
     EMPTY,
     AssocClause,
-    Atom,
     Clause,
     ClauseSet,
     CompileStats,
@@ -59,7 +58,7 @@ def brute_force_subsumes(c1, c2):
     for assignment in itertools.product(c2.literals, repeat=len(c1.literals)):
         binding = {}
         for lit, target in zip(c1.literals, assignment):
-            if lit.positive != target.positive or lit.atom.predicate != target.atom.predicate:
+            if lit.positive != target.positive or lit.atom.functor != target.atom.functor:
                 binding = None
                 break
             if len(lit.atom.args) != len(target.atom.args):
@@ -168,8 +167,8 @@ def test_subsumes_is_transitive(c1, c2, c3):
 # witnessing instance is always among the enumerated ones.
 shallow_terms = st.sampled_from("XYZ").map(Variable) | st.sampled_from("ab").map(Compound)
 shallow_atoms = st.one_of(
-    st.builds(lambda t: Atom("p", (t,)), shallow_terms),
-    st.builds(lambda s, t: Atom("q", (s, t)), shallow_terms, shallow_terms),
+    st.builds(lambda t: Compound("p", (t,)), shallow_terms),
+    st.builds(lambda s, t: Compound("q", (s, t)), shallow_terms, shallow_terms),
 )
 shallow_clauses = st.lists(
     st.builds(Literal, shallow_atoms, st.booleans()), min_size=1, max_size=3

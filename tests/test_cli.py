@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from pikit import cli, load_kb, signature_of, store
+from pikit import cli, dumps_kb, load_kb, loads_kb, signature_of, store
 from pikit.cli import main
 
 WORKED = "q(Y).\n~r(f(X),b).\np(X)|r(Y,b)|~q(Z).\n"
@@ -340,3 +340,23 @@ class TestShowCommand:
         bad.write_text("PIKB 1\ndigest x\n")
         code, _, err = run(capsys, "show", bad)
         assert code == 2
+
+
+def test_one_symbol_as_predicate_and_function_symbol(tmp_path, capsys):
+    """An atom is a compound over its predicate, yet `p` as a predicate and
+    `p` as a function symbol keep their own arities, in the store and on
+    every later parse."""
+    src, kb = tmp_path / "kb.fol", tmp_path / "kb.pikb"
+    src.write_text("p(p(a)).\n~p(X)|q(X).\n")
+    code, _, _ = run(capsys, "compile", src, "-o", kb)
+    assert code == 0
+    text = kb.read_text()
+    assert "\npred p/1\n" in text and "\nfn p/1\n" in text
+    assert dumps_kb(loads_kb(text)) == text
+    code, out, _ = run(capsys, "query", kb, "q(p(a)).")
+    assert code == 0 and out.startswith("YES")
+    extra = tmp_path / "extra.fol"
+    extra.write_text("q(p(a,b)).\n")
+    code, _, err = run(capsys, "add", kb, extra, "-o", tmp_path / "out.pikb")
+    assert code == 2
+    assert "arity mismatch: function symbol 'p' used with arity 2 after arity 1" in err

@@ -110,7 +110,7 @@ class TestConsensus:
         c1 = ac("p(X)|q(X).")
         c2 = ac("~p(a)|~q(a).")
         pairs = complementary_pairs(c1, c2)
-        on_p = [p for p in pairs if p[0].atom.predicate == "p"]
+        on_p = [p for p in pairs if p[0].atom.functor == "p"]
         assert consensus(c1, c2, on_p[0]) is Outcome.NON_FUNDAMENTAL
 
 

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 
 from pikit import (
-    Atom,
     Clause,
     Compound,
     GenConfig,
@@ -140,7 +139,7 @@ class TestSatisfiable:
     def test_agrees_with_the_truth_table(self):
         """Random ground sets over six atoms, tautologies included: DPLL finds
         a model exactly when the truth table has one."""
-        atoms = [Atom(p, (Compound(c),)) for p in "pqr" for c in "ab"]
+        atoms = [Compound(p, (Compound(c),)) for p in "pqr" for c in "ab"]
         outcomes = []
         for seed in range(1000):
             rng = random.Random(seed)
@@ -195,10 +194,10 @@ class TestGenerators:
         kb_arities = {}
         for m in gen_kb(cfg):
             for lit in m.clause.literals:
-                kb_arities.setdefault(lit.atom.predicate, len(lit.atom.args))
+                kb_arities.setdefault(lit.atom.functor, len(lit.atom.args))
         extra = gen_clause(vary_seed(cfg, 1_000_003))
         for lit in extra.literals:
-            pred = lit.atom.predicate
+            pred = lit.atom.functor
             if pred in kb_arities:
                 assert kb_arities[pred] == len(lit.atom.args)
 

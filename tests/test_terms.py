@@ -8,7 +8,6 @@ from hypothesis import HealthCheck, assume, given, settings
 
 from pikit import (
     EMPTY,
-    Atom,
     Clause,
     Compound,
     Literal,
@@ -16,7 +15,7 @@ from pikit import (
     Variable,
     apply,
     compose,
-    match,
+    subsumes,
     unify,
 )
 
@@ -30,17 +29,22 @@ def f(*args):
     return Compound("f", tuple(args))
 
 
+def unit(atom):
+    """The one-literal clause on `atom`, to match atoms through `subsumes`."""
+    return Clause((Literal(atom),))
+
+
 class TestApply:
     def test_replaces_all_bound_variables_simultaneously(self):
         s = Substitution({"X": b, "Y": f(a)})
-        assert apply(s, Atom("p", (X, f(a)))) == Atom("p", (b, f(a)))
+        assert apply(s, Compound("p", (X, f(a)))) == Compound("p", (b, f(a)))
 
     def test_empty_substitution_is_identity(self):
-        t = Atom("p", (X, f(Y)))
+        t = Compound("p", (X, f(Y)))
         assert apply(EMPTY, t) == t
 
     def test_rejects_unknown_values(self):
-        for x in (object(), Clause((Literal(Atom("p", (X,))),))):
+        for x in (object(), Clause((Literal(Compound("p", (X,))),))):
             with pytest.raises(TypeError):
                 apply(Substitution({"X": a}), x)
 
@@ -76,7 +80,7 @@ class TestSubstitutionEquality:
         # Oracle first: both substitutions act identically on a probe tuple.
         lhs = Substitution({"Y": Z, "X": a})
         rhs = compose(Substitution({"Y": Z}), Substitution({"X": a}))
-        probe = Atom("t", (X, Y, Z))
+        probe = Compound("t", (X, Y, Z))
         assert apply(lhs, probe) == apply(rhs, probe)
         assert lhs == rhs
 
@@ -87,26 +91,22 @@ class TestSubstitutionEquality:
 
 class TestUnify:
     def test_ground_against_variables(self):
-        got = unify(Atom("p", (X, f(a))), Atom("p", (b, Y)))
+        got = unify(Compound("p", (X, f(a))), Compound("p", (b, Y)))
         assert got == Substitution({"X": b, "Y": f(a)})
 
     def test_identical_atoms_yield_empty(self):
-        assert unify(Atom("p", (a,)), Atom("p", (a,))) == EMPTY
+        assert unify(Compound("p", (a,)), Compound("p", (a,))) == EMPTY
 
     def test_occurs_check_fails(self):
-        assert unify(Atom("p", (X,)), Atom("p", (f(X),))) is None
+        assert unify(Compound("p", (X,)), Compound("p", (f(X),))) is None
 
     def test_clashing_functors_fail(self):
-        assert unify(Atom("p", (a,)), Atom("p", (b,))) is None
-        assert unify(Atom("p", (a,)), Atom("q", (a,))) is None
-        assert unify(Atom("p", (a,)), Atom("p", (a, b))) is None
+        assert unify(Compound("p", (a,)), Compound("p", (b,))) is None
+        assert unify(Compound("p", (a,)), Compound("q", (a,))) is None
+        assert unify(Compound("p", (a,)), Compound("p", (a, b))) is None
 
     def test_variable_pair_binds_left_to_right(self):
-        assert unify(Atom("q", (Y,)), Atom("q", (Z,))) == Substitution({"Y": Z})
-
-    def test_mixed_kinds_rejected(self):
-        with pytest.raises(TypeError):
-            unify(Atom("p", (a,)), a)
+        assert unify(Compound("q", (Y,)), Compound("q", (Z,))) == Substitution({"Y": Z})
 
 
 class TestDeepGroundTerm:
@@ -131,14 +131,14 @@ class TestDeepGroundTerm:
         assert hash(deep) == hash(self.build())
 
     def test_literal_sort_key(self, deep):
-        assert Literal(Atom("p", (deep,))).sort_key == ("p", 0, (deep.text,))
+        assert Literal(Compound("p", (deep,))).sort_key == ("p", 0, (deep.text,))
 
     def test_clause(self, deep):
-        lit = Literal(Atom("p", (deep,)))
+        lit = Literal(Compound("p", (deep,)))
         assert Clause((lit, lit)).literals == (lit,)
 
     def test_clause_features(self, deep):
-        lit = Literal(Atom("p", (deep,)))
+        lit = Literal(Compound("p", (deep,)))
         assert Clause((lit,)).features == {"p", ("a", 0), ("f", 1), lit}
 
     def test_apply_returns_the_ground_term_itself(self, deep):
@@ -174,31 +174,35 @@ class TestDeepTermWithVariable:
 
 class TestVariablesOf:
     def test_atom(self):
-        assert Atom("p", (X, f(a))).variables == {"X"}
+        assert Compound("p", (X, f(a))).variables == {"X"}
 
     def test_ground(self):
-        assert Atom("p", (a,)).variables == set()
+        assert Compound("p", (a,)).variables == set()
 
 
 class TestMatch:
+    """One-way matching, as `subsumes` runs it on unit clauses."""
+
     def test_one_way_only(self):
-        assert match(Atom("p", (X,)), Atom("p", (f(a),))) == Substitution({"X": f(a)})
-        assert match(Atom("p", (f(a),)), Atom("p", (X,))) is None
+        p = lambda t: unit(Compound("p", (t,)))
+        assert subsumes(p(X), p(f(a))) == Substitution({"X": f(a)})
+        assert subsumes(p(f(a)), p(X)) is None
 
     def test_consistency_across_occurrences(self):
-        assert match(Atom("q", (X, X)), Atom("q", (a, b))) is None
-        assert match(Atom("q", (X, X)), Atom("q", (a, a))) == Substitution({"X": a})
+        q = lambda s, t: unit(Compound("q", (s, t)))
+        assert subsumes(q(X, X), q(a, b)) is None
+        assert subsumes(q(X, X), q(a, a)) == Substitution({"X": a})
 
 
 # Same-predicate pairs unify often enough to property-test the mgu.
 same_predicate_pairs = st.one_of(
     st.tuples(
-        st.builds(lambda t: Atom("p", (t,)), terms),
-        st.builds(lambda t: Atom("p", (t,)), terms),
+        st.builds(lambda t: Compound("p", (t,)), terms),
+        st.builds(lambda t: Compound("p", (t,)), terms),
     ),
     st.tuples(
-        st.builds(lambda s, t: Atom("q", (s, t)), terms, terms),
-        st.builds(lambda s, t: Atom("q", (s, t)), terms, terms),
+        st.builds(lambda s, t: Compound("q", (s, t)), terms, terms),
+        st.builds(lambda s, t: Compound("q", (s, t)), terms, terms),
     ),
 )
 
@@ -228,7 +232,7 @@ def test_mgu_generality_over_bounded_universe(pair):
         u = Substitution(dict(zip(names, combo)))
         if apply(u, a1) != apply(u, a2):
             continue
-        r = match(image, apply(u, a1))
+        r = subsumes(unit(image), unit(apply(u, a1)))
         assert r is not None
         for n in names:
             assert apply(u, Variable(n)) == apply(r, apply(mgu, Variable(n)))
@@ -253,7 +257,7 @@ def test_apply_compose_coherence(s1, s2, t):
 @given(atoms, substitutions)
 def test_match_recovers_applied_substitution(a1, s):
     target = apply(s, a1)
-    r = match(a1, target)
+    r = subsumes(unit(a1), unit(target))
     assert r is not None
     assert apply(r, a1) == target
 
@@ -264,10 +268,9 @@ def reference_text(x):
         return x.name
     if isinstance(x, Literal):
         return reference_text(x.atom) if x.positive else "~" + reference_text(x.atom)
-    head = x.functor if isinstance(x, Compound) else x.predicate
     if not x.args:
-        return head
-    return "%s(%s)" % (head, ",".join(reference_text(t) for t in x.args))
+        return x.functor
+    return "%s(%s)" % (x.functor, ",".join(reference_text(t) for t in x.args))
 
 
 def rebuilt(x):
@@ -277,7 +280,7 @@ def rebuilt(x):
     if isinstance(x, Literal):
         return Literal(rebuilt(x.atom), x.positive)
     args = tuple(rebuilt(t) for t in x.args)
-    return Compound(x.functor, args) if isinstance(x, Compound) else Atom(x.predicate, args)
+    return Compound(x.functor, args)
 
 
 @given(terms, atoms, literals)
@@ -286,7 +289,7 @@ def test_fixed_text_and_sort_key_match_recursive_reference(t, at, lit):
         assert x.text == str(x) == reference_text(x)
     sign = 0 if lit.positive else 1
     args_text = tuple(reference_text(arg) for arg in lit.atom.args)
-    assert lit.sort_key == (lit.atom.predicate, sign, args_text)
+    assert lit.sort_key == (lit.atom.functor, sign, args_text)
 
 
 @given(terms, literals)
@@ -294,8 +297,7 @@ def test_equal_nodes_built_apart_share_their_fixed_facts(t, lit):
     for x in (t, lit.atom, lit):
         twin = rebuilt(x)
         assert twin == x
-        assert (hash(twin), twin.text, twin.ground) == (hash(x), x.text, x.ground)
-        assert x.ground == (not reference_variables(x))
+        assert (hash(twin), twin.text, twin.variables) == (hash(x), x.text, x.variables)
 
 
 def reference_variables(x):
@@ -311,7 +313,6 @@ def reference_variables(x):
 def test_fixed_variables_match_recursive_reference(t, at, lit):
     for x in (t, at, lit):
         assert x.variables == reference_variables(x)
-        assert x.ground == (not x.variables)
 
 
 @given(st.one_of(terms, atoms, literals), st.dictionaries(st.sampled_from("XYZUV"), terms))
