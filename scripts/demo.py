@@ -54,7 +54,7 @@ def main() -> None:
         if answer.tautology:
             verdict = "YES (tautology)"
         elif answer.entailed:
-            verdict = "YES (witness %s, %s)" % (answer.witness.clause, answer.substitution)
+            verdict = "YES (witness %s, %s)" % (answer.witness, answer.substitution)
         else:
             verdict = "NO"
         print("   %-16s -> %s" % (text, verdict))

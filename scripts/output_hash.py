@@ -97,7 +97,7 @@ def read_lines(kb, queries):
 
 def instance_lines(seed, traced):
     cfg = GenConfig(seed=seed, **FO_CFG)
-    x = [m.clause for m in gen_kb(cfg)]
+    x = list(gen_kb(cfg))
     c = gen_clause(vary_seed(cfg, 1_000_003))
     base = []  # compile(X), when it stops within the default limits
 
@@ -107,7 +107,7 @@ def instance_lines(seed, traced):
 
     lines = ["seed %d" % seed, *run(compile_x, traced)]
     if base:
-        lines += read_lines(base[0], [c] + [m.clause for m in base[0].pi])
+        lines += read_lines(base[0], [c, *base[0].pi])
     lines += run(lambda t: [dumps_kb(compile(x, TIGHT, t))], traced)
     for limits in (DEFAULT_LIMITS, TIGHT):
         if base:

@@ -9,7 +9,6 @@ entailment queries from the compiled set.
 __version__ = "0.1.0"
 
 from .clauses import (
-    AssocClause,
     Clause,
     ClauseSet,
     Residue,
@@ -28,7 +27,6 @@ from .compiler import (
     clause_set_digest,
     compile,
     entails,
-    input_clauses,
 )
 from .consensus import (
     DEFAULT_LIMITS,
@@ -80,7 +78,7 @@ __all__ = [
     "Variable", "Compound", "Term", "Literal", "Substitution", "EMPTY",
     "apply", "compose", "unify",
     # clauses
-    "Clause", "AssocClause", "ClauseSet", "Residue",
+    "Clause", "ClauseSet", "Residue",
     "subsumes", "residue",
     # consensus
     "ResourceLimits", "DEFAULT_LIMITS", "ResourceLimitExceeded",
@@ -88,7 +86,7 @@ __all__ = [
     "complementary_pairs", "consensus_closure",
     # compiler
     "CompileStats", "CompiledKB", "IncrementalReport", "BatchReport", "Entailment",
-    "compile", "add_clause", "add_clauses", "entails", "input_clauses",
+    "compile", "add_clause", "add_clauses", "entails",
     "clause_set_digest", "chain_digest",
     # oracle
     "GenConfig", "gen_kb", "gen_clause", "vary_seed",

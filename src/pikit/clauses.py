@@ -1,4 +1,5 @@
-"""Clauses as canonical literal sets, θ-subsumption, and subsumption residue."""
+"""Clauses as canonical literal sets with their associations, θ-subsumption,
+and subsumption residue."""
 
 from __future__ import annotations
 
@@ -11,22 +12,56 @@ from .terms import EMPTY, Compound, Literal, Substitution, _match
 
 @dataclass(frozen=True)
 class Clause:
-    """A duplicate-free disjunction of literals in a fixed canonical order.
+    """A duplicate-free disjunction of literals in a fixed canonical order,
+    with its association and provenance.
 
     Construction merges duplicate literals and sorts, so clause equality is
     insensitive to the order literals were supplied in.  The empty clause
-    prints as ``$false``.
+    prints as ``$false``.  Input clauses carry the empty association;
+    consensus results carry the composed substitution and the ids of their
+    parents.  A clause is its (literals, assoc) pair: equality and the
+    hash, fixed when it is built, ignore `parents`, which only records
+    where the clause came from.
     """
 
     literals: tuple[Literal, ...] = ()
+    assoc: Substitution = EMPTY
+    parents: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
         ordered = tuple(sorted(set(self.literals), key=lambda l: l.sort_key))
         object.__setattr__(self, "literals", ordered)
-        object.__setattr__(self, "_hash", hash(ordered))
+        object.__setattr__(self, "_hash", hash((ordered, self.assoc)))
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Clause):
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.literals == other.literals
+            and self.assoc == other.assoc
+        )
+
+    @property
+    def clause(self) -> "Clause":
+        """The same literals with the empty association."""
+        return self if self.assoc.is_empty() else Clause(self.literals)
+
+    @property
+    def origin(self) -> str:
+        if self.parents is None:
+            return "input"
+        return "consensus(%d,%d)" % self.parents
+
+    @property
+    def entry_text(self) -> str:
+        assoc = self.assoc.bindings_text
+        return "%s ; assoc%s ; origin %s" % (self, " " + assoc if assoc else "", self.origin)
 
     @cached_property
     def features(self) -> frozenset:
@@ -103,62 +138,10 @@ def subsumes(c1: Clause, c2: Clause) -> Substitution | None:
     return None if found is None else Substitution(found)
 
 
-@dataclass(frozen=True)
-class AssocClause:
-    """A clause together with its association and provenance.
-
-    Input clauses carry the empty association; consensus results carry the
-    composed substitution and the ids of their parents.  A member is its
-    (clause, assoc) pair: equality and the hash, fixed when it is built,
-    ignore `parents`, which only records where the member came from.
-    """
-
-    clause: Clause
-    assoc: Substitution = EMPTY
-    parents: tuple[int, int] | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.clause, self.assoc)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, AssocClause):
-            return NotImplemented
-        return (
-            self._hash == other._hash
-            and self.clause == other.clause
-            and self.assoc == other.assoc
-        )
-
-    @property
-    def origin(self) -> str:
-        if self.parents is None:
-            return "input"
-        return "consensus(%d,%d)" % self.parents
-
-    @property
-    def entry_text(self) -> str:
-        assoc = self.assoc.bindings_text
-        return "%s ; assoc%s ; origin %s" % (
-            self.clause,
-            " " + assoc if assoc else "",
-            self.origin,
-        )
-
-    def __str__(self) -> str:
-        return self.entry_text
-
-    __repr__ = __str__
-
-
 class ClauseSet:
-    """Insertion-ordered set of associated clauses.
+    """Insertion-ordered set of clauses.
 
-    Members are unique by (clause, assoc): the same clause text with a
+    Members are unique by (literals, assoc): the same clause text with a
     different association is kept as a distinct member, since associations
     gate consensus eligibility.  Of two equal members the first one added
     is kept.
@@ -166,20 +149,20 @@ class ClauseSet:
 
     __slots__ = ("_members",)
 
-    def __init__(self, members: Iterable[AssocClause] = ()):
-        self._members: dict[AssocClause, None] = dict.fromkeys(members)
+    def __init__(self, members: Iterable[Clause] = ()):
+        self._members: dict[Clause, None] = dict.fromkeys(members)
 
-    def add(self, member: AssocClause) -> bool:
-        """Append a member; False when an equal (clause, assoc) pair exists."""
+    def add(self, member: Clause) -> bool:
+        """Append a member; False when an equal (literals, assoc) pair exists."""
         if member in self._members:
             return False
         self._members[member] = None
         return True
 
-    def __contains__(self, member: AssocClause) -> bool:
+    def __contains__(self, member: Clause) -> bool:
         return member in self._members
 
-    def __iter__(self) -> Iterator[AssocClause]:
+    def __iter__(self) -> Iterator[Clause]:
         return iter(self._members)
 
     def __len__(self) -> int:
@@ -191,11 +174,11 @@ class ClauseSet:
         return out
 
     @property
-    def members(self) -> tuple[AssocClause, ...]:
+    def members(self) -> tuple[Clause, ...]:
         return tuple(self._members)
 
     def clause_texts(self) -> list[str]:
-        return [str(m.clause) for m in self]
+        return [str(m) for m in self]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ClauseSet):
@@ -203,7 +186,7 @@ class ClauseSet:
         return self.members == other.members
 
     def __repr__(self) -> str:
-        return "{%s}" % ", ".join(str(m.clause) for m in self)
+        return "{%s}" % ", ".join(str(m) for m in self)
 
 
 @dataclass
@@ -238,7 +221,7 @@ def residue(s: ClauseSet, stats=None, settled: int = 0) -> Residue:
     """
     members = list(s)
     n = len(members)
-    feats = [m.clause.features for m in members]
+    feats = [m.features for m in members]
     searched: dict[tuple[int, int], bool] = {}
 
     def covers(j: int, i: int) -> bool:
@@ -247,10 +230,10 @@ def residue(s: ClauseSet, stats=None, settled: int = 0) -> Residue:
         k = (j, i)
         got = searched.get(k)
         if got is None:
-            got = searched[k] = subsumes(members[j].clause, members[i].clause) is not None
+            got = searched[k] = subsumes(members[j], members[i]) is not None
         return got
 
-    kept: list[AssocClause] = []
+    kept: list[Clause] = []
     reach: list[int] = []  # per member i: the last j its scan decided
     back: list[tuple[int, int]] = []  # (i, j): j covers i, so i-covers-j was decided
     for i in range(n):

@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import hashlib
 import sys
+import warnings
 from typing import Iterator, Sequence
 
 from .compiler import add_clauses, compile, entails
@@ -81,7 +82,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         if answer.tautology:
             print("YES tautology")
         else:
-            print("YES witness=%s subst=%s" % (answer.witness.clause, answer.substitution))
+            print("YES witness=%s subst=%s" % (answer.witness, answer.substitution))
         return 0
     print("NO")
     return 1
@@ -143,10 +144,18 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = build_parser()
 
 
+def _warn(message, *_) -> None:
+    print("warning: %s" % message, file=sys.stderr)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            # One line per warning, such as a dropped non-fundamental clause.
+            warnings.simplefilter("always")
+            warnings.showwarning = _warn
+            return args.func(args)
     except ResourceLimitExceeded as err:
         # `add` notes which clause of its input hit the limit.
         at = err.clause_index

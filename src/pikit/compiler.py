@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .clauses import AssocClause, Clause, ClauseSet, residue, subsumes
+from .clauses import Clause, ClauseSet, residue, subsumes
 from .consensus import (
     DEFAULT_LIMITS,
     ResourceLimitExceeded,
@@ -60,7 +60,7 @@ class CompiledKB:
 
     @property
     def inconsistent(self) -> bool:
-        return len(self.pi) == 1 and next(iter(self.pi)).clause.is_empty
+        return len(self.pi) == 1 and next(iter(self.pi)).is_empty
 
 
 def _digest_texts(texts: Iterable[str]) -> str:
@@ -71,24 +71,16 @@ def _digest_texts(texts: Iterable[str]) -> str:
     return "sha256:" + h.hexdigest()
 
 
-def clause_set_digest(clauses: Iterable[AssocClause]) -> str:
-    return _digest_texts(str(m.clause) for m in clauses)
+def clause_set_digest(clauses: Iterable[Clause]) -> str:
+    return _digest_texts(str(m) for m in clauses)
 
 
 def chain_digest(previous: str, clause: Clause) -> str:
     return _digest_texts([previous, str(clause)])
 
 
-def input_clauses(clauses: Iterable[Clause | AssocClause]) -> ClauseSet:
-    """Wrap plain clauses as inputs carrying the empty association."""
-    out = ClauseSet()
-    for c in clauses:
-        out.add(c if isinstance(c, AssocClause) else AssocClause(c))
-    return out
-
-
 def compile(
-    x: Iterable[Clause | AssocClause] | ClauseSet,
+    x: Iterable[Clause],
     limits: ResourceLimits = DEFAULT_LIMITS,
     trace: Trace | None = None,
     source_digest: str | None = None,
@@ -99,14 +91,14 @@ def compile(
     subsumption residue of the consensus closure of the input; a resource
     error from the closure propagates.
     """
-    members = x if isinstance(x, ClauseSet) else input_clauses(x)
+    members = ClauseSet(x)
     stats = CompileStats()
     keep = ClauseSet()
     for m in members:
-        if m.clause.is_fundamental():
+        if m.is_fundamental():
             keep.add(m)
         else:
-            warnings.warn("dropping non-fundamental clause %s" % m.clause, stacklevel=2)
+            warnings.warn("dropping non-fundamental clause %s" % m, stacklevel=2)
     closure = consensus_closure(keep, limits, trace, stats)
     minimal = residue(closure.clauses, stats)
     stats.rounds = closure.rounds
@@ -125,13 +117,13 @@ class IncrementalReport:
 
     result: CompiledKB
     outcome: str  # "absorbed" | "unchanged" | "recompiled"
-    support_history: list[tuple[AssocClause, ...]] = field(default_factory=list)
+    support_history: list[tuple[Clause, ...]] = field(default_factory=list)
     snapshot_history: list[ClauseSet] = field(default_factory=list)
 
 
 def add_clause(
     kb: CompiledKB,
-    clause: Clause | AssocClause,
+    clause: Clause,
     limits: ResourceLimits = DEFAULT_LIMITS,
     trace: Trace | None = None,
 ) -> IncrementalReport:
@@ -144,7 +136,7 @@ def add_clause(
     takes all consensuses with one parent in the working set and one in the
     support set, re-minimizes, and prunes the support set, until two
     consecutive working sets are equal.  A resolvent is added to the
-    support set only when its (clause, assoc) pair has never been in it, so
+    support set only when its (literals, assoc) pair has never been in it, so
     clauses the residue deleted from the support set never re-enter.
 
     The rounds are those of the pair engine, `_Rounds`, which keeps the
@@ -169,22 +161,21 @@ def add_clause(
     compilation would leave the KB unchanged.  For example, a KB can absorb
     a clause whose batch compilation with X is the empty clause.
     """
-    c = clause if isinstance(clause, AssocClause) else AssocClause(clause)
-    if not c.assoc.is_empty():
+    if not clause.assoc.is_empty():
         raise ValueError("added clauses must carry the empty association")
-    if not c.clause.is_fundamental():
+    if not clause.is_fundamental():
         return IncrementalReport(kb, "unchanged")
-    if entails(kb, c.clause):
+    if entails(kb, clause):
         return IncrementalReport(kb, "absorbed", [()], [kb.pi])
 
     stats = CompileStats()
-    eta = residue(ClauseSet([*kb.pi, c]), stats, settled=len(kb.pi) if kb.minimal else 0).kept
+    eta = residue(ClauseSet([*kb.pi, clause]), stats, settled=len(kb.pi) if kb.minimal else 0).kept
     snapshots = [eta]
-    support = ClauseSet([c])
+    support = ClauseSet([clause])
     support_history = [support.members]
     # The rounds' `seen` is every member ever in the support set, the
     # tombstones included.
-    rounds = _Rounds([c], limits.max_rounds, trace, stats, fold=True)
+    rounds = _Rounds([clause], limits.max_rounds, trace, stats, fold=True)
     previous = ClauseSet()
     # The support set stays a subset of eta: C survives the first residue
     # because nothing in pi(X) subsumes it, and each round keeps only the
@@ -203,7 +194,7 @@ def add_clause(
         snapshots.append(eta)
 
     stats.rounds = rounds.round
-    result = CompiledKB(eta, stats, chain_digest(kb.source_digest, c.clause), minimal=True)
+    result = CompiledKB(eta, stats, chain_digest(kb.source_digest, clause), minimal=True)
     return IncrementalReport(result, "recompiled", support_history, snapshots)
 
 
@@ -217,7 +208,7 @@ class BatchReport:
 
 def add_clauses(
     kb: CompiledKB,
-    clauses: Sequence[Clause | AssocClause],
+    clauses: Sequence[Clause],
     limits: ResourceLimits = DEFAULT_LIMITS,
     trace: Trace | None = None,
 ) -> BatchReport:
@@ -243,7 +234,7 @@ class Entailment:
     """Answer to a clausal entailment query, with its witness if positive."""
 
     entailed: bool
-    witness: AssocClause | None = None
+    witness: Clause | None = None
     substitution: Substitution | None = None
     tautology: bool = False
 
@@ -260,7 +251,7 @@ def entails(kb: CompiledKB, query: Clause) -> Entailment:
     if not query.is_fundamental():
         return Entailment(True, tautology=True)
     for member in kb.pi:
-        witness = subsumes(member.clause, query)
+        witness = subsumes(member, query)
         if witness is not None:
             return Entailment(True, member, witness)
     return Entailment(False)

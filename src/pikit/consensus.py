@@ -15,7 +15,7 @@ fold asks for every attempt.  One engine object lives for one closure or
 fold call and keeps what passes from round to round: the `seen` admissions,
 the fresh members, the `unify` and `compose` memo and the round count that
 the max-rounds cap bounds.  Its one admission rule: a resolvent is added
-when no equal (clause, assoc) member is in `seen`, and a duplicate
+when no equal (literals, assoc) member is in `seen`, and a duplicate
 otherwise.  The tests check it against `complementary_pairs` and
 `consensus`.  Saturation is not guaranteed to terminate on first-order
 inputs, so every closure takes explicit resource limits and fails loudly
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
-from .clauses import AssocClause, Clause, ClauseSet
+from .clauses import Clause, ClauseSet
 from .terms import Literal, Substitution, apply, compose, unify
 
 
@@ -99,7 +99,7 @@ Trace = Callable[[TraceEvent], None]
 
 
 def complementary_pairs(
-    c1: AssocClause, c2: AssocClause
+    c1: Clause, c2: Clause
 ) -> list[tuple[Literal, Literal, Substitution]]:
     """All opposite-sign literal pairs (r in c1, s in c2) whose atoms unify.
 
@@ -107,8 +107,8 @@ def complementary_pairs(
     its mgu, so enumeration is deterministic.
     """
     pairs = []
-    for r in c1.clause.literals:
-        for s in c2.clause.literals:
+    for r in c1.literals:
+        for s in c2.literals:
             if r.positive == s.positive or r.atom.functor != s.atom.functor:
                 continue
             mgu = unify(r.atom, s.atom)
@@ -118,11 +118,11 @@ def complementary_pairs(
 
 
 def consensus(
-    c1: AssocClause,
-    c2: AssocClause,
+    c1: Clause,
+    c2: Clause,
     pair: tuple[Literal, Literal, Substitution],
     parents: tuple[int, int] = (0, 0),
-) -> AssocClause | Outcome:
+) -> Clause | Outcome:
     """Consensus of c1 and c2 on one complementary pair.
 
     `pair` is one of `complementary_pairs(c1, c2)`: its two literals are the
@@ -140,20 +140,18 @@ def consensus(
 
 
 def _resolve(
-    c1: AssocClause,
-    c2: AssocClause,
+    c1: Clause,
+    c2: Clause,
     pair: tuple[Literal, Literal, Substitution],
     assoc: Substitution,
     parents: tuple[int, int],
-) -> AssocClause | Outcome:
+) -> Clause | Outcome:
     """`consensus` of an attempt whose associations compose to `assoc`."""
     r, s, mgu = pair
-    rest = [apply(mgu, l) for l in c1.clause.literals if l is not r]
-    rest += [apply(mgu, l) for l in c2.clause.literals if l is not s]
-    resolvent = Clause(tuple(rest))
-    if not resolvent.is_fundamental():
-        return Outcome.NON_FUNDAMENTAL
-    return AssocClause(resolvent, assoc, parents=parents)
+    rest = [apply(mgu, l) for l in c1.literals if l is not r]
+    rest += [apply(mgu, l) for l in c2.literals if l is not s]
+    resolvent = Clause(tuple(rest), assoc, parents)
+    return resolvent if resolvent.is_fundamental() else Outcome.NON_FUNDAMENTAL
 
 
 _MISSING = object()
@@ -219,7 +217,7 @@ class _Rounds:
 
     def next(
         self, base: ClauseSet, new_side: ClauseSet, max_clauses: int | None = None
-    ) -> list[AssocClause]:
+    ) -> list[Clause]:
         """Run the next round and return the clauses it added, in derivation
         order.  When base plus the added clauses outgrows `max_clauses`,
         ResourceLimitExceeded carries that partial set."""
@@ -233,7 +231,7 @@ class _Rounds:
         for i, m in enumerate(base):
             new = fresh is None or m in fresh
             j = at.get(m)
-            for k, lit in enumerate(m.clause.literals):
+            for k, lit in enumerate(m.literals):
                 index.setdefault(lit, []).append((i, k, m, new, j))
         right: dict[tuple[str, bool], list] = {}
         for lit, occ in index.items():
@@ -279,14 +277,14 @@ class _Rounds:
                             hits.append((i1, j2, k1, k2, i2, d1, d2, mgu, assoc))
         if self.stats is not None:
             self.stats.consensus_attempts += attempts + (repeats if self.fold else 0)
-        admitted: list[AssocClause] = []
+        admitted: list[Clause] = []
         hits.sort()  # the four positions tell any two hits apart
         for i1, _, k1, k2, i2, d1, d2, mgu, assoc in hits:
             ids = (i1 + 1, i2 + 1)
             if assoc is None:
                 res = outcome = Outcome.BLOCKED
             else:
-                pair = (d1.clause.literals[k1], d2.clause.literals[k2], mgu)
+                pair = (d1.literals[k1], d2.literals[k2], mgu)
                 res = _resolve(d1, d2, pair, assoc, ids)
                 if isinstance(res, Outcome):
                     outcome = res
@@ -304,10 +302,10 @@ class _Rounds:
                     TraceEvent(
                         self.round,
                         ids,
-                        (str(d1.clause), str(d2.clause)),
+                        (str(d1), str(d2)),
                         mgu,
                         outcome.value,
-                        None if isinstance(res, Outcome) else str(res.clause),
+                        None if isinstance(res, Outcome) else str(res),
                     )
                 )
         self.fresh = set(admitted)
@@ -334,7 +332,7 @@ def consensus_closure(
     stats=None,
 ) -> ClosureResult:
     """Least fixpoint of the saturation step, reached when a round adds no
-    new (clause, assoc) pair.  Raises ResourceLimitExceeded when a cap is
+    new (literals, assoc) pair.  Raises ResourceLimitExceeded when a cap is
     hit."""
     current = x.copy()
     iterates = [current]

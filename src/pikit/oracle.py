@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 
-from .clauses import AssocClause, Clause, ClauseSet
+from .clauses import Clause, ClauseSet
 from .terms import Compound, Literal, Term, Variable
 
 
@@ -104,7 +104,7 @@ def gen_kb(cfg: GenConfig) -> ClauseSet:
     attempts = 0
     while len(out) < want and attempts < 50 * want:
         attempts += 1
-        out.add(AssocClause(_gen_clause(cfg, rng)))
+        out.add(_gen_clause(cfg, rng))
     return out
 
 

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import os
 import re
+import stat
 import tempfile
 
-from .clauses import AssocClause, Clause, ClauseSet
+from .clauses import Clause, ClauseSet
 from .compiler import CompiledKB, CompileStats
 from .syntax import ParseError, Signature, _parse_literal, parse_clause, parse_term
 from .terms import Literal, Substitution, Term
@@ -49,7 +50,7 @@ def signature_of(kb: CompiledKB) -> Signature:
     """The predicate and functor arities a compiled KB commits to."""
     sig = Signature()
     for member in kb.pi:
-        sig.note_clause(member.clause)
+        sig.note_clause(member)
         for _, term in member.assoc.items():
             sig.note_term(term)
     return sig
@@ -117,21 +118,22 @@ class _LoadTable:
             out.append(lit)
         return tuple(out)
 
-    def clause(self, text: str, line_no: int) -> Clause:
+    def clause(self, text: str, line_no: int) -> tuple[Literal, ...]:
+        """The literals of one entry's clause text."""
         # `|` only ever separates literals, so a well-formed entry splits
         # into literal texts.  While the symbols agree, so do the literals
         # of each entry.
         if self.agree and "#" not in text:
             literals = self._literals(text)
             if literals is not None:
-                return Clause(literals)
+                return literals
         # A `#` comments out the entry's closing period, a piece is no
         # literal, or an arity clashes: parse the entry whole, which gives
         # the error with its position in the entry.  The table's symbols are
         # then incomplete, so the final check walks the members.
         self.agree = False
         try:
-            return parse_clause(text + ".")
+            return parse_clause(text + ".").literals
         except ParseError as err:
             raise MalformedStoreError("line %d: bad clause: %s" % (line_no, err))
 
@@ -165,12 +167,12 @@ def _parse_assoc(text: str, line_no: int, table: _LoadTable) -> Substitution:
     return Substitution(bindings)
 
 
-def _parse_entry(payload: str, line_no: int, table: _LoadTable) -> AssocClause:
+def _parse_entry(payload: str, line_no: int, table: _LoadTable) -> Clause:
     parts = payload.split(" ; ")
     if len(parts) != 3:
         raise MalformedStoreError("line %d: expected 'clause ; assoc ; origin' entry" % line_no)
     clause_text, assoc_part, origin_part = parts
-    clause = Clause() if clause_text == "$false" else table.clause(clause_text, line_no)
+    literals = () if clause_text == "$false" else table.clause(clause_text, line_no)
     if assoc_part != "assoc" and not assoc_part.startswith("assoc "):
         raise MalformedStoreError("line %d: expected association field" % line_no)
     assoc = _parse_assoc(assoc_part[6:] if len(assoc_part) > 5 else "", line_no, table)
@@ -184,7 +186,7 @@ def _parse_entry(payload: str, line_no: int, table: _LoadTable) -> AssocClause:
         if m is None:
             raise MalformedStoreError("line %d: bad origin %r" % (line_no, origin))
         parents = (int(m.group(1)), int(m.group(2)))
-    return AssocClause(clause, assoc, parents)
+    return Clause(literals, assoc, parents)
 
 
 def _undeclared(implied: Signature, declared: Signature) -> str | None:
@@ -270,12 +272,23 @@ def loads_kb(text: str) -> CompiledKB:
 
 
 def save_kb(kb: CompiledKB, path: str) -> None:
-    """Write atomically: temp file in the same directory, then rename."""
+    """Write atomically: temp file in the same directory, then rename.
+
+    The store gets the mode that `open(path, "w")` would give it: a store
+    it replaces keeps its mode, and a new one gets 0666 less the umask.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(prefix=".pikb-", dir=directory)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(dumps_kb(kb))
+        try:
+            mode = stat.S_IMODE(os.stat(path).st_mode)
+        except FileNotFoundError:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from pikit import AssocClause, Clause, ClauseSet, Compound, Literal, Substitution, Term, apply
+from pikit import Clause, Compound, Literal, Substitution, Term, apply
 
 
 class CapacityError(Exception):
@@ -65,13 +65,6 @@ def ground_instances(c: Clause, u: GroundUniverse, cap: int = 100_000) -> list[C
     return out
 
 
-def _plain_clauses(kb: Iterable[Clause | AssocClause] | ClauseSet) -> list[Clause]:
-    out = []
-    for m in kb:
-        out.append(m.clause if isinstance(m, AssocClause) else m)
-    return out
-
-
 def _atom_index(clauses: Sequence[Clause]) -> dict[Compound, int]:
     atoms = sorted({l.atom for c in clauses for l in c.literals}, key=str)
     return {a: i for i, a in enumerate(atoms)}
@@ -102,9 +95,9 @@ def models_of(clauses: Sequence[Clause], index: dict[Compound, int] | None = Non
     return out
 
 
-def truth_table_entails(kb: Iterable[Clause | AssocClause] | ClauseSet, query: Clause) -> bool:
+def truth_table_entails(kb: Iterable[Clause], query: Clause) -> bool:
     """Ground entailment by truth table over the combined atom alphabet."""
-    clauses = _plain_clauses(kb)
+    clauses = list(kb)
     index = _atom_index(clauses + [query])
     n = len(index)
     full = (1 << n) - 1
@@ -115,9 +108,9 @@ def truth_table_entails(kb: Iterable[Clause | AssocClause] | ClauseSet, query: C
     return True
 
 
-def same_models(a: Iterable[Clause | AssocClause], b: Iterable[Clause | AssocClause]) -> bool:
+def same_models(a: Iterable[Clause], b: Iterable[Clause]) -> bool:
     """Whether two ground clause sets have the same truth-table models."""
-    ca, cb = _plain_clauses(a), _plain_clauses(b)
+    ca, cb = list(a), list(b)
     index = _atom_index(ca + cb)
     return set(models_of(ca, index)) == set(models_of(cb, index))
 
@@ -160,7 +153,7 @@ def _assign(cnf: list[frozenset[int]], lit: int) -> list[frozenset[int]]:
 
 
 def propositional_prime_implicates(
-    ground_kb: Iterable[Clause | AssocClause] | ClauseSet, max_atoms: int = 14
+    ground_kb: Iterable[Clause], max_atoms: int = 14
 ) -> list[Clause]:
     """Exactly the propositional prime implicates of a ground clause set.
 
@@ -172,7 +165,7 @@ def propositional_prime_implicates(
     countermodel), so minimal implicates never contain foreign literals.
     An unsatisfiable KB has the empty clause as its only prime implicate.
     """
-    clauses = _plain_clauses(ground_kb)
+    clauses = list(ground_kb)
     index = _atom_index(clauses)
     if len(index) > max_atoms:
         raise CapacityError("alphabet too large: %d atoms exceed %d" % (len(index), max_atoms))
@@ -212,7 +205,7 @@ def propositional_prime_implicates(
 
 
 def check_implicate_semantically(
-    kb: Iterable[Clause | AssocClause] | ClauseSet,
+    kb: Iterable[Clause],
     c: Clause,
     u: GroundUniverse,
     max_atoms: int = 16,
@@ -223,7 +216,7 @@ def check_implicate_semantically(
     satisfies some ground instance of the clause.
     """
     theory: list[Clause] = []
-    for member in _plain_clauses(kb):
+    for member in kb:
         theory.extend(ground_instances(member, u))
     queries = ground_instances(c, u)
     index = _atom_index(theory + queries)

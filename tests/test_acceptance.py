@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 from pikit import (
     Clause,
+    ClauseSet,
     CompiledKB,
     Compound,
     GenConfig,
@@ -42,7 +43,6 @@ from pikit import (
     entails,
     gen_clause,
     gen_kb,
-    input_clauses,
     loads_kb,
     parse_clause,
     parse_clause_file,
@@ -105,7 +105,7 @@ def criterion(label):
 @criterion("1 worked-chain closure")
 def test_criterion_1_closure_of_worked_chain():
     started = time.perf_counter()
-    base = input_clauses(parse_clause_file(EX1).clauses)
+    base = ClauseSet(parse_clause_file(EX1).clauses)
     closure = consensus_closure(base)
 
     first_iterate = [m.entry_text for m in closure.iterates[1]]
@@ -211,7 +211,7 @@ def _fold_runs(count):
     """
     for seed in range(count):
         cfg = GenConfig(seed=seed, **FO_CFG)
-        clauses = [m.clause for m in gen_kb(cfg)]
+        clauses = list(gen_kb(cfg))
         extra = gen_clause(vary_seed(cfg, 1_000_003))
         outcomes = collections.Counter()
 
@@ -305,12 +305,12 @@ def test_criterion_4_batch_incremental_equivalence():
     for run in finished:
         batch = run.batch.pi
         # The same saturation that batch compilation just finished.
-        closure = consensus_closure(input_clauses(run.inputs)).clauses
+        closure = consensus_closure(ClauseSet(run.inputs)).clauses
         for m in run.incremental.result.pi:
             # (b) Never stronger than batch.  Checked before (a), which
             # implies it through residue covering, so that a too-strong
             # result is reported as such.
-            assert any(subsumes(d.clause, m.clause) is not None for d in batch), (
+            assert any(subsumes(d, m) is not None for d in batch), (
                 "seed %d: incremental implicate %s is subsumed by no batch "
                 "implicate" % (run.seed, m.entry_text)
             )
@@ -348,7 +348,7 @@ def test_efficiency_report_incremental_vs_batch():
 def test_criterion_5_ground_oracle_equivalence():
     started = time.perf_counter()
     for seed in range(500):
-        clauses = [m.clause for m in gen_kb(GenConfig(seed=seed, **GROUND8_CFG))]
+        clauses = list(gen_kb(GenConfig(seed=seed, **GROUND8_CFG)))
         kb = compile(clauses)
         oracle = propositional_prime_implicates(clauses)
         assert sorted(kb.pi.clause_texts()) == sorted(str(c) for c in oracle), (
@@ -361,15 +361,15 @@ def test_criterion_5_ground_oracle_equivalence():
 @criterion("6 ground semantic equivalence")
 def test_criterion_6_models_preserved():
     for seed in range(200):
-        clauses = [m.clause for m in gen_kb(GenConfig(seed=seed, **GROUND10_CFG))]
+        clauses = list(gen_kb(GenConfig(seed=seed, **GROUND10_CFG)))
         kb = compile(clauses)
-        assert same_models(clauses, [m.clause for m in kb.pi]), "seed %d" % seed
+        assert same_models(clauses, kb.pi), "seed %d" % seed
 
 
 @criterion("7 ground entailment completeness")
 def test_criterion_7_entailment_matches_truth_table():
     for seed in range(100):
-        clauses = [m.clause for m in gen_kb(GenConfig(seed=seed, **GROUND8_CFG))]
+        clauses = list(gen_kb(GenConfig(seed=seed, **GROUND8_CFG)))
         kb = compile(clauses)
         atoms = sorted({l.atom for c in clauses for l in c.literals}, key=str)
         index = {a: i for i, a in enumerate(atoms)}
@@ -427,9 +427,9 @@ def test_criterion_8_property_suites():
         got = residue(s)
         kept = got.kept.members
         for d, e in itertools.permutations(kept, 2):
-            assert subsumes(d.clause, e.clause) is None
+            assert subsumes(d, e) is None
         for m in s:
-            assert any(subsumes(d.clause, m.clause) is not None for d in kept)
+            assert any(subsumes(d, m) is not None for d in kept)
         again = residue(got.kept).kept
         assert again == got.kept and entries(again) == entries(got.kept)
 
@@ -486,7 +486,7 @@ def test_criterion_8_property_suites():
             kb_size_range=(1, 6),
             seed=seed,
         )
-        clauses = [m.clause for m in gen_kb(cfg)]
+        clauses = list(gen_kb(cfg))
         assert parse_clause_file(print_clause_file(clauses)).clauses == clauses
 
     # KB-store round-trip on 200 seeded compiled KBs.

@@ -8,7 +8,6 @@ from hypothesis import HealthCheck, given, settings
 
 from pikit import (
     EMPTY,
-    AssocClause,
     Clause,
     ClauseSet,
     CompileStats,
@@ -209,15 +208,14 @@ def test_subsumption_implies_ground_entailment(c1, c2):
             assert not model_extends(falsified, 0), d
 
 
+def member(text, assoc=None, parents=None):
+    return Clause(cl(text).literals, Substitution(assoc or {}), parents)
+
+
 def members(*texts_and_assocs):
-    out = []
-    for item in texts_and_assocs:
-        if isinstance(item, str):
-            out.append(AssocClause(cl(item)))
-        else:
-            text, assoc = item
-            out.append(AssocClause(cl(text), Substitution(assoc)))
-    return ClauseSet(out)
+    return ClauseSet(
+        member(item) if isinstance(item, str) else member(*item) for item in texts_and_assocs
+    )
 
 
 class TestResidue:
@@ -232,7 +230,7 @@ class TestResidue:
         )
         got = residue(s)
         assert "~p(a)|~q(Z)" not in got.kept.clause_texts()
-        assert [str(m.clause) for m in s if m not in got.kept] == ["~p(a)|~q(Z)"]
+        assert [str(m) for m in s if m not in got.kept] == ["~p(a)|~q(Z)"]
 
     def test_unit_deletes_superset_clause(self):
         s = members(
@@ -244,7 +242,7 @@ class TestResidue:
             ("r(Z,b).", {"X": Compound("a"), "Y": Variable("Z")}),
         )
         got = residue(s)
-        assert [str(m.clause) for m in s if m not in got.kept] == ["p(X)|r(Z,b)"]
+        assert [str(m) for m in s if m not in got.kept] == ["p(X)|r(Z,b)"]
 
     def test_singleton_is_kept(self):
         s = members("p(X).")
@@ -255,10 +253,10 @@ class TestResidue:
         s = members("p(X)|q(Y,b).", "p(Z)|q(X,b).")
         got = residue(s)
         assert got.kept.clause_texts() == ["p(X)|q(Y,b)"]
-        assert [str(m.clause) for m in s if m not in got.kept] == ["p(Z)|q(X,b)"]
+        assert [str(m) for m in s if m not in got.kept] == ["p(Z)|q(X,b)"]
 
     def test_empty_clause_wins(self):
-        s = ClauseSet([AssocClause(cl("p(a).")), AssocClause(Clause())])
+        s = ClauseSet([cl("p(a)."), Clause()])
         got = residue(s)
         assert got.kept.clause_texts() == ["$false"]
 
@@ -306,10 +304,10 @@ def test_residue_is_minimal_covering_and_idempotent(seed):
     kept = got.kept.members
     # minimality: no kept member subsumes another kept member
     for d, e in itertools.permutations(kept, 2):
-        assert subsumes(d.clause, e.clause) is None
+        assert subsumes(d, e) is None
     # covering: every input member is subsumed by some kept member
     for m in s:
-        assert any(subsumes(d.clause, m.clause) is not None for d in kept)
+        assert any(subsumes(d, m) is not None for d in kept)
     # partition
     deleted = [m for m in s if m not in got.kept]
     assert len(kept) + len(deleted) == len(s)
@@ -330,7 +328,7 @@ def reference_residue(s, stats):
         k = (i, j)
         if k not in cache:
             stats.subsumption_checks += 1
-            cache[k] = subsumes(members[i].clause, members[j].clause) is not None
+            cache[k] = subsumes(members[i], members[j]) is not None
         return cache[k]
 
     kept = []
@@ -365,7 +363,7 @@ def test_settled_prefix_matches_pairwise_reference(seed):
     cfg = GenConfig(seed=seed, **FO_CFG)
     settled = residue(gen_kb(cfg)).kept
     newcomers = [*gen_kb(vary_seed(cfg, 7))]
-    newcomers += [AssocClause(m.clause, Substitution({"X": Compound("a")})) for m in settled][::2]
+    newcomers += [Clause(m.literals, Substitution({"X": Compound("a")})) for m in settled][::2]
     random.Random(seed).shuffle(newcomers)
     s = ClauseSet([*settled, *newcomers])
     got_stats, ref_stats = CompileStats(), CompileStats()
@@ -393,7 +391,7 @@ def test_settled_prefix_is_not_searched(monkeypatch):
     skip = residue(s, skip_stats, settled=3)
     assert skip.kept == full.kept and entries(skip.kept) == entries(full.kept)
     assert skip_stats.subsumption_checks == full_stats.subsumption_checks
-    old = {str(m.clause) for m in settled}
+    old = {str(m) for m in settled}
     assert [p for p in full_searched if old.issuperset(p)] != []
     assert [p for p in searched if old.issuperset(p)] == []
 
@@ -423,10 +421,18 @@ class TestClauseSetEqual:
         assert s1 != s2
 
     def test_parents_are_not_part_of_identity(self):
-        first = AssocClause(cl("p(X)."), Substitution({"Y": Compound("a")}), (1, 2))
-        second = AssocClause(cl("p(X)."), Substitution({"Y": Compound("a")}), (3, 4))
+        first = member("p(X).", {"Y": Compound("a")}, (1, 2))
+        second = member("p(X).", {"Y": Compound("a")}, (3, 4))
         assert first == second and hash(first) == hash(second)
-        assert first != AssocClause(cl("p(X)."), parents=(1, 2))
+        derived = member("p(X).", parents=(1, 2))
+        assert first != derived
+        # One clause type: a member with the empty association is the parsed
+        # clause, whatever its parents; a non-empty association sets it apart.
+        assert derived == cl("p(X).") and hash(derived) == hash(cl("p(X)."))
+        assert first != cl("p(X).") and first.clause == cl("p(X).")
+        assert derived.clause is derived
+        assert str(first) == str(first.clause) == "p(X)"
+        assert derived.entry_text == "p(X) ; assoc ; origin consensus(1,2)"
         s = ClauseSet([first])
         assert second in s and not s.add(second)
         assert entries(s) == ["p(X) ; assoc Y->a ; origin consensus(1,2)"]
@@ -437,12 +443,12 @@ class TestClauseSetEqual:
 class TestClauseSet:
     def test_duplicate_members_are_not_readded(self):
         s = ClauseSet()
-        assert s.add(AssocClause(cl("p(X).")))
-        assert not s.add(AssocClause(cl("p(X).")))
+        assert s.add(cl("p(X)."))
+        assert not s.add(cl("p(X)."))
         assert len(s) == 1
 
     def test_same_clause_different_assoc_kept_separately(self):
         s = ClauseSet()
-        s.add(AssocClause(cl("p(X).")))
-        s.add(AssocClause(cl("p(X)."), Substitution({"Y": Compound("a")})))
+        s.add(cl("p(X)."))
+        s.add(member("p(X).", {"Y": Compound("a")}))
         assert len(s) == 2

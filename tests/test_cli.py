@@ -113,6 +113,14 @@ class TestCompileCommand:
         assert code == 3
         assert "max-clauses" in err
 
+    def test_dropped_clause_is_one_warning_line(self, workspace, capsys):
+        tmp, src = workspace
+        src.write_text("p|~p. q(a).")
+        code, out, err = run(capsys, "compile", src, "-o", tmp / "kb.pikb")
+        assert code == 0
+        assert out == "compiled 2 clauses -> 1 prime implicates (rounds=0)\n"
+        assert err == "warning: dropping non-fundamental clause p|~p\n"
+
     @pytest.mark.parametrize("flag", ["--max-rounds", "--max-clauses"])
     def test_negative_limit_flag_exits_2(self, workspace, capsys, flag):
         tmp, src = workspace

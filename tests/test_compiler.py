@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from pikit import (
     DEFAULT_LIMITS,
     EMPTY,
-    AssocClause,
+    Clause,
+    ClauseSet,
     Compound,
     GenConfig,
     ResourceLimitExceeded,
@@ -24,7 +25,6 @@ from pikit import (
     entails,
     gen_clause,
     gen_kb,
-    input_clauses,
     loads_kb,
     parse_clause,
     parse_clause_file,
@@ -82,7 +82,7 @@ class TestCompile:
     def test_result_is_subsumption_minimal_and_fundamental(self):
         kb = base_compiled()
         assert [m for m in kb.pi if m not in residue(kb.pi).kept] == []
-        assert all(m.clause.is_fundamental() for m in kb.pi)
+        assert all(m.is_fundamental() for m in kb.pi)
 
     def test_empty_input_compiles_to_empty_kb(self):
         kb = compile([])
@@ -117,7 +117,7 @@ class TestAddClause:
 
     def test_worked_example_support_history(self):
         report = add_clause(base_compiled(), cl(ADDED))
-        support = [[str(m.clause) for m in snap] for snap in report.support_history]
+        support = [[str(m) for m in snap] for snap in report.support_history]
         assert support == [
             ["~p(a)|~q(Z)"],
             ["~p(a)"],
@@ -170,7 +170,7 @@ class TestAddClause:
 
     def test_non_empty_association_is_rejected(self):
         kb = base_compiled()
-        bad = AssocClause(cl("s(a)."), Substitution({"X": Compound("a")}))
+        bad = Clause(cl("s(a).").literals, Substitution({"X": Compound("a")}))
         with pytest.raises(ValueError):
             add_clause(kb, bad)
 
@@ -249,7 +249,7 @@ class TestAddClause:
         for seed in range(50):
             cfg = GenConfig(seed=seed, **FO_CFG)
             try:
-                kb = compile([m.clause for m in gen_kb(cfg)])
+                kb = compile(list(gen_kb(cfg)))
                 events = []
                 report = add_clause(kb, gen_clause(vary_seed(cfg, 1_000_003)), trace=events.append)
             except ResourceLimitExceeded:
@@ -299,7 +299,7 @@ def _criterion_4_instances(count=50):
     """(X, C) of criterion-4 seeds 0..count-1, in the FO_CFG shape."""
     for seed in range(count):
         cfg = GenConfig(seed=seed, **FO_CFG)
-        yield [m.clause for m in gen_kb(cfg)], gen_clause(vary_seed(cfg, 1_000_003))
+        yield list(gen_kb(cfg)), gen_clause(vary_seed(cfg, 1_000_003))
 
 
 class TestDecidedOnce:
@@ -351,7 +351,7 @@ class TestDecidedOnce:
                 out = real_residue(s, *args, **kwargs)
             finally:
                 state["settled"] = frozenset()
-            state["previous"] = frozenset(id(m.clause) for m in out.kept)
+            state["previous"] = frozenset(id(m) for m in out.kept)
             return out
 
         def subsumes_wrapper(c1, c2):
@@ -528,7 +528,7 @@ class TestAddClauses:
             kb_size_range=(1, 1),
             seed=seed,
         )
-        clauses = [m.clause for m in gen_kb(cfg)]
+        clauses = list(gen_kb(cfg))
         incremental = add_clauses(compile([]), clauses)
         batch = compile(clauses)
         assert sorted(incremental.result.pi.clause_texts()) == sorted(
@@ -540,7 +540,7 @@ class TestEntails:
     def test_member_clause_is_entailed_with_itself_as_witness(self):
         kb = base_compiled()
         member = next(iter(kb.pi))
-        answer = entails(kb, member.clause)
+        answer = entails(kb, member)
         assert answer.entailed and answer.witness is member
         assert answer.substitution == EMPTY
 
@@ -549,17 +549,16 @@ class TestEntails:
         query = cl("~p(a)|s(X).")
         answer = entails(updated, query)
         assert answer.entailed
-        assert str(answer.witness.clause) == "~p(a)"
+        assert str(answer.witness) == "~p(a)"
         assert answer.substitution == EMPTY
         # Semantic cross-check by grounding over the constants.
-        clauses = [m.clause for m in updated.pi]
-        assert check_implicate_semantically(clauses, query, GroundUniverse(("a", "b")))
+        assert check_implicate_semantically(updated.pi, query, GroundUniverse(("a", "b")))
 
     def test_not_entailed_before_update(self):
         kb = base_compiled()
         answer = entails(kb, cl("~p(a)."))
         assert not answer.entailed
-        assert all(subsumes(m.clause, cl("~p(a).")) is None for m in kb.pi)
+        assert all(subsumes(m, cl("~p(a).")) is None for m in kb.pi)
 
     def test_tautological_query_is_always_yes(self):
         kb = compile([])
@@ -593,7 +592,7 @@ def _ground_cfg(seed):
 def test_ground_incremental_agrees_with_batch(seed):
     """With an empty association everywhere, the two routes coincide."""
     cfg = _ground_cfg(seed)
-    clauses = [m.clause for m in gen_kb(cfg)]
+    clauses = list(gen_kb(cfg))
     extra = gen_clause(vary_seed(cfg, 1_000_003))
     limits = ResourceLimits(max_rounds=50, max_clauses=2000)
     try:
@@ -653,9 +652,9 @@ def test_compile_is_idempotent_on_compiled_sets(seed):
 @settings(deadline=None, max_examples=80)
 @given(st.integers(0, 10**9))
 def test_ground_models_preserved_by_compilation(seed):
-    clauses = [m.clause for m in gen_kb(_ground_cfg(seed))]
+    clauses = list(gen_kb(_ground_cfg(seed)))
     kb = compile(clauses)
-    assert same_models(clauses, [m.clause for m in kb.pi])
+    assert same_models(clauses, kb.pi)
 
 
 class TestKnownIncrementalDivergence:
@@ -705,8 +704,8 @@ class TestKnownIncrementalDivergence:
         clauses = [cl(t) for t in self.X]
         pi = compile(clauses).pi
         with_pi = pi.copy()
-        with_pi.add(AssocClause(cl(self.C)))
-        raw = input_clauses(clauses + [cl(self.C)])
+        with_pi.add(cl(self.C))
+        raw = ClauseSet(clauses + [cl(self.C)])
         lhs = residue(consensus_closure(with_pi).clauses).kept
         rhs = residue(consensus_closure(raw).clauses).kept
         assert sorted(lhs.clause_texts()) == sorted(rhs.clause_texts())
@@ -717,8 +716,8 @@ class TestKnownIncrementalDivergence:
         clauses = parse_clause_file(BASE_KB).clauses
         pi = compile(clauses).pi
         with_pi = pi.copy()
-        with_pi.add(AssocClause(cl(ADDED)))
-        raw = input_clauses(clauses + [cl(ADDED)])
+        with_pi.add(cl(ADDED))
+        raw = ClauseSet(clauses + [cl(ADDED)])
         lhs = residue(consensus_closure(with_pi).clauses).kept
         rhs = residue(consensus_closure(raw).clauses).kept
         assert sorted(lhs.clause_texts()) == sorted(rhs.clause_texts())

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from pikit import (
-    AssocClause,
+    Clause,
+    ClauseSet,
     Compound,
     GenConfig,
     Outcome,
@@ -23,7 +24,6 @@ from pikit import (
     consensus_closure,
     gen_clause,
     gen_kb,
-    input_clauses,
     parse_clause,
     parse_clause_file,
     vary_seed,
@@ -45,14 +45,14 @@ def cl(text):
 
 
 def ac(text, assoc=None):
-    return AssocClause(cl(text), Substitution(assoc or {}))
+    return Clause(cl(text).literals, Substitution(assoc or {}))
 
 
 EXAMPLE_CHAIN = "p(X,a)|~q(a,f(X)). ~p(b,a)|r(b,Z). ~r(X,f(a))|q(Z,f(a))."
 
 
 def example_chain_inputs():
-    return input_clauses(parse_clause_file(EXAMPLE_CHAIN).clauses)
+    return ClauseSet(parse_clause_file(EXAMPLE_CHAIN).clauses)
 
 
 class TestComplementaryPairs:
@@ -92,7 +92,7 @@ class TestConsensus:
         pairs = complementary_pairs(c1, c2)
         assert len(pairs) == 1
         got = consensus(c1, c2, pairs[0], parents=(1, 2))
-        assert isinstance(got, AssocClause)
+        assert isinstance(got, Clause)
         assert got.entry_text == "~q(a,f(b))|r(b,Z) ; assoc X->b ; origin consensus(1,2)"
         assert got.assoc == Substitution({"X": Compound("b")})
 
@@ -120,11 +120,11 @@ def test_association_coherence_of_results(seed, a1, a2):
     """Every consensus result carries compose(parent assoc, mgu) for both parents."""
     cfg = GenConfig(num_variables=2, kb_size_range=(2, 2), seed=seed)
     m1, m2 = list(gen_kb(cfg))
-    c1 = AssocClause(m1.clause, a1)
-    c2 = AssocClause(m2.clause, a2)
+    c1 = Clause(m1.literals, a1)
+    c2 = Clause(m2.literals, a2)
     for pair in complementary_pairs(c1, c2):
         got = consensus(c1, c2, pair)
-        if isinstance(got, AssocClause):
+        if isinstance(got, Clause):
             assert got.assoc == compose(c1.assoc, pair[2])
             assert got.assoc == compose(c2.assoc, pair[2])
         elif got is Outcome.BLOCKED:
@@ -190,16 +190,16 @@ class TestClosure:
         assert entries(got.iterates[-1]) == entries(got.clauses)
 
     def test_single_clause_is_its_own_closure(self):
-        base = input_clauses([cl("q(Y).")])
+        base = ClauseSet([cl("q(Y).")])
         got = consensus_closure(base)
         assert got.clauses == base and entries(got.clauses) == entries(base)
         assert got.rounds == 0
 
     def test_ground_closure_matches_resolution_oracle(self):
-        base = input_clauses(parse_clause_file("p. ~p|q. ~q.").clauses)
+        base = ClauseSet(parse_clause_file("p. ~p|q. ~q.").clauses)
         got = consensus_closure(base)
         got_literal_sets = {
-            frozenset(str(l) for l in m.clause.literals) for m in got.clauses
+            frozenset(str(l) for l in m.literals) for m in got.clauses
         }
         expected = prop_resolution_closure(["p", "~p|q", "~q"])
         assert got_literal_sets == expected
@@ -311,10 +311,9 @@ def test_ground_consensus_results_are_implicates(seed):
         )
     except ResourceLimitExceeded:
         return
-    base_clauses = [m.clause for m in base]
     for m in got.clauses:
         if m.parents is not None:
-            assert truth_table_entails(base_clauses, m.clause)
+            assert truth_table_entails(base, m)
 
 
 @settings(deadline=None, max_examples=25)
@@ -335,9 +334,9 @@ def test_first_order_consensus_results_are_implicates_over_herbrand(seed):
     for d1, d2 in itertools.permutations(members, 2):
         for pair in complementary_pairs(d1, d2):
             got = consensus(d1, d2, pair)
-            if isinstance(got, AssocClause):
+            if isinstance(got, Clause):
                 try:
-                    ok = check_implicate_semantically(base, got.clause, universe)
+                    ok = check_implicate_semantically(base, got, universe)
                 except CapacityError:
                     continue
                 assert ok
@@ -370,8 +369,8 @@ def nested_loop_round(base, new_side, seen, fresh, round_no):
                     outcome = Outcome.ADDED
                     seen.add(res)
                     admitted.append(res)
-                texts = (str(d1.clause), str(d2.clause))
-                result = None if isinstance(res, Outcome) else str(res.clause)
+                texts = (str(d1), str(d2))
+                result = None if isinstance(res, Outcome) else str(res)
                 events.append(TraceEvent(round_no, ids, texts, pair[2], outcome.value, result))
     return events, admitted
 
@@ -398,7 +397,7 @@ def test_pair_engine_matches_nested_loops(monkeypatch):
     instances = [(parse_clause_file(x).clauses, cl(c))]
     for seed in range(100):
         cfg = GenConfig(seed=seed, **FO_CFG)
-        instances.append(([m.clause for m in gen_kb(cfg)], gen_clause(vary_seed(cfg, 1_000_003))))
+        instances.append((list(gen_kb(cfg)), gen_clause(vary_seed(cfg, 1_000_003))))
     for x, c in instances:
         try:
             kb = compile(x)

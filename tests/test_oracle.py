@@ -39,7 +39,7 @@ def cl(text):
 
 
 def texts(clauses):
-    return sorted(str(c if isinstance(c, Clause) else c.clause) for c in clauses)
+    return sorted(str(c) for c in clauses)
 
 
 class TestPropositionalPrimeImplicates:
@@ -76,7 +76,7 @@ class TestPropositionalPrimeImplicates:
             kb_size_range=(2, 5),
             seed=seed,
         )
-        clauses = [m.clause for m in gen_kb(cfg)]
+        clauses = list(gen_kb(cfg))
         primes = propositional_prime_implicates(clauses)
         for p in primes:
             assert truth_table_entails(clauses, p)
@@ -185,15 +185,15 @@ class TestGenerators:
         kb = gen_kb(cfg)
         assert 2 <= len(kb) <= 6
         for m in kb:
-            assert m.clause.is_fundamental()
-            assert 1 <= len(m.clause) <= 3
+            assert m.is_fundamental()
+            assert 1 <= len(m) <= 3
             assert m.assoc.is_empty()
 
     def test_companion_clause_shares_the_signature(self):
         cfg = GenConfig(num_functions=1, max_term_depth=1, seed=7)
         kb_arities = {}
         for m in gen_kb(cfg):
-            for lit in m.clause.literals:
+            for lit in m.literals:
                 kb_arities.setdefault(lit.atom.functor, len(lit.atom.args))
         extra = gen_clause(vary_seed(cfg, 1_000_003))
         for lit in extra.literals:
@@ -214,7 +214,7 @@ def test_engine_matches_oracle_on_ground_kbs(seed):
         kb_size_range=(2, 5),
         seed=seed,
     )
-    clauses = [m.clause for m in gen_kb(cfg)]
+    clauses = list(gen_kb(cfg))
     kb = compile(clauses)
     oracle = propositional_prime_implicates(clauses)
     assert sorted(kb.pi.clause_texts()) == texts(oracle)

@@ -1,7 +1,9 @@
 """Persistence round-trips and store validation errors."""
 
+import os
 import random
 import re
+import stat
 
 import hypothesis.strategies as st
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from strategies import FO_CFG, entries
 
 from pikit import (
-    AssocClause,
+    Clause,
     ClauseSet,
     CompiledKB,
     Compound,
@@ -79,7 +81,7 @@ class TestRoundTrip:
     def test_several_bindings_with_commas_round_trip(self):
         a, c = Compound("a"), Compound("c")
         assoc = Substitution({"X": Compound("g", (a, c)), "Z": Compound("g", (Variable("Y"), a))})
-        kb = CompiledKB(ClauseSet([AssocClause(parse_clause("q(Y)."), assoc, (1, 2))]))
+        kb = CompiledKB(ClauseSet([Clause(parse_clause("q(Y).").literals, assoc, (1, 2))]))
         text = dumps_kb(kb)
         assert "assoc X->g(a,c),Z->g(Y,a) ;" in text
         assert_same_kb(loads_kb(text), kb)
@@ -90,6 +92,28 @@ class TestRoundTrip:
         save_kb(kb, str(path))
         assert_same_kb(load_kb(str(path)), kb)
         save_kb(kb, str(path))  # overwrite in place
+        assert_same_kb(load_kb(str(path)), kb)
+
+    def test_new_store_gets_the_mode_open_would_give(self, tmp_path):
+        path = tmp_path / "kb.pikb"
+        umask = os.umask(0o022)
+        try:
+            save_kb(worked_kb(), str(path))
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o644
+
+    def test_overwritten_store_keeps_its_mode(self, tmp_path):
+        kb = worked_kb()
+        path = tmp_path / "kb.pikb"
+        save_kb(kb, str(path))
+        path.chmod(0o640)
+        umask = os.umask(0o022)
+        try:
+            save_kb(kb, str(path))
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
         assert_same_kb(load_kb(str(path)), kb)
 
     @settings(deadline=None, max_examples=60)
@@ -307,7 +331,7 @@ def reference_loads(text):
     keeps what that walk finds.  It rejects a variable bound twice and a
     repeated entry where it meets them.
     """
-    from pikit import Clause, CompileStats, ParseError, Signature, parse_term
+    from pikit import CompileStats, ParseError, Signature, parse_term
 
     lines = text.splitlines()
     if not lines:
@@ -385,7 +409,7 @@ def reference_loads(text):
                 if m is None:
                     raise MalformedStoreError("line %d: bad origin %r" % (n, origin))
                 parents = (int(m.group(1)), int(m.group(2)))
-            if not pi.add(AssocClause(clause, Substitution(bindings), parents)):
+            if not pi.add(Clause(clause.literals, Substitution(bindings), parents)):
                 raise MalformedStoreError("line %d: duplicate entry" % n)
         else:
             raise MalformedStoreError("line %d: unknown line kind %r" % (n, kind))

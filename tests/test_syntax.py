@@ -166,6 +166,6 @@ def test_parser_round_trip_on_random_clause_files(seed):
         kb_size_range=(1, 6),
         seed=seed,
     )
-    clauses = [m.clause for m in gen_kb(cfg)]
+    clauses = list(gen_kb(cfg))
     text = print_clause_file(clauses)
     assert parse_clause_file(text).clauses == clauses
