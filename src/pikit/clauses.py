@@ -3,7 +3,7 @@ and subsumption residue."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator
 
@@ -26,7 +26,7 @@ class Clause:
 
     literals: tuple[Literal, ...] = ()
     assoc: Substitution = EMPTY
-    parents: tuple[int, int] | None = None
+    parents: tuple[int, int] | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         ordered = tuple(sorted(set(self.literals), key=lambda l: l.sort_key))
@@ -35,17 +35,6 @@ class Clause:
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, Clause):
-            return NotImplemented
-        return (
-            self._hash == other._hash
-            and self.literals == other.literals
-            and self.assoc == other.assoc
-        )
 
     @property
     def clause(self) -> "Clause":
@@ -191,12 +180,14 @@ class ClauseSet:
 
 @dataclass
 class Residue:
-    """Result of subsumption-minimizing a clause set."""
+    """Result of subsumption-minimizing a clause set: the kept members and
+    the number of subsumption checks that decided them."""
 
     kept: ClauseSet
+    checks: int
 
 
-def residue(s: ClauseSet, stats=None, settled: int = 0) -> Residue:
+def residue(s: ClauseSet, settled: int = 0) -> Residue:
     """Subsumption-minimal subset of `s` that still subsumes every member.
 
     Deletion looks only at clause content, never at associations.  When two
@@ -205,11 +196,11 @@ def residue(s: ClauseSet, stats=None, settled: int = 0) -> Residue:
     over newcomers.
 
     Member i is deleted by the first member j, in order, that subsumes it,
-    unless i subsumes j back and comes first.  `subsumption_checks` counts
-    each ordered pair this decides, once.  Most pairs are decided by the
-    clause features alone: j cannot subsume i unless its features are a
-    subset of i's, and only the pairs that pass reach `subsumes`.  The count
-    is the same whichever way a pair is decided.
+    unless i subsumes j back and comes first.  `checks` counts each ordered
+    pair this decides, once.  Most pairs are decided by the clause features
+    alone: j cannot subsume i unless its features are a subset of i's, and
+    only the pairs that pass reach `subsumes`.  The count is the same
+    whichever way a pair is decided.
 
     `settled` says that the first `settled` members of `s` are, in any
     order, the kept set of an earlier residue.  That set is an antichain:
@@ -222,16 +213,9 @@ def residue(s: ClauseSet, stats=None, settled: int = 0) -> Residue:
     members = list(s)
     n = len(members)
     feats = [m.features for m in members]
-    searched: dict[tuple[int, int], bool] = {}
 
     def covers(j: int, i: int) -> bool:
-        if not feats[j] <= feats[i]:
-            return False
-        k = (j, i)
-        got = searched.get(k)
-        if got is None:
-            got = searched[k] = subsumes(members[j], members[i]) is not None
-        return got
+        return feats[j] <= feats[i] and subsumes(members[j], members[i]) is not None
 
     kept: list[Clause] = []
     reach: list[int] = []  # per member i: the last j its scan decided
@@ -248,9 +232,8 @@ def residue(s: ClauseSet, stats=None, settled: int = 0) -> Residue:
         else:
             kept.append(members[i])
         reach.append(last)
-    if stats is not None:
-        # The scan of i decided j covers i for every j <= reach[i] but i; a
-        # back pair (i, j) is new unless the scan of j already reached i.
-        scanned = sum(last + (last < i) for i, last in enumerate(reach))
-        stats.subsumption_checks += scanned + sum(1 for i, j in back if i > reach[j])
-    return Residue(ClauseSet(kept))
+    # The scan of i decided j covers i for every j <= reach[i] but i; a back
+    # pair (i, j) is new unless the scan of j already reached i.
+    scanned = sum(last + (last < i) for i, last in enumerate(reach))
+    checks = scanned + sum(1 for i, j in back if i > reach[j])
+    return Residue(ClauseSet(kept), checks)

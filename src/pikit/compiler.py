@@ -10,6 +10,7 @@ newcomers (the added clause plus everything derived from it).
 from __future__ import annotations
 
 import hashlib
+import re
 import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -27,6 +28,9 @@ from .syntax import Signature
 from .terms import Substitution
 
 
+_STATS_RE = re.compile(r"rounds=(\d+) consensus_attempts=(\d+) subsumption_checks=(\d+)$")
+
+
 @dataclass
 class CompileStats:
     rounds: int = 0
@@ -37,6 +41,12 @@ class CompileStats:
         """The counters as a store's `stats` line and `pikit show` print them."""
         counts = (self.rounds, self.consensus_attempts, self.subsumption_checks)
         return "rounds=%d consensus_attempts=%d subsumption_checks=%d" % counts
+
+    @classmethod
+    def parse(cls, text: str) -> "CompileStats | None":
+        """The counters that `format` wrote as `text`, or None."""
+        m = _STATS_RE.fullmatch(text)
+        return None if m is None else cls(*map(int, m.groups()))
 
 
 @dataclass
@@ -92,16 +102,15 @@ def compile(
     error from the closure propagates.
     """
     members = ClauseSet(x)
-    stats = CompileStats()
     keep = ClauseSet()
     for m in members:
         if m.is_fundamental():
             keep.add(m)
         else:
             warnings.warn("dropping non-fundamental clause %s" % m, stacklevel=2)
-    closure = consensus_closure(keep, limits, trace, stats)
-    minimal = residue(closure.clauses, stats)
-    stats.rounds = closure.rounds
+    closure = consensus_closure(keep, limits, trace)
+    minimal = residue(closure.clauses)
+    stats = CompileStats(closure.rounds, closure.attempts, minimal.checks)
     digest = source_digest if source_digest is not None else clause_set_digest(members)
     return CompiledKB(minimal.kept, stats, digest, minimal=True)
 
@@ -140,14 +149,14 @@ def add_clause(
     clauses the residue deleted from the support set never re-enter.
 
     The rounds are those of the pair engine, `_Rounds`, which keeps the
-    call's admissions, `unify` and `compose` memo, round count and cap.
-    From the second round on, an untraced fold attempts only the pairs with
-    a member that the previous round derived: every other pair met in that
-    round, so its attempts are counted, not repeated.  A traced fold
-    attempts every pair, so that each attempt gives an event.  Each residue
-    skips the pairs that an earlier residue has already left minimal: a
-    round's residue those of the previous working set, and the first
-    residue those of pi(X) when `kb.minimal` says that `compile` or
+    call's admissions, `unify` and `compose` memo, attempt and round counts
+    and cap.  From the second round on, an untraced fold attempts only the
+    pairs with a member that the previous round derived: every other pair
+    met in that round, so its attempts are counted, not repeated.  A traced
+    fold attempts every pair, so that each attempt gives an event.  Each
+    residue skips the pairs that an earlier residue has already left
+    minimal: a round's residue those of the previous working set, and the
+    first residue those of pi(X) when `kb.minimal` says that `compile` or
     `add_clause` made it.  A loaded or hand-built KB gets the full first
     residue, since nothing checks that its pi(X) is minimal.
 
@@ -168,14 +177,14 @@ def add_clause(
     if entails(kb, clause):
         return IncrementalReport(kb, "absorbed", [()], [kb.pi])
 
-    stats = CompileStats()
-    eta = residue(ClauseSet([*kb.pi, clause]), stats, settled=len(kb.pi) if kb.minimal else 0).kept
+    minimal = residue(ClauseSet([*kb.pi, clause]), settled=len(kb.pi) if kb.minimal else 0)
+    eta, checks = minimal.kept, minimal.checks
     snapshots = [eta]
     support = ClauseSet([clause])
     support_history = [support.members]
     # The rounds' `seen` is every member ever in the support set, the
     # tombstones included.
-    rounds = _Rounds([clause], limits.max_rounds, trace, stats, fold=True)
+    rounds = _Rounds([clause], limits.max_rounds, trace, fold=True)
     previous = ClauseSet()
     # The support set stays a subset of eta: C survives the first residue
     # because nothing in pi(X) subsumes it, and each round keeps only the
@@ -188,12 +197,14 @@ def add_clause(
         working = ClauseSet([*eta, *derived])
         if len(working) > limits.max_clauses:
             raise ResourceLimitExceeded("max-clauses", limits.max_clauses, working)
-        previous, eta = eta, residue(working, stats, settled=len(eta)).kept
+        minimal = residue(working, settled=len(eta))
+        previous, eta = eta, minimal.kept
+        checks += minimal.checks
         support = ClauseSet(m for m in [*support, *derived] if m in eta)
         support_history.append(support.members)
         snapshots.append(eta)
 
-    stats.rounds = rounds.round
+    stats = CompileStats(rounds.round, rounds.attempts, checks)
     result = CompiledKB(eta, stats, chain_digest(kb.source_digest, clause), minimal=True)
     return IncrementalReport(result, "recompiled", support_history, snapshots)
 

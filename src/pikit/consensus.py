@@ -13,8 +13,8 @@ support set.  From the second round on, only the pairs with a member that
 the previous round added are built (semi-naive evaluation), unless a traced
 fold asks for every attempt.  One engine object lives for one closure or
 fold call and keeps what passes from round to round: the `seen` admissions,
-the fresh members, the `unify` and `compose` memo and the round count that
-the max-rounds cap bounds.  Its one admission rule: a resolvent is added
+the fresh members, the `unify` and `compose` memo, the attempt count and
+the round count that the max-rounds cap bounds.  Its one admission rule: a resolvent is added
 when no equal (literals, assoc) member is in `seen`, and a duplicate
 otherwise.  The tests check it against `complementary_pairs` and
 `consensus`.  Saturation is not guaranteed to terminate on first-order
@@ -24,7 +24,7 @@ with the partial set when a cap is hit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
@@ -189,17 +189,18 @@ class _Rounds:
     function's value once per argument pair; a miss calls this module's
     global, whatever it is bound to at the time.  `round` is the number of
     the last round begun, and round `max_rounds` + 1 raises
-    ResourceLimitExceeded with its base instead.
+    ResourceLimitExceeded with its base instead.  `attempts` sums the
+    attempts of the rounds so far, and a fold's repeats with them.
     """
 
-    def __init__(self, seen, max_rounds: int, trace: Trace | None, stats, *, fold=False):
+    def __init__(self, seen, max_rounds: int, trace: Trace | None, *, fold=False):
         self.seen = set(seen)
         self.max_rounds = max_rounds
         self.trace = trace
-        self.stats = stats
         self.fold = fold
         self.fresh: set | None = None
         self.round = 0
+        self.attempts = 0
         self._unifiers: dict = {}
         self._composed: dict = {}
 
@@ -275,8 +276,7 @@ class _Rounds:
                         if i2 != i1 and (new1 or new2):
                             assoc = key1 if key1 == key2 else None  # None: blocked
                             hits.append((i1, j2, k1, k2, i2, d1, d2, mgu, assoc))
-        if self.stats is not None:
-            self.stats.consensus_attempts += attempts + (repeats if self.fold else 0)
+        self.attempts += attempts + (repeats if self.fold else 0)
         admitted: list[Clause] = []
         hits.sort()  # the four positions tell any two hits apart
         for i1, _, k1, k2, i2, d1, d2, mgu, assoc in hits:
@@ -318,26 +318,28 @@ class ClosureResult:
 
     `iterates[i]` is the i-th saturation iterate (index 0 is the input);
     `rounds` is the fixpoint index: the first i with iterate i+1 == iterate i.
+    `attempts` counts the consensus attempts of every round, the last
+    included.
     """
 
     clauses: ClauseSet
-    iterates: list[ClauseSet] = field(default_factory=list)
-    rounds: int = 0
+    iterates: list[ClauseSet]
+    rounds: int
+    attempts: int
 
 
 def consensus_closure(
     x: ClauseSet,
     limits: ResourceLimits = DEFAULT_LIMITS,
     trace: Trace | None = None,
-    stats=None,
 ) -> ClosureResult:
     """Least fixpoint of the saturation step, reached when a round adds no
     new (literals, assoc) pair.  Raises ResourceLimitExceeded when a cap is
     hit."""
     current = x.copy()
     iterates = [current]
-    rounds = _Rounds(current, limits.max_rounds, trace, stats)
+    rounds = _Rounds(current, limits.max_rounds, trace)
     while new := rounds.next(current, current, limits.max_clauses):
         current = ClauseSet([*current, *new])
         iterates.append(current)
-    return ClosureResult(current, iterates, rounds=rounds.round - 1)
+    return ClosureResult(current, iterates, rounds.round - 1, rounds.attempts)

@@ -71,9 +71,6 @@ def dumps_kb(kb: CompiledKB) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-_STATS_RE = re.compile(
-    r"rounds=(\d+) consensus_attempts=(\d+) subsumption_checks=(\d+)$"
-)
 _SYMBOL_RE = re.compile(r"([a-z][A-Za-z0-9_]*)/(\d+)$")
 _ORIGIN_RE = re.compile(r"consensus\((\d+),(\d+)\)$")
 
@@ -231,10 +228,9 @@ def loads_kb(text: str) -> CompiledKB:
         elif kind == "stats":
             if stats is not None:
                 raise MalformedStoreError("line %d: second stats line" % line_no)
-            m = _STATS_RE.fullmatch(payload)
-            if m is None:
+            stats = CompileStats.parse(payload)
+            if stats is None:
                 raise MalformedStoreError("line %d: bad stats line" % line_no)
-            stats = CompileStats(int(m.group(1)), int(m.group(2)), int(m.group(3)))
         elif kind in ("pred", "fn"):
             m = _SYMBOL_RE.fullmatch(payload)
             if m is None:
@@ -276,8 +272,11 @@ def save_kb(kb: CompiledKB, path: str) -> None:
 
     The store gets the mode that `open(path, "w")` would give it: a store
     it replaces keeps its mode, and a new one gets 0666 less the umask.
+    Like `open`, it writes through a symbolic link: the link's target is
+    replaced and the link stays.
     """
-    directory = os.path.dirname(os.path.abspath(path))
+    path = os.path.realpath(path)
+    directory = os.path.dirname(path)
     fd, tmp = tempfile.mkstemp(prefix=".pikb-", dir=directory)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:

@@ -10,7 +10,6 @@ from pikit import (
     EMPTY,
     Clause,
     ClauseSet,
-    CompileStats,
     Compound,
     GenConfig,
     Literal,
@@ -266,21 +265,21 @@ class TestResidue:
     # counts and clause lengths can shrink under a substitution.
     def test_longer_clause_deletes_its_instance(self):
         s = members("p(a).", "p(X)|p(Y).")
-        stats = CompileStats()
-        assert residue(s, stats).kept.clause_texts() == ["p(X)|p(Y)"]
-        assert stats.subsumption_checks == 2
+        got = residue(s)
+        assert got.kept.clause_texts() == ["p(X)|p(Y)"]
+        assert got.checks == 2
 
     def test_clause_with_extra_symbol_deletes_nothing(self):
         s = members("q(f(X)).", "q(X).")
-        stats = CompileStats()
-        assert residue(s, stats).kept.clause_texts() == ["q(X)"]
-        assert stats.subsumption_checks == 2
+        got = residue(s)
+        assert got.kept.clause_texts() == ["q(X)"]
+        assert got.checks == 2
 
     def test_ground_literal_absent_from_target_deletes_nothing(self):
         s = members("p(a)|q(X).", "p(b)|q(c).", "p(a)|q(b)|r(c).")
-        stats = CompileStats()
-        assert residue(s, stats).kept.clause_texts() == ["p(a)|q(X)", "p(b)|q(c)"]
-        assert stats.subsumption_checks == 5
+        got = residue(s)
+        assert got.kept.clause_texts() == ["p(a)|q(X)", "p(b)|q(c)"]
+        assert got.checks == 5
 
 
 def random_clause_sets(seed):
@@ -318,8 +317,9 @@ def test_residue_is_minimal_covering_and_idempotent(seed):
     assert [m for m in got.kept if m not in again.kept] == []
 
 
-def reference_residue(s, stats):
-    """The residue decided pair by pair, each ordered pair searched once."""
+def reference_residue(s):
+    """The residue decided pair by pair, each ordered pair searched once,
+    with the number of pairs searched."""
     members = list(s)
     n = len(members)
     cache = {}
@@ -327,7 +327,6 @@ def reference_residue(s, stats):
     def covers(i, j):
         k = (i, j)
         if k not in cache:
-            stats.subsumption_checks += 1
             cache[k] = subsumes(members[i], members[j]) is not None
         return cache[k]
 
@@ -340,14 +339,14 @@ def reference_residue(s, stats):
                 break
         else:
             kept.append(members[i])
-    return ClauseSet(kept)
+    return ClauseSet(kept), len(cache)
 
 
 def assert_residue_matches_reference(s):
-    got_stats, ref_stats = CompileStats(), CompileStats()
-    got, ref = residue(s, got_stats).kept, reference_residue(s, ref_stats)
-    assert got == ref and entries(got) == entries(ref)
-    assert got_stats.subsumption_checks == ref_stats.subsumption_checks
+    got = residue(s)
+    ref, ref_checks = reference_residue(s)
+    assert got.kept == ref and entries(got.kept) == entries(ref)
+    assert got.checks == ref_checks
 
 
 def test_residue_matches_pairwise_reference_on_seeded_sets():
@@ -366,10 +365,8 @@ def test_settled_prefix_matches_pairwise_reference(seed):
     newcomers += [Clause(m.literals, Substitution({"X": Compound("a")})) for m in settled][::2]
     random.Random(seed).shuffle(newcomers)
     s = ClauseSet([*settled, *newcomers])
-    got_stats, ref_stats = CompileStats(), CompileStats()
-    got = residue(s, got_stats, settled=len(settled)).kept
-    assert got == reference_residue(s, ref_stats)
-    assert got_stats.subsumption_checks == ref_stats.subsumption_checks
+    got = residue(s, settled=len(settled))
+    assert (got.kept, got.checks) == reference_residue(s)
 
 
 def test_settled_prefix_is_not_searched(monkeypatch):
@@ -385,12 +382,11 @@ def test_settled_prefix_is_not_searched(monkeypatch):
         return subsumes(c1, c2)
 
     monkeypatch.setattr(clauses_module, "subsumes", spy)
-    full_stats, skip_stats = CompileStats(), CompileStats()
-    full = residue(s, full_stats)
+    full = residue(s)
     full_searched, searched[:] = list(searched), []
-    skip = residue(s, skip_stats, settled=3)
+    skip = residue(s, settled=3)
     assert skip.kept == full.kept and entries(skip.kept) == entries(full.kept)
-    assert skip_stats.subsumption_checks == full_stats.subsumption_checks
+    assert skip.checks == full.checks
     old = {str(m) for m in settled}
     assert [p for p in full_searched if old.issuperset(p)] != []
     assert [p for p in searched if old.issuperset(p)] == []

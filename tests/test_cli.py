@@ -1,6 +1,8 @@
 """End-to-end command-line behaviour: subcommands, exit codes, trace files."""
 
+import os
 import re
+import stat
 
 import pytest
 
@@ -169,6 +171,41 @@ class TestAddCommand:
             % extra
         )
         assert not out_kb.exists()
+
+    def test_add_into_an_inconsistent_kb(self, workspace, capsys):
+        tmp, _ = workspace
+        src, extra = tmp / "a.fol", tmp / "b.fol"
+        src.write_text("q(a).\n")
+        extra.write_text("~q(X).\n")
+        kb, out_kb = tmp / "kb.pikb", tmp / "kb2.pikb"
+        run(capsys, "compile", src, "-o", kb)
+        code, out, _ = run(capsys, "add", kb, extra, "-o", out_kb)
+        assert code == 0
+        assert out.splitlines() == [
+            "recompiled: ~q(X).",
+            "1 prime implicates",
+            "inconsistent: the prime implicates reduce to the empty clause",
+        ]
+        code, out, _ = run(capsys, "show", out_kb)
+        assert code == 0
+        assert "stats: rounds=2 consensus_attempts=1 subsumption_checks=8" in out.splitlines()
+
+    def test_add_through_a_symlink_writes_the_target(self, workspace, capsys):
+        tmp, _ = workspace
+        src, extra = tmp / "a.fol", tmp / "b.fol"
+        src.write_text("q(a).\n")
+        extra.write_text("r(b).\n")
+        (tmp / "real").mkdir()
+        target, link = tmp / "real" / "kb.pikb", tmp / "link.pikb"
+        run(capsys, "compile", src, "-o", target)
+        target.chmod(0o640)
+        os.symlink(os.path.join("real", "kb.pikb"), link)
+        code, _, _ = run(capsys, "add", link, extra, "-o", link)
+        assert code == 0
+        assert link.is_symlink() and os.readlink(link) == os.path.join("real", "kb.pikb")
+        assert load_kb(str(target)).pi.clause_texts() == ["q(a)", "r(b)"]
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+        assert [p.name for p in (tmp / "real").iterdir()] == ["kb.pikb"]  # no temp file left
 
     def test_add_onto_missing_kb_exits_2(self, workspace, capsys):
         tmp, src = workspace

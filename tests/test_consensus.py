@@ -410,7 +410,7 @@ def test_pair_engine_matches_nested_loops(monkeypatch):
         events, expected = nested_loop_round(base, new_side, seen, fresh, round_no)
         traced = []
         for trace in (traced.append, None):
-            engine = _Rounds(seen, round_no, trace, None)
+            engine = _Rounds(seen, round_no, trace)
             engine.fresh, engine.round = fresh, round_no - 1
             got = real(engine, base, new_side)
             assert [(m, m.parents) for m in got] == [(m, m.parents) for m in expected]

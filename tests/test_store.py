@@ -34,7 +34,8 @@ from pikit import (
     save_kb,
     signature_of,
 )
-from pikit.store import _ORIGIN_RE, _STATS_RE, _SYMBOL_RE
+from pikit.compiler import _STATS_RE
+from pikit.store import _ORIGIN_RE, _SYMBOL_RE
 
 WORKED = "q(Y). ~r(f(X),b). p(X)|r(Y,b)|~q(Z)."
 
