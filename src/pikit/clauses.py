@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .terms import EMPTY, Compound, Literal, Substitution, _match
 
@@ -58,16 +58,18 @@ class Clause:
 
         One set of three kinds of items: ``"p"``/``"~p"`` for each predicate
         and sign, ``(f, arity)`` for each function symbol and constant, and
-        each ground literal.  A substitution keeps all three, so if c
-        θ-subsumes d then c's features are a subset of d's.  Literal counts
-        and clause lengths give no such condition: ``p(X)|p(Y)`` subsumes
-        ``p(a)``.
+        the text of each ground literal.  A substitution keeps all three, so
+        if c θ-subsumes d then c's features are a subset of d's.  Literal
+        counts and clause lengths give no such condition: ``p(X)|p(Y)``
+        subsumes ``p(a)``.  Texts compare without recursion, so the features
+        of clauses over deeply nested terms compare too; a 0-ary literal's
+        text is its sign item.
         """
         out: set = set()
         for lit in self.literals:
             out.add(lit.atom.functor if lit.positive else "~" + lit.atom.functor)
             if not lit.variables:
-                out.add(lit)
+                out.add(lit.text)
             stack = list(lit.atom.args)
             while stack:
                 t = stack.pop()
@@ -78,9 +80,7 @@ class Clause:
 
     def is_fundamental(self) -> bool:
         """False iff some atom occurs both positively and negatively."""
-        pos = {l.atom for l in self.literals if l.positive}
-        neg = {l.atom for l in self.literals if not l.positive}
-        return not (pos & neg)
+        return fundamental(self.literals)
 
     @property
     def is_empty(self) -> bool:
@@ -96,6 +96,13 @@ class Clause:
         return "|".join([l.text for l in self.literals]) if self.literals else "$false"
 
     __repr__ = __str__
+
+
+def fundamental(literals: Sequence[Literal]) -> bool:
+    """False iff some atom occurs in `literals` both positively and
+    negatively; a literal list can be tested before a clause is built."""
+    positive = {l.atom for l in literals if l.positive}
+    return not any(l.atom in positive for l in literals if not l.positive)
 
 
 def subsumes(c1: Clause, c2: Clause) -> Substitution | None:

@@ -141,16 +141,19 @@ def add_clause(
     This is the paper's incremental algorithm, step for step.  Tautologies
     leave the KB unchanged.  The KB absorbs C when some member of pi(X)
     subsumes it, which is exactly when the residue of pi(X) plus C would
-    delete C.  Otherwise C joins that residue, and each following round
-    takes all consensuses with one parent in the working set and one in the
-    support set, re-minimizes, and prunes the support set, until two
-    consecutive working sets are equal.  A resolvent is added to the
-    support set only when its (literals, assoc) pair has never been in it, so
-    clauses the residue deleted from the support set never re-enter.
+    delete C.  That scan searches only the members whose features are a
+    subset of C's, as `residue` does; a member that subsumes C always
+    passes, and absorption needs no witness.  Otherwise C joins that
+    residue, and each following round takes all consensuses with one parent
+    in the working set and one in the support set, re-minimizes, and prunes
+    the support set, until two consecutive working sets are equal.  A
+    resolvent is added to the support set only when its (literals, assoc)
+    pair has never been in it, so clauses the residue deleted from the
+    support set never re-enter.
 
     The rounds are those of the pair engine, `_Rounds`, which keeps the
-    call's admissions, `unify` and `compose` memo, attempt and round counts
-    and cap.  From the second round on, an untraced fold attempts only the
+    call's admissions, `unify`, `compose` and `apply` memos, attempt and
+    round counts and cap; nothing of it outlives the call.  From the second round on, an untraced fold attempts only the
     pairs with a member that the previous round derived: every other pair
     met in that round, so its attempts are counted, not repeated.  A traced
     fold attempts every pair, so that each attempt gives an event.  Each
@@ -174,7 +177,8 @@ def add_clause(
         raise ValueError("added clauses must carry the empty association")
     if not clause.is_fundamental():
         return IncrementalReport(kb, "unchanged")
-    if entails(kb, clause):
+    feats = clause.features
+    if any(m.features <= feats and subsumes(m, clause) is not None for m in kb.pi):
         return IncrementalReport(kb, "absorbed", [()], [kb.pi])
 
     minimal = residue(ClauseSet([*kb.pi, clause]), settled=len(kb.pi) if kb.minimal else 0)

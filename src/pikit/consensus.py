@@ -13,13 +13,13 @@ support set.  From the second round on, only the pairs with a member that
 the previous round added are built (semi-naive evaluation), unless a traced
 fold asks for every attempt.  One engine object lives for one closure or
 fold call and keeps what passes from round to round: the `seen` admissions,
-the fresh members, the `unify` and `compose` memo, the attempt count and
-the round count that the max-rounds cap bounds.  Its one admission rule: a resolvent is added
-when no equal (literals, assoc) member is in `seen`, and a duplicate
-otherwise.  The tests check it against `complementary_pairs` and
-`consensus`.  Saturation is not guaranteed to terminate on first-order
-inputs, so every closure takes explicit resource limits and fails loudly
-with the partial set when a cap is hit.
+the fresh members, the `unify`, `compose` and `apply` memos, the attempt
+count and the round count that the max-rounds cap bounds.  Its one
+admission rule: a resolvent is added when no equal (literals, assoc) member
+is in `seen`, and a duplicate otherwise.  The tests check it against
+`complementary_pairs` and `consensus`.  Saturation is not guaranteed to
+terminate on first-order inputs, so every closure takes explicit resource
+limits and fails loudly with the partial set when a cap is hit.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .clauses import Clause, ClauseSet
+from .clauses import Clause, ClauseSet, fundamental
 from .terms import Literal, Substitution, apply, compose, unify
 
 
@@ -136,7 +136,7 @@ def consensus(
     assoc = compose(c1.assoc, pair[2])
     if assoc != compose(c2.assoc, pair[2]):
         return Outcome.BLOCKED
-    return _resolve(c1, c2, pair, assoc, parents)
+    return _resolve(c1, c2, pair, assoc, parents, {})
 
 
 def _resolve(
@@ -145,13 +145,27 @@ def _resolve(
     pair: tuple[Literal, Literal, Substitution],
     assoc: Substitution,
     parents: tuple[int, int],
+    applied: dict,
 ) -> Clause | Outcome:
-    """`consensus` of an attempt whose associations compose to `assoc`."""
+    """`consensus` of an attempt whose associations compose to `assoc`.
+
+    `applied` memoizes `apply(mgu, literal)` by (mgu, literal); `apply` is
+    pure, so a hit is the value a call would build.  The applied literals
+    are tested for an atom of both signs before the resolvent is built, so
+    a tautology is never sorted or hashed.
+    """
     r, s, mgu = pair
-    rest = [apply(mgu, l) for l in c1.literals if l is not r]
-    rest += [apply(mgu, l) for l in c2.literals if l is not s]
-    resolvent = Clause(tuple(rest), assoc, parents)
-    return resolvent if resolvent.is_fundamental() else Outcome.NON_FUNDAMENTAL
+    rest = []
+    for parent, dropped in ((c1, r), (c2, s)):
+        for l in parent.literals:
+            if l is not dropped:
+                got = applied.get((mgu, l))
+                if got is None:
+                    got = applied[mgu, l] = apply(mgu, l)
+                rest.append(got)
+    if not fundamental(rest):
+        return Outcome.NON_FUNDAMENTAL
+    return Clause(tuple(rest), assoc, parents)
 
 
 _MISSING = object()
@@ -187,10 +201,12 @@ class _Rounds:
     fold counts it untraced and attempts it traced, so that each attempt
     gives an event.  The `unify` and `compose` memo holds each pure
     function's value once per argument pair; a miss calls this module's
-    global, whatever it is bound to at the time.  `round` is the number of
-    the last round begun, and round `max_rounds` + 1 raises
-    ResourceLimitExceeded with its base instead.  `attempts` sums the
-    attempts of the rounds so far, and a fold's repeats with them.
+    global, whatever it is bound to at the time.  `_applied` holds
+    `apply(mgu, literal)` per (mgu, literal) for `_resolve`, so a literal
+    that many resolvents share under one mgu is rebuilt once per call.
+    `round` is the number of the last round begun, and round `max_rounds`
+    + 1 raises ResourceLimitExceeded with its base instead.  `attempts`
+    sums the attempts of the rounds so far, and a fold's repeats with them.
     """
 
     def __init__(self, seen, max_rounds: int, trace: Trace | None, *, fold=False):
@@ -203,6 +219,7 @@ class _Rounds:
         self.attempts = 0
         self._unifiers: dict = {}
         self._composed: dict = {}
+        self._applied: dict = {}
 
     def _unify(self, a, b) -> Substitution | None:
         got = self._unifiers.get((a, b), _MISSING)
@@ -285,7 +302,7 @@ class _Rounds:
                 res = outcome = Outcome.BLOCKED
             else:
                 pair = (d1.literals[k1], d2.literals[k2], mgu)
-                res = _resolve(d1, d2, pair, assoc, ids)
+                res = _resolve(d1, d2, pair, assoc, ids, self._applied)
                 if isinstance(res, Outcome):
                     outcome = res
                 elif res in seen:

@@ -102,6 +102,22 @@ class TestCompileCommand:
         assert code == 0, err
         assert out.startswith("YES")
 
+    def test_add_at_400_levels_recompiles_and_absorbs(self, workspace, capsys):
+        # The fold compares the features of separately parsed ground literals.
+        tmp, _ = workspace
+        src, kb, extra = tmp / "deep.fol", tmp / "deep.pikb", tmp / "extra.fol"
+        deep = "p(%s)" % nested(400)
+        src.write_text("%s|q(a).\n" % deep)
+        code, _, err = run(capsys, "compile", src, "-o", kb)
+        assert code == 0, err
+        extra.write_text(deep + ".\n")
+        code, out, err = run(capsys, "add", kb, extra, "-o", tmp / "out.pikb")
+        assert code == 0, err
+        assert out.startswith("recompiled: %s." % deep)
+        code, out, err = run(capsys, "add", kb, src, "-o", tmp / "same.pikb")
+        assert code == 0, err
+        assert out.startswith("absorbed: %s|q(a)." % deep)
+
     def test_round_limit_exits_3_and_names_limit(self, workspace, capsys):
         tmp, src = workspace
         src.write_text("p(X,a)|~q(a,f(X)). ~p(b,a)|r(b,Z). ~r(X,f(a))|q(Z,f(a)).")

@@ -91,6 +91,12 @@ class TestCompile:
     def test_digest_is_deterministic(self):
         assert base_compiled().source_digest == base_compiled().source_digest
 
+    def test_heavy_seed_134_keeps_its_counters(self):
+        # The costliest closure among the first 500 criterion-4 seeds.
+        kb = compile(gen_kb(GenConfig(seed=134, **FO_CFG)))
+        assert kb.stats.format() == "rounds=8 consensus_attempts=312120 subsumption_checks=11778"
+        assert len(kb.pi) == 18
+
 
 class TestAddClause:
     def test_worked_example_final_set(self):
@@ -435,12 +441,12 @@ class TestCountedAttempts:
         calls = []  # (fold round, d1, d2) of each resolvent built
         state = {"round": 0}
 
-        def resolve_spy(c1, c2, pair, assoc, parents):
+        def resolve_spy(c1, c2, pair, assoc, parents, applied):
             # Only an unblocked attempt is built, from the one composition.
             mgu = pair[2]
             assert compose(c1.assoc, mgu) == compose(c2.assoc, mgu) == assoc
             calls.append((state["round"], c1, c2))
-            return real_resolve(c1, c2, pair, assoc, parents)
+            return real_resolve(c1, c2, pair, assoc, parents, applied)
 
         def next_spy(self, *args):
             state["round"] = self.round + 1
@@ -534,6 +540,56 @@ class TestAddClauses:
         assert sorted(incremental.result.pi.clause_texts()) == sorted(
             batch.pi.clause_texts()
         )
+
+
+class TestAbsorption:
+    """`add_clause` absorbs C exactly when `entails` says pi(X) subsumes it,
+    although only `add_clause` skips members by their features."""
+
+    @staticmethod
+    def absorbed(kb, c):
+        # With no round allowed, a fold that does not absorb C stops at its
+        # first round.
+        try:
+            return add_clause(kb, c, ResourceLimits(max_rounds=0)).outcome == "absorbed"
+        except ResourceLimitExceeded:
+            return False
+
+    def check(self, kb, c, loaded=None):
+        """Compare on `kb` and on its reloaded copy `loaded`, whose members
+        start with no features cached; return the agreed answer."""
+        expected = entails(kb, c).entailed
+        for tried in (kb, loaded or loads_kb(dumps_kb(kb))):
+            assert self.absorbed(tried, c) == expected, (str(c), tried.pi)
+        return expected
+
+    def test_a_shorter_clause_is_absorbed_by_a_longer_member(self):
+        kb = compile([cl("p(X)|p(Y).")])
+        assert self.check(kb, cl("p(a)."))
+        assert not self.check(kb, cl("q(a)."))
+
+    def test_agrees_with_entails_on_instances_and_fold_streams(self):
+        answers = collections.Counter()
+        for seed, (x, c) in enumerate(_criterion_4_instances(40)):
+            try:
+                kb = compile(x)
+            except ResourceLimitExceeded:
+                continue
+            # A stream of eight clauses, each checked and then folded in.
+            cfg = GenConfig(seed=seed, **FO_CFG)
+            stream = [c, *(gen_clause(vary_seed(cfg, 3_000_017 * k)) for k in range(1, 8))]
+            for d in stream:
+                loaded = loads_kb(dumps_kb(kb))
+                answers[self.check(kb, d, loaded)] += 1
+                for m in kb.pi:
+                    # A member's own clause, parsed anew unless it is $false.
+                    own = cl(str(m) + ".") if m.literals else m.clause
+                    assert self.check(kb, own, loaded)
+                try:
+                    kb = add_clause(kb, d).result
+                except ResourceLimitExceeded:
+                    break
+        assert answers[True] > 100 and answers[False] > 100, answers
 
 
 class TestEntails:

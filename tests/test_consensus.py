@@ -1,5 +1,6 @@
 """Consensus pairs, association gating, the saturation step, and closure."""
 
+import collections
 import itertools
 
 import hypothesis.strategies as st
@@ -18,6 +19,7 @@ from pikit import (
     TraceEvent,
     Variable,
     add_clause,
+    apply,
     compile,
     complementary_pairs,
     compose,
@@ -28,7 +30,7 @@ from pikit import (
     parse_clause_file,
     vary_seed,
 )
-from pikit.consensus import _Rounds, consensus
+from pikit.consensus import _resolve, _Rounds, consensus
 
 from oracles import (
     CapacityError,
@@ -129,6 +131,44 @@ def test_association_coherence_of_results(seed, a1, a2):
             assert got.assoc == compose(c2.assoc, pair[2])
         elif got is Outcome.BLOCKED:
             assert compose(c1.assoc, pair[2]) != compose(c2.assoc, pair[2])
+
+
+def built_then_tested(c1, c2, pair, parents):
+    """`consensus` as it was first written: apply the mgu to every kept
+    literal, build the resolvent, then ask `is_fundamental()`."""
+    r, s, mgu = pair
+    assoc = compose(c1.assoc, mgu)
+    if assoc != compose(c2.assoc, mgu):
+        return Outcome.BLOCKED
+    rest = [apply(mgu, l) for l in c1.literals if l is not r]
+    rest += [apply(mgu, l) for l in c2.literals if l is not s]
+    resolvent = Clause(tuple(rest), assoc, parents)
+    return resolvent if resolvent.is_fundamental() else Outcome.NON_FUNDAMENTAL
+
+
+def test_memoized_resolvents_match_built_then_tested_ones():
+    """`consensus`, and `_resolve` with one memo shared by every attempt on a
+    set as an engine round shares it, decide each attempt as
+    `built_then_tested` does.  The set is a criterion-4 KB and its first
+    round's resolvents, which carry associations."""
+    outcomes = collections.Counter()
+    for seed in range(200):
+        x = ClauseSet(gen_kb(GenConfig(seed=seed, **FO_CFG)))
+        members = [*x, *_Rounds(x, 1, None).next(x, x)]
+        applied = {}
+        for (i, d1), (j, d2) in itertools.permutations(enumerate(members, 1), 2):
+            for pair in complementary_pairs(d1, d2):
+                expected = built_then_tested(d1, d2, pair, (i, j))
+                got = [consensus(d1, d2, pair, (i, j))]
+                if expected is not Outcome.BLOCKED:
+                    got.append(_resolve(d1, d2, pair, compose(d1.assoc, pair[2]), (i, j), applied))
+                for res in got:
+                    if isinstance(expected, Outcome):
+                        assert res is expected
+                    else:
+                        assert (res.entry_text, res.parents) == (expected.entry_text, (i, j))
+                outcomes[expected if isinstance(expected, Outcome) else "built"] += 1
+    assert min(outcomes.values()) > 50 and len(outcomes) == 3, outcomes
 
 
 class TestConsensusStep:

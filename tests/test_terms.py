@@ -139,7 +139,10 @@ class TestDeepGroundTerm:
 
     def test_clause_features(self, deep):
         lit = Literal(Compound("p", (deep,)))
-        assert Clause((lit,)).features == {"p", ("a", 0), ("f", 1), lit}
+        assert Clause((lit,)).features == {"p", ("a", 0), ("f", 1), lit.text}
+        # Two separately built clauses: their features compare by text.
+        other = Clause((Literal(Compound("p", (self.build(),))),))
+        assert other.features == Clause((lit,)).features
 
     def test_apply_returns_the_ground_term_itself(self, deep):
         assert apply(Substitution({"X": a}), deep) is deep
