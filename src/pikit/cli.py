@@ -14,10 +14,11 @@ import sys
 import warnings
 from typing import Iterator, Sequence
 
+from .clauses import Clause
 from .compiler import add_clauses, compile, entails
 from .consensus import DEFAULT_LIMITS, ResourceLimitExceeded, ResourceLimits, Trace
-from .store import StoreError, load_kb, save_kb
-from .syntax import ParseError, parse_clause, parse_clause_file
+from .store import StoreError, heads_of, load_kb, save_kb
+from .syntax import ParseError, Signature, parse_clause, parse_clause_file
 
 
 def _limits(args: argparse.Namespace) -> ResourceLimits:
@@ -75,8 +76,17 @@ def _cmd_add(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    kb = load_kb(args.kb)
-    query = parse_clause(args.clause, kb.signature.copy())
+    # Only a member whose every literal head is among the query's can
+    # subsume it, so the load builds only those, after checking every entry.
+    try:
+        query = parse_clause(args.clause)
+    except (ParseError, RecursionError):
+        query = None
+    kb = load_kb(args.kb, heads=None if query is None else heads_of(query))
+    if query is None or _clashes(query, kb.signature):
+        # A store error comes first, then the error of the parse against
+        # the store's arities, as from the one parse that used them.
+        query = parse_clause(args.clause, kb.signature.copy())
     answer = entails(kb, query)
     if answer.entailed:
         if answer.tautology:
@@ -86,6 +96,15 @@ def _cmd_query(args: argparse.Namespace) -> int:
         return 0
     print("NO")
     return 1
+
+
+def _clashes(query: Clause, signature: Signature) -> bool:
+    """Whether the query uses a symbol with another arity than `signature`."""
+    try:
+        signature.copy().note_clause(query)
+    except ValueError:
+        return True
+    return False
 
 
 def _cmd_show(args: argparse.Namespace) -> int:

@@ -55,8 +55,10 @@ class CompiledKB:
 
     The member set is subsumption-minimal and every member is fundamental;
     a KB whose only member is the empty clause is inconsistent.  A store
-    load sets `signature` to the arities the members use, which it has
-    collected anyway; it is not kept up to date.  `compile` and
+    load sets `signature` to the arities the store's entries use, which it
+    has collected anyway; it is not kept up to date.  A load for one query
+    (`loads_kb` with `heads`) keeps only the members that can answer it,
+    while `signature` still covers every entry.  `compile` and
     `add_clause` set `minimal`, since their `pi` is a residue's output; a
     caller who edits `pi` must set it back to False.  Neither fact takes
     part in equality.

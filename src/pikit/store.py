@@ -24,7 +24,7 @@ import tempfile
 from .clauses import Clause, ClauseSet
 from .compiler import CompiledKB, CompileStats
 from .syntax import ParseError, Signature, _parse_literal, parse_clause, parse_term
-from .terms import Literal, Substitution, Term
+from .terms import EMPTY, Literal, Substitution, Term
 
 FORMAT_NAME = "PIKB"
 FORMAT_VERSION = 1
@@ -73,19 +73,25 @@ def dumps_kb(kb: CompiledKB) -> str:
 
 _SYMBOL_RE = re.compile(r"([a-z][A-Za-z0-9_]*)/(\d+)$")
 _ORIGIN_RE = re.compile(r"consensus\((\d+),(\d+)\)$")
+# A bound term can itself contain commas, but never an arrow.
+_BINDING_SPLIT_RE = re.compile(r",(?=[A-Z][A-Za-z0-9_]*->)")
+_VARIABLE_RE = re.compile(r"[A-Z][A-Za-z0-9_]*")
+_HEAD_RE = re.compile(r"~?[a-z][A-Za-z0-9_]*")
 
 
 class _LoadTable:
     """The parses that the entries of one store load share.
 
-    Maps the text of each literal and of each bound term to its parse, so a
-    text that repeats is parsed once and its parse is shared.  `symbols` is
-    the union of the arities they use, and `agree` says that no symbol in it
-    has two.  One table lives for one `loads_kb` call.
+    Maps the text of each literal and of each bound term to its parse, and
+    the text of each literal that was only checked to its canonical text, so
+    a text that repeats is parsed once.  `symbols` is the union of the
+    arities they use, whether built or checked, and `agree` says that no
+    symbol in it has two.  One table lives for one `loads_kb` call.
     """
 
     def __init__(self) -> None:
         self.literals: dict[str, Literal] = {}
+        self.texts: dict[str, str] = {}
         self.terms: dict[str, Term] = {}
         self.symbols = Signature()
         self.agree = True
@@ -97,42 +103,52 @@ class _LoadTable:
         except ValueError:
             self.agree = False
 
-    def _literals(self, text: str) -> tuple[Literal, ...] | None:
-        """The entry's literals, or None when a piece of it is no literal.
+    def _literals(self, pieces: list[str], build: bool) -> list | None:
+        """The pieces' literals, or their canonical texts when not building;
+        None when a piece is no literal.
 
         A new literal's arities go into `symbols` as it is parsed, and one
         that clashes with them makes the piece no literal.
         """
+        known = self.literals if build else self.texts
         out = []
-        for piece in text.split("|"):
-            lit = self.literals.get(piece)
+        for piece in pieces:
+            lit = known.get(piece)
             if lit is None:
                 try:
-                    lit = _parse_literal(piece, self.symbols)
+                    lit = _parse_literal(piece, self.symbols, build)
                 except ParseError:
                     return None
-                self.literals[piece] = lit
+                known[piece] = lit
             out.append(lit)
-        return tuple(out)
+        return out
 
-    def clause(self, text: str, line_no: int) -> tuple[Literal, ...]:
-        """The literals of one entry's clause text."""
+    def clause(
+        self, text: str, line_no: int, heads: set[str] | None
+    ) -> tuple[frozenset[str], tuple[Literal, ...] | None]:
+        """The canonical texts of one entry's literals, and the literals
+        themselves unless `heads` rules the entry out."""
         # `|` only ever separates literals, so a well-formed entry splits
         # into literal texts.  While the symbols agree, so do the literals
         # of each entry.
+        pieces = text.split("|")
+        build = heads is None or _may_answer(pieces, heads)
         if self.agree and "#" not in text:
-            literals = self._literals(text)
-            if literals is not None:
-                return literals
+            found = self._literals(pieces, build)
+            if found is not None and build:
+                return frozenset([lit.text for lit in found]), tuple(found)
+            if found is not None:
+                return frozenset(found), None
         # A `#` comments out the entry's closing period, a piece is no
         # literal, or an arity clashes: parse the entry whole, which gives
         # the error with its position in the entry.  The table's symbols are
         # then incomplete, so the final check walks the members.
         self.agree = False
         try:
-            return parse_clause(text + ".").literals
+            literals = parse_clause(text + ".").literals
         except ParseError as err:
             raise MalformedStoreError("line %d: bad clause: %s" % (line_no, err))
+        return frozenset([lit.text for lit in literals]), literals
 
     def term(self, text: str, line_no: int) -> Term:
         term = self.terms.get(text)
@@ -146,17 +162,37 @@ class _LoadTable:
         return term
 
 
+def heads_of(query: Clause) -> set[str]:
+    """The literal heads of a query, as `loads_kb` takes them: each literal's
+    text up to its first `(`, which is its predicate after a `~` when it is
+    negative."""
+    return {lit.text.partition("(")[0] for lit in query.literals}
+
+
+def _may_answer(pieces: list[str], heads: set[str]) -> bool:
+    """False when some piece, read as a literal, has a head outside `heads`.
+
+    A piece's head is read as a literal's: its text up to the first `(`.  A
+    head that is not a plain predicate with an optional `~`, such as one
+    with a space in it, rules nothing out.
+    """
+    for piece in pieces:
+        head = piece.partition("(")[0]
+        if head not in heads and _HEAD_RE.fullmatch(head):
+            return False
+    return True
+
+
 def _parse_assoc(text: str, line_no: int, table: _LoadTable) -> Substitution:
     if not text:
-        return Substitution()
+        return EMPTY
     bindings = {}
-    # Split only before a `Var->`: a bound term can itself contain commas,
-    # but never an arrow.
-    for part in re.split(r",(?=[A-Z][A-Za-z0-9_]*->)", text):
+    # Split only before a `Var->`.
+    for part in _BINDING_SPLIT_RE.split(text):
         if "->" not in part:
             raise MalformedStoreError("line %d: bad association binding %r" % (line_no, part))
         var, term_text = part.split("->", 1)
-        if not re.fullmatch(r"[A-Z][A-Za-z0-9_]*", var):
+        if not _VARIABLE_RE.fullmatch(var):
             raise MalformedStoreError("line %d: bad association variable %r" % (line_no, var))
         if var in bindings:
             raise MalformedStoreError("line %d: variable %r bound twice" % (line_no, var))
@@ -164,12 +200,20 @@ def _parse_assoc(text: str, line_no: int, table: _LoadTable) -> Substitution:
     return Substitution(bindings)
 
 
-def _parse_entry(payload: str, line_no: int, table: _LoadTable) -> Clause:
+def _parse_entry(
+    payload: str, line_no: int, table: _LoadTable, heads: set[str] | None
+) -> tuple[tuple, Clause | None]:
+    """The entry's key, (canonical literal texts, association), which is the
+    same for two entries exactly when their clauses are equal, and the
+    entry's clause unless `heads` rules it out."""
     parts = payload.split(" ; ")
     if len(parts) != 3:
         raise MalformedStoreError("line %d: expected 'clause ; assoc ; origin' entry" % line_no)
     clause_text, assoc_part, origin_part = parts
-    literals = () if clause_text == "$false" else table.clause(clause_text, line_no)
+    if clause_text == "$false":
+        texts, literals = frozenset(), ()
+    else:
+        texts, literals = table.clause(clause_text, line_no, heads)
     if assoc_part != "assoc" and not assoc_part.startswith("assoc "):
         raise MalformedStoreError("line %d: expected association field" % line_no)
     assoc = _parse_assoc(assoc_part[6:] if len(assoc_part) > 5 else "", line_no, table)
@@ -183,7 +227,8 @@ def _parse_entry(payload: str, line_no: int, table: _LoadTable) -> Clause:
         if m is None:
             raise MalformedStoreError("line %d: bad origin %r" % (line_no, origin))
         parents = (int(m.group(1)), int(m.group(2)))
-    return Clause(literals, assoc, parents)
+    member = None if literals is None else Clause(literals, assoc, parents)
+    return (texts, assoc), member
 
 
 def _undeclared(implied: Signature, declared: Signature) -> str | None:
@@ -197,7 +242,18 @@ def _undeclared(implied: Signature, declared: Signature) -> str | None:
     return None
 
 
-def loads_kb(text: str) -> CompiledKB:
+def loads_kb(text: str, *, heads: set[str] | None = None) -> CompiledKB:
+    """The compiled KB that a store's text holds; a bad store raises a StoreError.
+
+    By default every entry becomes a member.  With `heads`, the `heads_of` a
+    query, the load still reads and checks every line as the full load
+    does, and fails on exactly the same stores with the same error, but
+    builds only `$false` and the entries whose every literal has its head in
+    `heads`, in store order.  Only those can θ-subsume the query, so such a
+    KB answers `entails` for it as the full one does.  Its `signature` is still the whole store's, not that of its
+    members.  It is for answering queries only: it must never reach
+    `save_kb` or `add_clause`.
+    """
     lines = text.splitlines()
     if not lines:
         raise MalformedStoreError("empty store")
@@ -211,6 +267,7 @@ def loads_kb(text: str) -> CompiledKB:
     stats: CompileStats | None = None
     declared = Signature()
     pi = ClauseSet()
+    keys: set[tuple] = set()
     parses = _LoadTable()
     ended = False
     for line_no, line in enumerate(lines[1:], start=2):
@@ -243,8 +300,12 @@ def loads_kb(text: str) -> CompiledKB:
                 )
             table[name] = arity
         elif kind == "clause":
-            if not pi.add(_parse_entry(payload, line_no, parses)):
+            key, member = _parse_entry(payload, line_no, parses, heads)
+            if key in keys:
                 raise MalformedStoreError("line %d: duplicate entry" % line_no)
+            keys.add(key)
+            if member is not None:
+                pi.add(member)
         else:
             raise MalformedStoreError("line %d: unknown line kind %r" % (line_no, kind))
     if not ended:
@@ -255,6 +316,9 @@ def loads_kb(text: str) -> CompiledKB:
     kb = CompiledKB(pi, stats, digest)
     implied = parses.symbols
     if not parses.agree or _undeclared(implied, declared) is not None:
+        if heads is not None:
+            # The conflict to name is the first a walk of every member meets.
+            return loads_kb(text)
         # Name the conflict that a walk of the members in order meets first.
         try:
             implied = signature_of(kb)
@@ -295,6 +359,7 @@ def save_kb(kb: CompiledKB, path: str) -> None:
         raise
 
 
-def load_kb(path: str) -> CompiledKB:
+def load_kb(path: str, *, heads: set[str] | None = None) -> CompiledKB:
+    """`loads_kb` of the file's text; with `heads`, a KB for queries only."""
     with open(path, "r", encoding="utf-8") as fh:
-        return loads_kb(fh.read())
+        return loads_kb(fh.read(), heads=heads)

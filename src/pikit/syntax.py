@@ -75,6 +75,11 @@ _TOKEN = re.compile(
     """,
     re.VERBOSE,
 )
+# Without comments, a token is an identifier or a punctuation character, and
+# a character is bad when it is none of these nor whitespace, or when it
+# starts a run of identifier characters with a digit or an underscore.
+_WORD = re.compile(r"[A-Za-z][A-Za-z0-9_]*|[(),|~.]")
+_BAD = re.compile(r"[^\sA-Za-z0-9_(),|~.]|(?<![A-Za-z0-9_])[0-9_]")
 
 
 def _line_col(text: str, offset: int) -> tuple[int, int]:
@@ -82,119 +87,141 @@ def _line_col(text: str, offset: int) -> tuple[int, int]:
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """(kind, value, offset) for each token, ending with an `eof` token."""
-    tokens = []
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind == "bad":
-            message = "unexpected character %r" % m.group()
-            raise ParseError(message, *_line_col(text, m.start()))
-        if kind != "ws" and kind != "comment":
-            tokens.append((kind, m.group(), m.start()))
-    tokens.append(("eof", "", len(text)))
+def _bad_character(text: str, offset: int) -> ParseError:
+    return ParseError("unexpected character %r" % text[offset], *_line_col(text, offset))
+
+
+def _tokenize(text: str) -> list[str]:
+    """The text's tokens, ending with the empty string for the end of input.
+
+    A token's kind is its first character: an uppercase letter starts a
+    variable, a lowercase one a symbol, and any other is punctuation.
+    """
+    if "#" in text:
+        tokens = []
+        for m in _TOKEN.finditer(text):
+            kind = m.lastgroup
+            if kind == "bad":
+                raise _bad_character(text, m.start())
+            if kind != "ws" and kind != "comment":
+                tokens.append(m.group())
+    else:
+        bad = _BAD.search(text)
+        if bad is not None:
+            raise _bad_character(text, bad.start())
+        tokens = _WORD.findall(text)
+    tokens.append("")
     return tokens
 
 
+def _offset(text: str, index: int) -> int:
+    """The offset of the token `_tokenize(text)` puts at `index`."""
+    for m in _TOKEN.finditer(text):
+        if m.lastgroup != "ws" and m.lastgroup != "comment":
+            if index == 0:
+                return m.start()
+            index -= 1
+    return len(text)
+
+
 class _Parser:
+    """Recursive descent over the token list.
+
+    With `build` false, `parse_literal`, `parse_args` and `parse_term` check
+    the grammar and note arities exactly as when they build, but construct
+    nothing.
+    """
+
     def __init__(self, text: str, signature: Signature | None = None):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.signature = signature if signature is not None else Signature()
 
-    def error(self, message: str, tok: tuple[str, str, int]) -> ParseError:
-        return ParseError(message, *_line_col(self.text, tok[2]))
+    def error(self, message: str, at: int | None = None) -> ParseError:
+        """A ParseError at the token with index `at`, by default the next one."""
+        offset = _offset(self.text, self.pos if at is None else at)
+        return ParseError(message, *_line_col(self.text, offset))
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
+    def expected(self, what: str) -> ParseError:
+        return self.error("expected %s, found %r" % (what, self.tokens[self.pos] or "end of input"))
 
-    def next(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def note(self, kind: str, tok: tuple[str, str, int], arity: int) -> None:
+    def note(self, kind: str, at: int, arity: int) -> None:
         try:
-            self.signature.note(kind, tok[1], arity)
+            self.signature.note(kind, self.tokens[at], arity)
         except ValueError as err:
-            raise self.error(str(err), tok) from None
+            raise self.error(str(err), at) from None
 
     def parse_whole(self, parse, what: str):
         """`parse(self)`, which must read to the end of the text."""
         node = parse(self)
         tok = self.tokens[self.pos]
-        if tok[0] != "eof":
-            raise self.error("trailing input after %s: %r" % (what, tok[1]), tok)
+        if tok:
+            raise self.error("trailing input after %s: %r" % (what, tok))
         return node
 
     def parse_file(self) -> ClauseFile:
         out = ClauseFile(signature=self.signature)
-        while self.peek()[0] != "eof":
-            tok = self.peek()
-            if tok[0] == "punct" and tok[1] == ".":
-                raise self.error("empty clause", tok)
+        while self.tokens[self.pos]:
+            if self.tokens[self.pos] == ".":
+                raise self.error("empty clause")
             out.clauses.append(self.parse_clause_line())
         return out
 
     def parse_clause_line(self) -> Clause:
         literals = [self.parse_literal()]
         while True:
-            tok = self.peek()
-            if tok[0] == "punct" and tok[1] == "|":
-                self.next()
+            tok = self.tokens[self.pos]
+            if tok == "|":
+                self.pos += 1
                 literals.append(self.parse_literal())
-            elif tok[0] == "punct" and tok[1] == ".":
-                self.next()
+            elif tok == ".":
+                self.pos += 1
                 return Clause(tuple(literals))
             else:
-                raise self.error("expected '|' or '.', found %r" % (tok[1] or "end of input"), tok)
+                raise self.expected("'|' or '.'")
 
-    def parse_literal(self) -> Literal:
-        tok = self.peek()
-        positive = True
-        if tok[0] == "punct" and tok[1] == "~":
-            self.next()
-            positive = False
-        return Literal(self.parse_atom(), positive)
+    def parse_literal(self, build: bool = True) -> Literal | None:
+        positive = self.tokens[self.pos] != "~"
+        if not positive:
+            self.pos += 1
+        at = self.pos
+        if not self.tokens[at][:1].islower():
+            raise self.expected("a predicate")
+        self.pos += 1
+        args = self.parse_args(build)
+        self.note("predicate", at, len(args))
+        return Literal(Compound(self.tokens[at], args), positive) if build else None
 
-    def parse_atom(self) -> Compound:
-        tok = self.peek()
-        if tok[0] != "lident":
-            raise self.error("expected a predicate, found %r" % (tok[1] or "end of input"), tok)
-        self.next()
-        args = self.parse_args()
-        self.note("predicate", tok, len(args))
-        return Compound(tok[1], args)
-
-    def parse_args(self) -> tuple[Term, ...]:
-        tok = self.peek()
-        if not (tok[0] == "punct" and tok[1] == "("):
+    def parse_args(self, build: bool = True) -> tuple:
+        """The arguments, or as many Nones when not building."""
+        if self.tokens[self.pos] != "(":
             return ()
-        self.next()
-        args = [self.parse_term()]
+        self.pos += 1
+        args = [self.parse_term(build)]
         while True:
-            tok = self.peek()
-            if tok[0] == "punct" and tok[1] == ",":
-                self.next()
-                args.append(self.parse_term())
-            elif tok[0] == "punct" and tok[1] == ")":
-                self.next()
+            tok = self.tokens[self.pos]
+            if tok == ",":
+                self.pos += 1
+                args.append(self.parse_term(build))
+            elif tok == ")":
+                self.pos += 1
                 return tuple(args)
             else:
-                raise self.error("expected ',' or ')', found %r" % (tok[1] or "end of input"), tok)
+                raise self.expected("',' or ')'")
 
-    def parse_term(self) -> Term:
-        tok = self.peek()
-        if tok[0] == "uident":
-            self.next()
-            return Variable(tok[1])
-        if tok[0] == "lident":
-            self.next()
-            args = self.parse_args()
-            self.note("function symbol", tok, len(args))
-            return Compound(tok[1], args)
-        raise self.error("expected a term, found %r" % (tok[1] or "end of input"), tok)
+    def parse_term(self, build: bool = True) -> Term | None:
+        at = self.pos
+        tok = self.tokens[at]
+        if tok[:1].isupper():
+            self.pos += 1
+            return Variable(tok) if build else None
+        if tok[:1].islower():
+            self.pos += 1
+            args = self.parse_args(build)
+            self.note("function symbol", at, len(args))
+            return Compound(tok, args) if build else None
+        raise self.expected("a term")
 
 
 def parse_clause_file(text: str, signature: Signature | None = None) -> ClauseFile:
@@ -214,12 +241,16 @@ def parse_term(text: str) -> Term:
     return _Parser(text).parse_whole(_Parser.parse_term, "term")
 
 
-def _parse_literal(text: str, signature: Signature) -> Literal:
+def _parse_literal(text: str, signature: Signature, build: bool = True) -> Literal | str:
     """Parse exactly one literal, with no terminating period (store entries).
 
     Its arities are noted in `signature`; one that clashes is a ParseError.
+    With `build` false the literal is only checked, and its canonical text,
+    the tokens with the whitespace left out, comes back instead.
     """
-    return _Parser(text, signature).parse_whole(_Parser.parse_literal, "literal")
+    parser = _Parser(text, signature)
+    literal = parser.parse_whole(lambda p: p.parse_literal(build), "literal")
+    return literal if build else "".join(parser.tokens)
 
 
 def print_clause(c: Clause) -> str:

@@ -11,7 +11,12 @@ unification.
 Every node fixes its `text`, its `variables` (the frozenset of the
 variable names in it) and its hash when it is built, from those of its
 arguments, which are built first; a literal also fixes its `sort_key`.
-Equality stays structural.
+Two compounds, or two literals, are equal when their fixed hashes and texts
+are, so comparing two deep terms does not recurse.  That is structural
+equality only for the names the clause grammar accepts, whose printed form
+is injective: the constructors do not check names, and
+``Compound("f", (Compound("a,b"),))`` prints, and so compares, like
+``f(a,b)``.  Only grammar names are supported.
 """
 
 from __future__ import annotations
@@ -45,7 +50,14 @@ class Variable:
     __repr__ = __str__
 
 
-@dataclass(frozen=True)
+def _same(node, other) -> bool:
+    """Equality of two compounds or two literals, by their fixed text."""
+    return node is other or (
+        type(other) is type(node) and other._hash == node._hash and other.text == node.text
+    )
+
+
+@dataclass(frozen=True, eq=False)
 class Compound:
     """A function or predicate application; a constant is a compound with
     no arguments, and a literal's atom is a compound over its predicate."""
@@ -62,6 +74,7 @@ class Compound:
         variables = sets[0] if len(sets) == 1 else frozenset().union(*sets)
         _fix(self, text, variables, (head, args))
 
+    __eq__ = _same
     __hash__ = Variable.__hash__
     __str__ = __repr__ = Variable.__str__
 
@@ -69,7 +82,7 @@ class Compound:
 Term = Union[Variable, Compound]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Literal:
     """A possibly negated atom.
 
@@ -87,6 +100,7 @@ class Literal:
         key = (atom.functor, 0 if self.positive else 1, tuple([a.text for a in atom.args]))
         object.__setattr__(self, "sort_key", key)
 
+    __eq__ = _same
     __hash__ = Variable.__hash__
     __str__ = __repr__ = Variable.__str__
 

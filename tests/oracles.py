@@ -5,12 +5,13 @@ propositional prime-implicate oracle enumerates models and minimal covering
 clauses directly, so comparing it against the compiler is a genuine
 cross-check rather than a tautology.  `satisfiable` decides a ground clause
 set by DPLL search instead, for sets whose alphabet is too large for a truth
-table.
+table.  `reference_tokens` is the clause grammar's original token scanner.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -229,3 +230,27 @@ def check_implicate_semantically(
         if not any(m & pos or neg & ~m & full for pos, neg in qmasks):
             return False
     return True
+
+
+_TOKEN = re.compile(
+    r"""(?P<ws>\s+)
+      | (?P<comment>\#[^\n]*)
+      | (?P<uident>[A-Z][A-Za-z0-9_]*)
+      | (?P<lident>[a-z][A-Za-z0-9_]*)
+      | (?P<punct>[(),|~.])
+      | (?P<bad>.)
+    """,
+    re.VERBOSE,
+)
+
+
+def reference_tokens(text: str) -> tuple[list[tuple[str, int]] | None, int | None]:
+    """(The tokens with their offsets, None), or (None, the offset of the
+    first bad character), by one scan that tries each token kind in turn."""
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        if m.lastgroup == "bad":
+            return None, m.start()
+        if m.lastgroup not in ("ws", "comment"):
+            tokens.append((m.group(), m.start()))
+    return tokens, None

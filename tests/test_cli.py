@@ -1,14 +1,40 @@
 """End-to-end command-line behaviour: subcommands, exit codes, trace files."""
 
 import os
+import random
 import re
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from strategies import FO_CFG
 
-from pikit import cli, dumps_kb, load_kb, loads_kb, signature_of, store
+from pikit import (
+    GenConfig,
+    ParseError,
+    ResourceLimitExceeded,
+    ResourceLimits,
+    StoreError,
+    add_clause,
+    cli,
+    compile,
+    dumps_kb,
+    entails,
+    gen_clause,
+    gen_kb,
+    load_kb,
+    loads_kb,
+    parse_clause,
+    save_kb,
+    signature_of,
+    store,
+    vary_seed,
+)
 from pikit.cli import main
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 WORKED = "q(Y).\n~r(f(X),b).\np(X)|r(Y,b)|~q(Z).\n"
 
 
@@ -27,6 +53,29 @@ def run(capsys, *argv):
     code = main([str(a) for a in argv])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def pikit(*argv):
+    """Run the CLI in a new process on the package in src/."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    command = [sys.executable, "-m", "pikit.cli", *map(str, argv)]
+    return subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
+
+
+def full_load_query(path, text):
+    """What `pikit query` gives from a full load of the store and a parse of
+    the query against the store's arities: (exit code, stdout, stderr)."""
+    try:
+        kb = load_kb(path)
+        query = parse_clause(text, kb.signature.copy())
+    except (ParseError, StoreError) as err:
+        return 2, "", "error: %s\n" % err
+    answer = entails(kb, query)
+    if not answer.entailed:
+        return 1, "NO\n", ""
+    if answer.tautology:
+        return 0, "YES tautology\n", ""
+    return 0, "YES witness=%s subst=%s\n" % (answer.witness, answer.substitution), ""
 
 
 class TestCompileCommand:
@@ -101,6 +150,39 @@ class TestCompileCommand:
         code, out, err = run(capsys, "query", kb, clause)
         assert code == 0, err
         assert out.startswith("YES")
+
+    # In a process of its own, as a user runs it, so that the test runner's
+    # frames do not count against the parser's depth.
+    @pytest.mark.parametrize("depth", [300, 480])
+    def test_clauses_sharing_a_deep_literal_compile_and_answer(self, workspace, depth):
+        # The pair engine indexes the base by literal, where the two
+        # separately parsed copies of the deep literal meet.
+        tmp, _ = workspace
+        src, kb = tmp / "deep.fol", tmp / "deep.pikb"
+        deep = "p(%s)" % nested(depth)
+        src.write_text("%s|q(a). %s|r(a). ~q(a).\n" % (deep, deep))
+        done = pikit("compile", src, "-o", kb)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            0,
+            "compiled 3 clauses -> 2 prime implicates (rounds=1)\n",
+            "",
+        )
+        done = pikit("query", kb, "%s|s(b)." % deep)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            0,
+            "YES witness=%s subst={}\n" % deep,
+            "",
+        )
+
+    def test_clauses_sharing_a_literal_600_deep_exit_2_at_the_parser(self, workspace):
+        tmp, _ = workspace
+        src = tmp / "deep.fol"
+        deep = "p(%s)" % nested(600)
+        src.write_text("%s|q(a). %s|r(a).\n" % (deep, deep))
+        done = pikit("compile", src, "-o", tmp / "deep.pikb")
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == "error: terms are nested too deeply\n"
+        assert not (tmp / "deep.pikb").exists()
 
     def test_add_at_400_levels_recompiles_and_absorbs(self, workspace, capsys):
         # The fold compares the features of separately parsed ground literals.
@@ -339,15 +421,18 @@ class TestQueryCommand:
         run(capsys, "compile", src, "-o", kb_path)
         loaded = []
 
-        def load(path):
-            loaded.append(load_kb(path))
+        def load(path, **kwargs):
+            loaded.append(load_kb(path, **kwargs))
             return loaded[-1]
 
         monkeypatch.setattr(cli, "load_kb", load)
         code, out, _ = run(capsys, "query", kb_path, "s(g(a,b))|q(a).")
         assert (code, out) == (0, "YES witness=q(Y) subst={Y->a}\n")
+        # The query loads only the members that can answer it, with the
+        # whole store's arities.
+        full = load_kb(kb_path)
         sig = loaded[0].signature
-        assert sig == signature_of(loaded[0])
+        assert sig == full.signature == signature_of(full)
         assert "s" not in sig.predicates and "g" not in sig.functions
 
     def test_added_clause_is_always_entailed_afterwards(self, workspace, capsys):
@@ -359,6 +444,100 @@ class TestQueryCommand:
         run(capsys, "add", kb, extra, "-o", kb2)
         code, out, _ = run(capsys, "query", kb2, "~p(a)|~q(Z).")
         assert code == 0 and out.startswith("YES")
+
+
+# A store whose first entry, `q(X)`, is on line 9, declaring p/1, q/1, a, b
+# and f/1.
+STORE_HEAD = (
+    "PIKB 1\ndigest sha256:0\nstats rounds=0 consensus_attempts=0 subsumption_checks=0\n"
+    "pred p/1\npred q/1\nfn a/0\nfn b/0\nfn f/1\nclause q(X) ; assoc ; origin input\n"
+)
+IN = " ; assoc ; origin input"
+
+# Faults on entries over `p` alone, which a query over `q` alone does not build.
+NOT_BUILT_FAULTS = {
+    "bad character": ["p($)" + IN],
+    "arity clash with the table": ["p(a,b)" + IN],
+    "undeclared symbol": ["p(c)" + IN],
+    "undeclared symbols named in canonical order": ["p(d)|p(c)" + IN],
+    "predicate clash between entries": ["p(a)" + IN, "p(a,b)" + IN],
+    "function clash between entries": ["p(f(a))" + IN, "p(f(a,b))" + IN],
+    "binding clashes with an entry": ["p(f(a))" + IN, "p(b) ; assoc X->f(a,b) ; origin input"],
+    "duplicate": ["p(a)|p(b)" + IN, "p(a)|p(b)" + IN],
+    "duplicate with literals reordered": ["p(a)|p(b)" + IN, "p(b)|p(a)" + IN],
+    "duplicate with inner spaces": ["p(a)|p(b)" + IN, "p( a )|p(b )" + IN],
+    "duplicate with spaces after its heads": ["p(a)|p(b)" + IN, "p (a)|p (b)" + IN],
+    "spaced duplicate first": ["p (a)|p (b)" + IN, "p(a)|p(b)" + IN],
+    "duplicate of a built entry": ["q( X )" + IN],
+    "bad association variable": ["p(a) ; assoc x->a ; origin input"],
+    "variable bound twice": ["p(X) ; assoc Y->a,Y->b ; origin input"],
+    "bad binding term": ["p(X) ; assoc Y->f( ; origin input"],
+    "bad origin": ["p(a) ; assoc ; origin consensus(1)"],
+    "empty piece": ["p(a)||p(b)" + IN],
+    "comment character": ["p(a)#" + IN],
+    "missing field": ["p(a) ; assoc"],
+}
+
+
+class TestQueryBuildsOnlyCandidates:
+    """`pikit query` checks every entry but builds only those that can answer."""
+
+    @pytest.mark.parametrize("fault", sorted(NOT_BUILT_FAULTS))
+    @pytest.mark.parametrize("query", ["q(a).", "~q(b)|q(f(a)).", "p(a)|q(a).", "s(a)."])
+    def test_store_errors_on_entries_not_built(self, tmp_path, capsys, fault, query):
+        path = tmp_path / "kb.pikb"
+        good = "clause p(f(b))|q(b)%s\n" % IN
+        lines = "".join("clause %s\n" % e for e in NOT_BUILT_FAULTS[fault])
+        path.write_text(STORE_HEAD + good + lines + good.replace("b", "a") + "end\n")
+        expected = full_load_query(path, query)
+        assert expected[0] == 2
+        assert run(capsys, "query", path, query) == expected
+
+    def test_an_entry_whose_heads_are_spaced_still_answers(self, tmp_path, capsys):
+        # `~ q (X)` reads as `~q(X)`, though its text does not begin so.
+        path = tmp_path / "kb.pikb"
+        entries = "".join("clause %s%s\n" % (e, IN) for e in ["p(a)|~q(b)", "~ q (X)|p (X)"])
+        path.write_text(STORE_HEAD.replace("q(X)", "q(b)") + entries + "end\n")
+        for query, binding in [("p(a)|~q(a).", "a"), ("~q(f(a))|p(f(a)).", "f(a)")]:
+            expected = (0, "YES witness=p(X)|~q(X) subst={X->%s}\n" % binding, "")
+            assert full_load_query(path, query) == expected
+            assert run(capsys, "query", path, query) == expected
+
+    def test_query_errors_come_after_store_errors(self, tmp_path, capsys):
+        path = tmp_path / "kb.pikb"
+        path.write_text(STORE_HEAD + "clause p(a,b)%s\nend\n" % IN)
+        for query in ["q(a", "q(a,b).", "p(a).", "q(%s)." % nested(3000)]:
+            code, out, err = run(capsys, "query", path, query)
+            assert (code, out, err) == full_load_query(path, query)
+            assert err == "error: predicate 'p' conflicts with signature table\n"
+        path.write_text(STORE_HEAD + "end\n")
+        for query in ["q(a", "q(a,b).", "p(a,b)|q(b,a)."]:
+            assert run(capsys, "query", path, query) == full_load_query(path, query)
+
+    def test_answers_match_a_full_load_on_generated_stores(self, tmp_path, capsys):
+        path = tmp_path / "kb.pikb"
+        limits = ResourceLimits(max_rounds=6, max_clauses=120)
+        asked = yes = 0
+        for seed in range(40):
+            # A criterion-4 instance: X compiled, then C folded in.
+            cfg = GenConfig(seed=seed, **FO_CFG)
+            c = gen_clause(vary_seed(cfg, 1_000_003))
+            try:
+                kb = add_clause(compile(gen_kb(cfg), limits), c, limits).result
+            except ResourceLimitExceeded:
+                continue
+            save_kb(kb, path)
+            rng = random.Random(seed)
+            members = [m.clause for m in kb.pi if not m.is_empty]
+            queries = [c] + members + [gen_clause(cfg, rng) for _ in range(6)]
+            queries += ["%s|%s" % (m, gen_clause(cfg, rng)) for m in members]
+            for query in queries:
+                text = "%s." % query
+                expected = full_load_query(path, text)
+                assert run(capsys, "query", path, text) == expected, (seed, text)
+                asked += 1
+                yes += expected[0] == 0
+        assert asked > 400 and 0.2 < yes / asked < 0.9
 
 
 class TestShowCommand:

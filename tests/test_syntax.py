@@ -1,8 +1,11 @@
 """Clause-file parsing, printing, and round-trips."""
 
+import random
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
+from oracles import reference_tokens
 
 from pikit import (
     GenConfig,
@@ -15,6 +18,7 @@ from pikit import (
     print_clause,
     print_clause_file,
 )
+from pikit.syntax import Signature, _offset, _parse_literal, _tokenize
 
 
 class TestParseClauseFile:
@@ -85,30 +89,39 @@ class TestParseErrors:
 # Comments, blank lines, a tab and a clause split over two lines, so every
 # error below sits on line 9 and positions count from the right places.
 MULTILINE = "# facts and rules\n\np(a).   # first\n\n  q(b,X) |\n\t~p(Y).\n# more\n\n"
+# The same with each comment blanked out, so a text with no `#` (the
+# tokenizer's other scan) gives the same positions.
+PLAIN = "                 \n\np(a).          \n\n  q(b,X) |\n\t~p(Y).\n      \n\n"
+
+
+CLAUSE_FILE_ERRORS = [
+    ("r($).", 9, 3, "unexpected character '$'"),
+    ("p(a) | X.", 9, 8, "expected a predicate, found 'X'"),
+    ("p(a) q(b).", 9, 6, "expected '|' or '.', found 'q'"),
+    ("p(a b).", 9, 5, "expected ',' or ')', found 'b'"),
+    ("p(,).", 9, 3, "expected a term, found ','"),
+    ("  .", 9, 3, "empty clause"),
+    ("q(a,b). p(a,b).", 9, 9, "arity mismatch: predicate 'p' used with arity 2 after arity 1"),
+    ("p(b(X)).", 9, 3, "arity mismatch: function symbol 'b' used with arity 1 after arity 0"),
+    ("p(f(a,f(b))).", 9, 3, "arity mismatch: function symbol 'f' used with arity 2 after arity 1"),
+    ("p(a", 9, 4, "expected ',' or ')', found 'end of input'"),
+    ("p(a)|", 9, 6, "expected a predicate, found 'end of input'"),
+    ("p(a)#.\n", 10, 1, "expected '|' or '.', found 'end of input'"),
+]
 
 
 class TestErrorPositions:
-    @pytest.mark.parametrize(
-        "tail, line, col, message",
-        [
-            ("r($).", 9, 3, "unexpected character '$'"),
-            ("p(a) | X.", 9, 8, "expected a predicate, found 'X'"),
-            ("p(a) q(b).", 9, 6, "expected '|' or '.', found 'q'"),
-            ("p(a b).", 9, 5, "expected ',' or ')', found 'b'"),
-            ("p(,).", 9, 3, "expected a term, found ','"),
-            ("  .", 9, 3, "empty clause"),
-            ("q(a,b). p(a,b).", 9, 9, "arity mismatch: predicate 'p' used with arity 2 after arity 1"),
-            ("p(b(X)).", 9, 3, "arity mismatch: function symbol 'b' used with arity 1 after arity 0"),
-            ("p(f(a,f(b))).", 9, 3, "arity mismatch: function symbol 'f' used with arity 2 after arity 1"),
-            ("p(a", 9, 4, "expected ',' or ')', found 'end of input'"),
-            ("p(a)|", 9, 6, "expected a predicate, found 'end of input'"),
-            ("p(a)#.\n", 10, 1, "expected '|' or '.', found 'end of input'"),
-        ],
-    )
+    @pytest.mark.parametrize("tail, line, col, message", CLAUSE_FILE_ERRORS)
     def test_clause_file_errors(self, tail, line, col, message):
         with pytest.raises(ParseError) as err:
             parse_clause_file(MULTILINE + tail)
         assert (err.value.line, err.value.col) == (line, col)
+        assert str(err.value) == "line %d, col %d: %s" % (line, col, message)
+
+    @pytest.mark.parametrize("tail, line, col, message", CLAUSE_FILE_ERRORS)
+    def test_clause_file_errors_without_comments(self, tail, line, col, message):
+        with pytest.raises(ParseError) as err:
+            parse_clause_file(PLAIN + tail)
         assert str(err.value) == "line %d, col %d: %s" % (line, col, message)
 
     @pytest.mark.parametrize(
@@ -169,3 +182,55 @@ def test_parser_round_trip_on_random_clause_files(seed):
     clauses = list(gen_kb(cfg))
     text = print_clause_file(clauses)
     assert parse_clause_file(text).clauses == clauses
+
+
+TOKEN_CHARS = "()|,.~#$-> \t\n\u00a0XYZab_fpq019é"
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.one_of(st.text(alphabet=TOKEN_CHARS, max_size=30), st.text(max_size=12)))
+def test_tokens_and_first_bad_character_match_the_reference_scanner(text):
+    expected, bad = reference_tokens(text)
+    if bad is not None:
+        with pytest.raises(ParseError) as err:
+            _tokenize(text)
+        line = text.count("\n", 0, bad) + 1
+        col = bad - text.rfind("\n", 0, bad)
+        assert str(err.value) == "line %d, col %d: unexpected character %r" % (line, col, text[bad])
+        return
+    tokens = _tokenize(text)
+    assert tokens == [tok for tok, _ in expected] + [""]
+    offsets = [_offset(text, i) for i in range(len(tokens))]
+    assert offsets == [at for _, at in expected] + [len(text)]
+
+
+def literal_outcome(text, build):
+    """What `_parse_literal` gives: (canonical text or error, noted arities in order)."""
+    sig = Signature({"p": 1}, {"a": 0})
+    try:
+        got = _parse_literal(text, sig, build)
+    except ParseError as err:
+        got = str(err)
+    else:
+        got = got.text if build else got
+    return got, list(sig.predicates.items()), list(sig.functions.items())
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 10**9))
+def test_a_checked_literal_gives_what_a_built_one_does(seed):
+    cfg = GenConfig(
+        num_predicates=3, max_arity=3, num_constants=2, num_functions=3, max_term_depth=3, seed=seed
+    )
+    rng = random.Random(seed)
+    for clause in gen_kb(cfg):
+        for lit in clause:
+            text = lit.text
+            assert literal_outcome(text, False) == literal_outcome(text, True)
+            # One-character edits, some of them spaces, which change nothing.
+            for _ in range(10):
+                i = rng.randrange(len(text) + 1)
+                edit = rng.choice(" ()|,~Xq$")
+                drop = rng.random() < 0.5
+                edited = text[:i] + edit + text[i + drop :]
+                assert literal_outcome(edited, False) == literal_outcome(edited, True), edited

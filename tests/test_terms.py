@@ -130,6 +130,12 @@ class TestDeepGroundTerm:
     def test_hash(self, deep):
         assert hash(deep) == hash(self.build())
 
+    def test_equality_of_separately_built_copies(self, deep):
+        other = self.build()
+        assert deep == other and Literal(Compound("p", (deep,))) == Literal(Compound("p", (other,)))
+        assert deep != f(deep) and deep != Compound("g", deep.args)
+        assert Literal(Compound("p", (deep,))) != Literal(Compound("p", (other,)), False)
+
     def test_literal_sort_key(self, deep):
         assert Literal(Compound("p", (deep,))).sort_key == ("p", 0, (deep.text,))
 
