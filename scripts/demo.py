@@ -27,7 +27,7 @@ QUERIES = ["~p(a)|s(X).", "r(b,b).", "s(a)|~s(a)."]
 
 
 def main() -> None:
-    clauses = parse_clause_file(KB_TEXT).clauses
+    clauses = parse_clause_file(KB_TEXT)
     print("input clauses:")
     for c in clauses:
         print("   %s." % c)

@@ -51,7 +51,6 @@ from .store import (
     signature_of,
 )
 from .syntax import (
-    ClauseFile,
     ParseError,
     Signature,
     parse_clause,
@@ -91,7 +90,7 @@ __all__ = [
     # oracle
     "GenConfig", "gen_kb", "gen_clause", "vary_seed",
     # syntax
-    "ParseError", "Signature", "ClauseFile",
+    "ParseError", "Signature",
     "parse_clause_file", "parse_clause", "parse_term",
     "print_clause", "print_clause_file",
     # store

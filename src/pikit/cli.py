@@ -46,13 +46,13 @@ def _file_digest(path: str) -> str:
 
 
 def _cmd_compile(args: argparse.Namespace) -> int:
-    parsed = parse_clause_file(_read(args.input))
+    clauses = parse_clause_file(_read(args.input))
     with _trace_file(args.trace) as trace:
-        kb = compile(parsed.clauses, _limits(args), trace, source_digest=_file_digest(args.input))
+        kb = compile(clauses, _limits(args), trace, source_digest=_file_digest(args.input))
     save_kb(kb, args.output)
     print(
         "compiled %d clauses -> %d prime implicates (rounds=%d)"
-        % (len(parsed.clauses), len(kb.pi), kb.stats.rounds)
+        % (len(clauses), len(kb.pi), kb.stats.rounds)
     )
     if kb.inconsistent:
         print("inconsistent: the prime implicates reduce to the empty clause")
@@ -63,10 +63,10 @@ def _cmd_add(args: argparse.Namespace) -> int:
     kb = load_kb(args.kb)
     # New clauses must respect the arities the KB already commits to.  The
     # parse notes their own arities in a copy, so the KB's stay as loaded.
-    parsed = parse_clause_file(_read(args.input), kb.signature.copy())
+    clauses = parse_clause_file(_read(args.input), kb.signature.copy())
     with _trace_file(args.trace) as trace:
-        report = add_clauses(kb, parsed.clauses, _limits(args), trace)
-    for clause, outcome in zip(parsed.clauses, report.outcomes):
+        report = add_clauses(kb, clauses, _limits(args), trace)
+    for clause, outcome in zip(clauses, report.outcomes):
         print("%s: %s." % (outcome, clause))
     save_kb(report.result, args.output)
     print("%d prime implicates" % len(report.result.pi))

@@ -331,16 +331,16 @@ class _Rounds:
 
 @dataclass
 class ClosureResult:
-    """A consensus closure with its per-round iterates.
+    """A consensus closure: the input followed by each round's admissions.
 
-    `iterates[i]` is the i-th saturation iterate (index 0 is the input);
-    `rounds` is the fixpoint index: the first i with iterate i+1 == iterate i.
+    `rounds` is the fixpoint index, the number of rounds that added a
+    clause.  Iterate k is the prefix of `clauses` holding the input and the
+    admissions of rounds 1..k, which a trace gives as its `added` events.
     `attempts` counts the consensus attempts of every round, the last
     included.
     """
 
     clauses: ClauseSet
-    iterates: list[ClauseSet]
     rounds: int
     attempts: int
 
@@ -351,12 +351,12 @@ def consensus_closure(
     trace: Trace | None = None,
 ) -> ClosureResult:
     """Least fixpoint of the saturation step, reached when a round adds no
-    new (literals, assoc) pair.  Raises ResourceLimitExceeded when a cap is
-    hit."""
+    new (literals, assoc) pair.  The input is copied once, and each round's
+    admissions are added to that copy.  Raises ResourceLimitExceeded when a
+    cap is hit."""
     current = x.copy()
-    iterates = [current]
     rounds = _Rounds(current, limits.max_rounds, trace)
     while new := rounds.next(current, current, limits.max_clauses):
-        current = ClauseSet([*current, *new])
-        iterates.append(current)
-    return ClosureResult(current, iterates, rounds.round - 1, rounds.attempts)
+        for clause in new:
+            current.add(clause)
+    return ClosureResult(current, rounds.round - 1, rounds.attempts)

@@ -16,6 +16,7 @@ truncation.  The empty clause is written as `$false`.
 
 from __future__ import annotations
 
+import errno
 import os
 import re
 import stat
@@ -337,25 +338,30 @@ def save_kb(kb: CompiledKB, path: str) -> None:
     The store gets the mode that `open(path, "w")` would give it: a store
     it replaces keeps its mode, and a new one gets 0666 less the umask.
     Like `open`, it writes through a symbolic link: the link's target is
-    replaced and the link stays.
+    replaced and the link stays.  An OSError names `path`, as `open`'s
+    would, and never the temp file, which is removed.
     """
-    path = os.path.realpath(path)
-    directory = os.path.dirname(path)
-    fd, tmp = tempfile.mkstemp(prefix=".pikb-", dir=directory)
+    if not path:  # realpath would make "" the working directory
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    target = os.path.realpath(path)
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(prefix=".pikb-", dir=os.path.dirname(target))
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(dumps_kb(kb))
         try:
-            mode = stat.S_IMODE(os.stat(path).st_mode)
+            mode = stat.S_IMODE(os.stat(target).st_mode)
         except FileNotFoundError:
             umask = os.umask(0)
             os.umask(umask)
             mode = 0o666 & ~umask
         os.chmod(tmp, mode)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+        os.replace(tmp, target)
+    except BaseException as err:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(err, OSError):
+            raise OSError(err.errno, err.strerror, path) from None
         raise
 
 

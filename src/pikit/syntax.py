@@ -57,27 +57,11 @@ class Signature:
         return Signature(dict(self.predicates), dict(self.functions))
 
 
-@dataclass
-class ClauseFile:
-    """Parsed clause file: clauses in order, with the signature they use."""
-
-    clauses: list[Clause] = field(default_factory=list)
-    signature: Signature = field(default_factory=Signature)
-
-
-_TOKEN = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<comment>\#[^\n]*)
-      | (?P<uident>[A-Z][A-Za-z0-9_]*)
-      | (?P<lident>[a-z][A-Za-z0-9_]*)
-      | (?P<punct>[(),|~.])
-      | (?P<bad>.)
-    """,
-    re.VERBOSE,
-)
-# Without comments, a token is an identifier or a punctuation character, and
-# a character is bad when it is none of these nor whitespace, or when it
+# A comment runs from `#` to the end of its line.  Once comments are
+# blanked, a token is an identifier or a punctuation character, and a
+# character is bad when it is none of these nor whitespace, or when it
 # starts a run of identifier characters with a digit or an underscore.
+_COMMENT = re.compile(r"#[^\n]*")
 _WORD = re.compile(r"[A-Za-z][A-Za-z0-9_]*|[(),|~.]")
 _BAD = re.compile(r"[^\sA-Za-z0-9_(),|~.]|(?<![A-Za-z0-9_])[0-9_]")
 
@@ -91,6 +75,12 @@ def _bad_character(text: str, offset: int) -> ParseError:
     return ParseError("unexpected character %r" % text[offset], *_line_col(text, offset))
 
 
+def _blank_comments(text: str) -> str:
+    """The text with each comment replaced by as many spaces, so that every
+    offset, line and column stays where it was."""
+    return _COMMENT.sub(lambda m: " " * len(m.group()), text)
+
+
 def _tokenize(text: str) -> list[str]:
     """The text's tokens, ending with the empty string for the end of input.
 
@@ -98,29 +88,20 @@ def _tokenize(text: str) -> list[str]:
     variable, a lowercase one a symbol, and any other is punctuation.
     """
     if "#" in text:
-        tokens = []
-        for m in _TOKEN.finditer(text):
-            kind = m.lastgroup
-            if kind == "bad":
-                raise _bad_character(text, m.start())
-            if kind != "ws" and kind != "comment":
-                tokens.append(m.group())
-    else:
-        bad = _BAD.search(text)
-        if bad is not None:
-            raise _bad_character(text, bad.start())
-        tokens = _WORD.findall(text)
+        text = _blank_comments(text)
+    bad = _BAD.search(text)
+    if bad is not None:
+        raise _bad_character(text, bad.start())
+    tokens = _WORD.findall(text)
     tokens.append("")
     return tokens
 
 
 def _offset(text: str, index: int) -> int:
     """The offset of the token `_tokenize(text)` puts at `index`."""
-    for m in _TOKEN.finditer(text):
-        if m.lastgroup != "ws" and m.lastgroup != "comment":
-            if index == 0:
-                return m.start()
-            index -= 1
+    for i, m in enumerate(_WORD.finditer(_blank_comments(text))):
+        if i == index:
+            return m.start()
     return len(text)
 
 
@@ -160,12 +141,12 @@ class _Parser:
             raise self.error("trailing input after %s: %r" % (what, tok))
         return node
 
-    def parse_file(self) -> ClauseFile:
-        out = ClauseFile(signature=self.signature)
+    def parse_file(self) -> list[Clause]:
+        out = []
         while self.tokens[self.pos]:
             if self.tokens[self.pos] == ".":
                 raise self.error("empty clause")
-            out.clauses.append(self.parse_clause_line())
+            out.append(self.parse_clause_line())
         return out
 
     def parse_clause_line(self) -> Clause:
@@ -224,16 +205,17 @@ class _Parser:
         raise self.expected("a term")
 
 
-def parse_clause_file(text: str, signature: Signature | None = None) -> ClauseFile:
+def parse_clause_file(text: str, signature: Signature | None = None) -> list[Clause]:
+    """The file's clauses in order; their arities are noted in `signature`."""
     return _Parser(text, signature).parse_file()
 
 
 def parse_clause(text: str, signature: Signature | None = None) -> Clause:
     """Parse exactly one clause (for queries and store entries)."""
-    parsed = _Parser(text, signature).parse_file()
-    if len(parsed.clauses) != 1:
-        raise ParseError("expected exactly one clause, found %d" % len(parsed.clauses), 1, 1)
-    return parsed.clauses[0]
+    parsed = parse_clause_file(text, signature)
+    if len(parsed) != 1:
+        raise ParseError("expected exactly one clause, found %d" % len(parsed), 1, 1)
+    return parsed[0]
 
 
 def parse_term(text: str) -> Term:
@@ -258,6 +240,5 @@ def print_clause(c: Clause) -> str:
     return "%s." % c
 
 
-def print_clause_file(f: ClauseFile | Iterable[Clause]) -> str:
-    clauses = f.clauses if isinstance(f, ClauseFile) else list(f)
+def print_clause_file(clauses: Iterable[Clause]) -> str:
     return "".join(print_clause(c) + "\n" for c in clauses)

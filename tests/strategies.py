@@ -1,12 +1,25 @@
 """Shared hypothesis strategies for terms, clauses, and substitutions.
 
 Also `entries`: member equality ignores provenance, so a test that compares
-members, clause sets or KBs with `==` compares their entries as well.
+members, clause sets or KBs with `==` compares their entries as well; and
+`closure_iterates`, which reads a closure's saturation iterates off its trace.
 """
+
+import collections
+import itertools
 
 import hypothesis.strategies as st
 
-from pikit import Clause, Compound, Literal, Substitution, Variable
+from pikit import (
+    DEFAULT_LIMITS,
+    Clause,
+    ClauseSet,
+    Compound,
+    Literal,
+    Substitution,
+    Variable,
+    consensus_closure,
+)
 
 # The first-order instance shape of acceptance criterion 4, for GenConfig.
 FO_CFG = dict(
@@ -46,3 +59,22 @@ substitutions = st.dictionaries(st.sampled_from("XYZ"), terms, max_size=3).map(S
 def entries(members):
     """Each member's store entry, origin included, in order."""
     return [m.entry_text for m in members]
+
+
+def closure_iterates(x, limits=DEFAULT_LIMITS):
+    """`consensus_closure(x, limits)` and its iterates, index 0 the input.
+
+    The closure adds each round's admissions to one set, so iterate k is the
+    prefix of its clauses that holds the input and the `added` events of
+    rounds 1..k of the trace.
+    """
+    added = collections.Counter()
+
+    def count(event):
+        if event.outcome == "added":
+            added[event.round] += 1
+
+    closure = consensus_closure(x, limits, count)
+    members = closure.clauses.members
+    sizes = itertools.accumulate((added[k] for k in range(1, closure.rounds + 1)), initial=len(x))
+    return closure, [ClauseSet(members[:n]) for n in sizes]

@@ -17,7 +17,6 @@ from pikit import (
     Substitution,
     Variable,
     apply,
-    consensus_closure,
     gen_kb,
     parse_clause,
     residue,
@@ -26,7 +25,7 @@ from pikit import (
 )
 
 from oracles import GroundUniverse, ground_instances
-from strategies import FO_CFG, clauses, entries
+from strategies import FO_CFG, clauses, closure_iterates, entries
 
 
 def cl(text):
@@ -395,10 +394,10 @@ def test_settled_prefix_is_not_searched(monkeypatch):
 def test_residue_matches_pairwise_reference_on_closure_iterates():
     for seed in range(50):
         try:
-            closure = consensus_closure(gen_kb(GenConfig(seed=seed, **FO_CFG)))
+            _, iterates = closure_iterates(gen_kb(GenConfig(seed=seed, **FO_CFG)))
         except ResourceLimitExceeded:
             continue
-        for iterate in closure.iterates:
+        for iterate in iterates:
             assert_residue_matches_reference(iterate)
 
 

@@ -132,6 +132,23 @@ class TestCompileCommand:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("output", ["nonexistent/x.pikb", "somedir", ""])
+    def test_unwritable_output_names_the_given_path(self, tmp_path, capsys, monkeypatch, output):
+        work = tmp_path / "work"
+        (work / "somedir").mkdir(parents=True)
+        (work / "kb.fol").write_text(WORKED)
+        monkeypatch.chdir(work)
+        if output.startswith("nonexistent"):
+            output = str(work / output)
+        with pytest.raises(OSError) as opened:
+            open(output, "w")
+        dirs = (tmp_path, work, work / "somedir")
+        before = [sorted(os.listdir(d)) for d in dirs]
+        code, out, err = run(capsys, "compile", "kb.fol", "-o", output)
+        assert (code, out) == (2, "")
+        assert err == "error: %s\n" % opened.value and ".pikb-" not in err
+        assert [sorted(os.listdir(d)) for d in dirs] == before
+
     def test_deeply_nested_term_exits_2(self, workspace, capsys):
         tmp, _ = workspace
         src = tmp / "deep.fol"

@@ -45,7 +45,7 @@ def cl(text):
 
 
 def base_compiled():
-    return compile(parse_clause_file(BASE_KB).clauses)
+    return compile(parse_clause_file(BASE_KB))
 
 
 class TestCompile:
@@ -66,7 +66,7 @@ class TestCompile:
 
     def test_unsatisfiable_ground_kb_compiles_to_empty_clause(self):
         texts = "p|q. ~p|q. p|~q. ~p|~q."
-        clauses = parse_clause_file(texts).clauses
+        clauses = parse_clause_file(texts)
         # Oracle first: the truth table confirms unsatisfiability.
         assert models_of(clauses) == []
         kb = compile(clauses)
@@ -74,7 +74,7 @@ class TestCompile:
         assert kb.inconsistent
 
     def test_non_fundamental_inputs_dropped_with_warning(self):
-        clauses = parse_clause_file("p(X)|~p(X). q(a).").clauses
+        clauses = parse_clause_file("p(X)|~p(X). q(a).")
         with pytest.warns(UserWarning, match="non-fundamental"):
             kb = compile(clauses)
         assert kb.pi.clause_texts() == ["q(a)"]
@@ -193,7 +193,7 @@ class TestAddClause:
         kb = compile(parse_clause_file(
             "~q(f(a),Y). r(a)|~r(X). ~p(a)|q(X,Z)|~r(a). p(f(X)). "
             "~r(a)|~r(f(Z)). ~p(Y)|~p(f(b))|~q(a,f(a))."
-        ).clauses)
+        ))
         events = []
         report = add_clause(kb, cl("r(X)."), trace=events.append)
         assert [e.format() for e in events] == [
@@ -230,7 +230,7 @@ class TestAddClause:
         # Round 1 derives q|r, equal to the input q|r: eta keeps the input at
         # position 2 while the support set holds the resolvent second.  So
         # round 2 pairs ~r|s with ~p|r before q|r, though eta holds q|r first.
-        kb = compile(parse_clause_file("p|q. q|r. ~r|s.").clauses)
+        kb = compile(parse_clause_file("p|q. q|r. ~r|s."))
         events = []
         for trace in (events.append, None):
             report = add_clause(kb, cl("~p|r."), trace=trace)
@@ -285,7 +285,7 @@ ROUND_CAPS = [
 @pytest.mark.parametrize("x, added, max_rounds, expected", ROUND_CAPS)
 def test_round_cap_counts_every_engine_round(x, added, max_rounds, expected):
     limits = ResourceLimits(max_rounds=max_rounds)
-    clauses = parse_clause_file(x).clauses
+    clauses = parse_clause_file(x)
 
     def run():
         if added is None:
@@ -626,7 +626,7 @@ class TestEntails:
         assert not entails(kb, cl("p(a)."))
 
     def test_inconsistent_kb_entails_everything(self):
-        kb = compile(parse_clause_file("p. ~p.").clauses)
+        kb = compile(parse_clause_file("p. ~p."))
         assert kb.inconsistent
         assert entails(kb, cl("anything(X).")).entailed
 
@@ -769,7 +769,7 @@ class TestKnownIncrementalDivergence:
     def test_residue_of_closure_agreement_on_worked_example(self):
         from pikit import consensus_closure
 
-        clauses = parse_clause_file(BASE_KB).clauses
+        clauses = parse_clause_file(BASE_KB)
         pi = compile(clauses).pi
         with_pi = pi.copy()
         with_pi.add(cl(ADDED))

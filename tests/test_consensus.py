@@ -39,7 +39,7 @@ from oracles import (
     same_models,
     truth_table_entails,
 )
-from strategies import FO_CFG, entries, substitutions
+from strategies import FO_CFG, closure_iterates, entries, substitutions
 
 
 def cl(text):
@@ -54,7 +54,7 @@ EXAMPLE_CHAIN = "p(X,a)|~q(a,f(X)). ~p(b,a)|r(b,Z). ~r(X,f(a))|q(Z,f(a))."
 
 
 def example_chain_inputs():
-    return ClauseSet(parse_clause_file(EXAMPLE_CHAIN).clauses)
+    return ClauseSet(parse_clause_file(EXAMPLE_CHAIN))
 
 
 class TestComplementaryPairs:
@@ -175,7 +175,7 @@ class TestConsensusStep:
     """The saturation step, seen as the iterates of the closure."""
 
     def test_first_step_of_worked_chain(self):
-        got = consensus_closure(example_chain_inputs()).iterates[1]
+        got = closure_iterates(example_chain_inputs())[1][1]
         entries = [m.entry_text for m in got]
         assert entries == [
             "p(X,a)|~q(a,f(X)) ; assoc ; origin input",
@@ -187,7 +187,7 @@ class TestConsensusStep:
         ]
 
     def test_second_step_adds_one_clause(self):
-        iterates = consensus_closure(example_chain_inputs()).iterates
+        _, iterates = closure_iterates(example_chain_inputs())
         first, second = iterates[1], iterates[2]
         added = [m for m in second if m not in first]
         assert [m.entry_text for m in added] == [
@@ -222,12 +222,23 @@ def prop_resolution_closure(clause_texts):
 
 class TestClosure:
     def test_worked_chain_reaches_fixpoint_at_round_two(self):
-        got = consensus_closure(example_chain_inputs())
+        got, iterates = closure_iterates(example_chain_inputs())
         assert got.rounds == 2
         assert len(got.clauses) == 7
-        assert len(got.iterates) == 3
-        assert got.iterates[-1] == got.clauses
-        assert entries(got.iterates[-1]) == entries(got.clauses)
+        assert len(iterates) == 3
+        assert iterates[-1] == got.clauses
+        assert entries(iterates[-1]) == entries(got.clauses)
+
+    def test_input_is_left_as_it_was(self):
+        x = example_chain_inputs()
+        before = entries(x)
+        assert len(consensus_closure(x).clauses) == 7
+        assert entries(x) == before
+        for caps in ({"max_rounds": 0}, {"max_rounds": 1}, {"max_clauses": 4}):
+            with pytest.raises(ResourceLimitExceeded) as err:
+                consensus_closure(x, ResourceLimits(**caps))
+            assert err.value.partial is not x
+            assert entries(x) == before
 
     def test_single_clause_is_its_own_closure(self):
         base = ClauseSet([cl("q(Y).")])
@@ -236,7 +247,7 @@ class TestClosure:
         assert got.rounds == 0
 
     def test_ground_closure_matches_resolution_oracle(self):
-        base = ClauseSet(parse_clause_file("p. ~p|q. ~q.").clauses)
+        base = ClauseSet(parse_clause_file("p. ~p|q. ~q."))
         got = consensus_closure(base)
         got_literal_sets = {
             frozenset(str(l) for l in m.literals) for m in got.clauses
@@ -320,10 +331,10 @@ def small_kb(seed, ground=False):
 def test_closure_iterates_form_increasing_chain_and_are_stable(seed):
     base = small_kb(seed)
     try:
-        got = consensus_closure(base, ResourceLimits(max_rounds=30, max_clauses=2000))
+        got, iterates = closure_iterates(base, ResourceLimits(max_rounds=30, max_clauses=2000))
     except ResourceLimitExceeded:
         return
-    for earlier, later in zip(got.iterates, got.iterates[1:]):
+    for earlier, later in zip(iterates, iterates[1:]):
         assert all(m in later for m in earlier)
         assert len(later) > len(earlier)
     again = consensus_closure(got.clauses, ResourceLimits(max_rounds=30, max_clauses=2000))
@@ -332,11 +343,34 @@ def test_closure_iterates_form_increasing_chain_and_are_stable(seed):
     assert again.rounds == 0
 
 
+def test_trace_iterates_are_the_round_capped_partials():
+    """Iterate k, read off the trace, is what a closure capped at k rounds
+    stops with, and the whole closure once the fixpoint comes first; so the
+    chain tests on the trace's iterates do not hold by construction."""
+    limits = ResourceLimits(max_rounds=30, max_clauses=2000)
+    checked = 0
+    for seed in range(60):
+        base = gen_kb(GenConfig(seed=seed, **FO_CFG))
+        try:
+            closure, iterates = closure_iterates(base, limits)
+        except ResourceLimitExceeded:
+            continue
+        assert len(iterates) == closure.rounds + 1
+        for k, iterate in enumerate(iterates):
+            with pytest.raises(ResourceLimitExceeded) as err:
+                consensus_closure(base, ResourceLimits(max_rounds=k, max_clauses=2000))
+            assert entries(err.value.partial) == entries(iterate)
+            checked += 1
+        capped = consensus_closure(base, ResourceLimits(max_rounds=len(iterates)))
+        assert entries(capped.clauses) == entries(closure.clauses)
+    assert checked > 100
+
+
 @settings(deadline=None, max_examples=80)
 @given(st.integers(0, 10**9))
 def test_ground_step_preserves_models(seed):
     base = small_kb(seed, ground=True)
-    for iterate in consensus_closure(base).iterates:
+    for iterate in closure_iterates(base)[1]:
         assert same_models(base, iterate)
 
 
@@ -434,7 +468,7 @@ def test_pair_engine_matches_nested_loops(monkeypatch):
 
     monkeypatch.setattr(_Rounds, "next", recorded)
     x, c = EQUAL_MEMBER_FOLD
-    instances = [(parse_clause_file(x).clauses, cl(c))]
+    instances = [(parse_clause_file(x), cl(c))]
     for seed in range(100):
         cfg = GenConfig(seed=seed, **FO_CFG)
         instances.append((list(gen_kb(cfg)), gen_clause(vary_seed(cfg, 1_000_003))))

@@ -46,7 +46,7 @@ class TestPropositionalPrimeImplicates:
     def test_unit_propagation_example(self):
         # Truth table over {p,q}: the only model of {p, ~p|q} is p=q=true,
         # so the minimal entailed clauses are exactly {p} and {q}.
-        got = propositional_prime_implicates(parse_clause_file("p. ~p|q.").clauses)
+        got = propositional_prime_implicates(parse_clause_file("p. ~p|q."))
         assert texts(got) == ["p", "q"]
 
     def test_single_clause_is_already_prime(self):
@@ -54,7 +54,7 @@ class TestPropositionalPrimeImplicates:
         assert texts(got) == ["p|q"]
 
     def test_unsatisfiable_kb_has_only_the_empty_clause(self):
-        clauses = parse_clause_file("p|q. ~p|q. p|~q. ~p|~q.").clauses
+        clauses = parse_clause_file("p|q. ~p|q. p|~q. ~p|~q.")
         assert models_of(clauses) == []  # oracle for the oracle: truth table
         got = propositional_prime_implicates(clauses)
         assert texts(got) == ["$false"]
@@ -110,15 +110,15 @@ class TestGroundInstances:
 
 class TestCheckImplicateSemantically:
     def test_member_clause_is_an_implicate(self):
-        kb = parse_clause_file("p(a). q(X)|r(X).").clauses
+        kb = parse_clause_file("p(a). q(X)|r(X).")
         assert check_implicate_semantically(kb, cl("p(a)."), GroundUniverse(("a",)))
 
     def test_derived_unit_is_an_implicate(self):
-        kb = parse_clause_file("q(Y). ~r(f(X),b). p(X)|r(Y,b)|~q(Z). ~p(a)|~q(Z).").clauses
+        kb = parse_clause_file("q(Y). ~r(f(X),b). p(X)|r(Y,b)|~q(Z). ~p(a)|~q(Z).")
         assert check_implicate_semantically(kb, cl("~p(a)."), GroundUniverse(("a", "b")))
 
     def test_fresh_predicate_is_not_an_implicate(self):
-        kb = parse_clause_file("p(a).").clauses
+        kb = parse_clause_file("p(a).")
         assert not check_implicate_semantically(kb, cl("s(a)."), GroundUniverse(("a",)))
 
     def test_atom_cap_is_enforced(self):
@@ -132,9 +132,9 @@ class TestSatisfiable:
     def test_small_cases(self):
         assert satisfiable([])
         assert not satisfiable([Clause()])
-        assert satisfiable(parse_clause_file("p|q. ~p|q. p|~q.").clauses)
-        assert not satisfiable(parse_clause_file("p|q. ~p|q. p|~q. ~p|~q.").clauses)
-        assert satisfiable(parse_clause_file("p|~p. q.").clauses)
+        assert satisfiable(parse_clause_file("p|q. ~p|q. p|~q."))
+        assert not satisfiable(parse_clause_file("p|q. ~p|q. p|~q. ~p|~q."))
+        assert satisfiable(parse_clause_file("p|~p. q."))
 
     def test_agrees_with_the_truth_table(self):
         """Random ground sets over six atoms, tautologies included: DPLL finds

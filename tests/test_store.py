@@ -41,7 +41,7 @@ WORKED = "q(Y). ~r(f(X),b). p(X)|r(Y,b)|~q(Z)."
 
 
 def worked_kb():
-    kb = compile(parse_clause_file(WORKED).clauses)
+    kb = compile(parse_clause_file(WORKED))
     return add_clause(kb, parse_clause("~p(a)|~q(Z).")).result
 
 
@@ -61,20 +61,20 @@ class TestRoundTrip:
         assert again.source_digest == kb.source_digest
 
     def test_dump_contains_expected_entry_lines(self):
-        text = dumps_kb(compile(parse_clause_file(WORKED).clauses))
+        text = dumps_kb(compile(parse_clause_file(WORKED)))
         assert text.startswith("PIKB 1\n")
         assert "clause p(X)|r(Z,b) ; assoc Y->Z ; origin consensus(1,3)\n" in text
         assert "pred q/1\n" in text and "fn f/1\n" in text
         assert text.endswith("end\n")
 
     def test_inconsistent_kb_round_trips(self):
-        kb = compile(parse_clause_file("p. ~p.").clauses)
+        kb = compile(parse_clause_file("p. ~p."))
         again = loads_kb(dumps_kb(kb))
         assert again.inconsistent
         assert_same_kb(again, kb)
 
     def test_association_binding_a_binary_term_round_trips(self):
-        kb = compile(parse_clause_file("p(X)|r(X). ~p(g(a,b))|q(Y).").clauses)
+        kb = compile(parse_clause_file("p(X)|r(X). ~p(g(a,b))|q(Y)."))
         text = dumps_kb(kb)
         assert "clause q(Y)|r(g(a,b)) ; assoc X->g(a,b) ; origin consensus(1,2)\n" in text
         assert_same_kb(loads_kb(text), kb)
