@@ -13,17 +13,19 @@ support set.  From the second round on, only the pairs with a member that
 the previous round added are built (semi-naive evaluation), unless a traced
 fold asks for every attempt.  One engine object lives for one closure or
 fold call and keeps what passes from round to round: the `seen` admissions,
-the fresh members, the `unify`, `compose` and `apply` memos, the attempt
-count and the round count that the max-rounds cap bounds.  Its one
-admission rule: a resolvent is added when no equal (literals, assoc) member
-is in `seen`, and a duplicate otherwise.  The tests check it against
-`complementary_pairs` and `consensus`.  Saturation is not guaranteed to
-terminate on first-order inputs, so every closure takes explicit resource
-limits and fails loudly with the partial set when a cap is hit.
+the fresh members, one `functools.cache` each of `unify`, `compose` and
+`apply`, the attempt count and the round count that the max-rounds cap
+bounds.  Its one admission rule: a resolvent is added when no equal
+(literals, assoc) member is in `seen`, and a duplicate otherwise.  The
+tests check it against `complementary_pairs` and `consensus`.  Saturation
+is not guaranteed to terminate on first-order inputs, so every closure
+takes explicit resource limits and fails loudly with the partial set when
+a cap is hit.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -136,7 +138,7 @@ def consensus(
     assoc = compose(c1.assoc, pair[2])
     if assoc != compose(c2.assoc, pair[2]):
         return Outcome.BLOCKED
-    return _resolve(c1, c2, pair, assoc, parents, {})
+    return _resolve(c1, c2, pair, assoc, parents, apply)
 
 
 def _resolve(
@@ -145,30 +147,24 @@ def _resolve(
     pair: tuple[Literal, Literal, Substitution],
     assoc: Substitution,
     parents: tuple[int, int],
-    applied: dict,
+    applied: Callable[[Substitution, Literal], Literal],
 ) -> Clause | Outcome:
     """`consensus` of an attempt whose associations compose to `assoc`.
 
-    `applied` memoizes `apply(mgu, literal)` by (mgu, literal); `apply` is
-    pure, so a hit is the value a call would build.  The applied literals
-    are tested for an atom of both signs before the resolvent is built, so
-    a tautology is never sorted or hashed.
+    `applied` is `apply` or a memo of it: `apply` is pure, so a hit is the
+    value a call would build.  The applied literals are tested for an atom
+    of both signs before the resolvent is built, so a tautology is never
+    sorted or hashed.
     """
     r, s, mgu = pair
     rest = []
     for parent, dropped in ((c1, r), (c2, s)):
         for l in parent.literals:
             if l is not dropped:
-                got = applied.get((mgu, l))
-                if got is None:
-                    got = applied[mgu, l] = apply(mgu, l)
-                rest.append(got)
+                rest.append(applied(mgu, l))
     if not fundamental(rest):
         return Outcome.NON_FUNDAMENTAL
     return Clause(tuple(rest), assoc, parents)
-
-
-_MISSING = object()
 
 
 class _Rounds:
@@ -199,11 +195,11 @@ class _Rounds:
     non-fundamental or duplicate.  What one costs is the one way the
     callers differ: the closure neither attempts nor counts it, and the
     fold counts it untraced and attempts it traced, so that each attempt
-    gives an event.  The `unify` and `compose` memo holds each pure
-    function's value once per argument pair; a miss calls this module's
-    global, whatever it is bound to at the time.  `_applied` holds
-    `apply(mgu, literal)` per (mgu, literal) for `_resolve`, so a literal
-    that many resolvents share under one mgu is rebuilt once per call.
+    gives an event.  `_unify`, `_compose` and `_applied` are one
+    `functools.cache` each of this module's `unify`, `compose` and `apply`,
+    as the globals are bound when the engine is built: each pure function
+    runs once per argument pair per call, so a literal that many resolvents
+    share under one mgu is rebuilt once.
     `round` is the number of the last round begun, and round `max_rounds`
     + 1 raises ResourceLimitExceeded with its base instead.  `attempts`
     sums the attempts of the rounds so far, and a fold's repeats with them.
@@ -217,21 +213,9 @@ class _Rounds:
         self.fresh: set | None = None
         self.round = 0
         self.attempts = 0
-        self._unifiers: dict = {}
-        self._composed: dict = {}
-        self._applied: dict = {}
-
-    def _unify(self, a, b) -> Substitution | None:
-        got = self._unifiers.get((a, b), _MISSING)
-        if got is _MISSING:
-            got = self._unifiers[a, b] = unify(a, b)
-        return got
-
-    def _compose(self, s1: Substitution, s2: Substitution) -> Substitution:
-        got = self._composed.get((s1, s2))
-        if got is None:
-            got = self._composed[s1, s2] = compose(s1, s2)
-        return got
+        self._unify = functools.cache(unify)
+        self._compose = functools.cache(compose)
+        self._applied = functools.cache(apply)
 
     def next(
         self, base: ClauseSet, new_side: ClauseSet, max_clauses: int | None = None

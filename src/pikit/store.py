@@ -16,7 +16,6 @@ truncation.  The empty clause is written as `$false`.
 
 from __future__ import annotations
 
-import errno
 import os
 import re
 import stat
@@ -77,7 +76,6 @@ _ORIGIN_RE = re.compile(r"consensus\((\d+),(\d+)\)$")
 # A bound term can itself contain commas, but never an arrow.
 _BINDING_SPLIT_RE = re.compile(r",(?=[A-Z][A-Za-z0-9_]*->)")
 _VARIABLE_RE = re.compile(r"[A-Z][A-Za-z0-9_]*")
-_HEAD_RE = re.compile(r"~?[a-z][A-Za-z0-9_]*")
 
 
 class _LoadTable:
@@ -173,13 +171,12 @@ def heads_of(query: Clause) -> set[str]:
 def _may_answer(pieces: list[str], heads: set[str]) -> bool:
     """False when some piece, read as a literal, has a head outside `heads`.
 
-    A piece's head is read as a literal's: its text up to the first `(`.  A
-    head that is not a plain predicate with an optional `~`, such as one
-    with a space in it, rules nothing out.
+    A piece's head is read as a literal's: its text up to the first `(`,
+    with any whitespace in it removed.
     """
     for piece in pieces:
         head = piece.partition("(")[0]
-        if head not in heads and _HEAD_RE.fullmatch(head):
+        if head not in heads and "".join(head.split()) not in heads:
             return False
     return True
 
@@ -341,8 +338,12 @@ def save_kb(kb: CompiledKB, path: str) -> None:
     replaced and the link stays.  An OSError names `path`, as `open`'s
     would, and never the temp file, which is removed.
     """
-    if not path:  # realpath would make "" the working directory
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    if os.path.basename(path) in ("", ".", ".."):
+        # realpath would make "" the working directory and drop a trailing
+        # separator or `.`; `open` refuses each such path before it creates
+        # anything.
+        with open(path, "w"):
+            pass
     target = os.path.realpath(path)
     tmp = None
     try:

@@ -132,12 +132,19 @@ class TestCompileCommand:
         assert code == 2
         assert "error" in err
 
-    @pytest.mark.parametrize("output", ["nonexistent/x.pikb", "somedir", ""])
+    @pytest.mark.parametrize(
+        "output",
+        ["nonexistent/x.pikb", "somedir", "", "out/", "kb.pikb/", "link/", "kb.pikb/."],
+    )
     def test_unwritable_output_names_the_given_path(self, tmp_path, capsys, monkeypatch, output):
         work = tmp_path / "work"
         (work / "somedir").mkdir(parents=True)
         (work / "kb.fol").write_text(WORKED)
+        (work / "old.fol").write_text("q(a).\n")
         monkeypatch.chdir(work)
+        assert run(capsys, "compile", "old.fol", "-o", "kb.pikb")[0] == 0
+        (work / "link").symlink_to("kb.pikb")
+        store = (work / "kb.pikb").read_bytes()
         if output.startswith("nonexistent"):
             output = str(work / output)
         with pytest.raises(OSError) as opened:
@@ -148,6 +155,7 @@ class TestCompileCommand:
         assert (code, out) == (2, "")
         assert err == "error: %s\n" % opened.value and ".pikb-" not in err
         assert [sorted(os.listdir(d)) for d in dirs] == before
+        assert (work / "kb.pikb").read_bytes() == store
 
     def test_deeply_nested_term_exits_2(self, workspace, capsys):
         tmp, _ = workspace
@@ -519,6 +527,15 @@ class TestQueryBuildsOnlyCandidates:
             expected = (0, "YES witness=p(X)|~q(X) subst={X->%s}\n" % binding, "")
             assert full_load_query(path, query) == expected
             assert run(capsys, "query", path, query) == expected
+
+    def test_an_entry_with_a_spaced_head_outside_the_query_is_not_built(self, tmp_path, capsys):
+        path = tmp_path / "kb.pikb"
+        head = STORE_HEAD.replace("pred q/1\n", "pred q/1\npred r/1\n")
+        path.write_text(head + "clause ~ r (X)|p (X)%s\nend\n" % IN)
+        for query, built in [("p(a)|q(a).", ["q(X)"]), ("p(b).", [])]:
+            kb = load_kb(path, heads=store.heads_of(parse_clause(query)))
+            assert [str(m) for m in kb.pi] == built
+            assert run(capsys, "query", path, query) == full_load_query(path, query)
 
     def test_query_errors_come_after_store_errors(self, tmp_path, capsys):
         path = tmp_path / "kb.pikb"

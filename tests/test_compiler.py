@@ -327,17 +327,23 @@ class TestDecidedOnce:
         counted("unify")
         counted("compose")
 
-        def once(run):
-            calls.clear()
-            result = run()
-            assert [k for k, n in calls.items() if n > 1] == []
-            return result, len(calls)
+        def twice(run):
+            # A memo that outlived its call would leave the second run fewer
+            # pairs to decide than a fresh `pikit add` process has.
+            runs = []
+            for _ in range(2):
+                calls.clear()
+                result = run()
+                assert [k for k, n in calls.items() if n > 1] == []
+                runs.append(set(calls))
+            assert runs[0] == runs[1]
+            return result, len(runs[0])
 
         decided = folds = 0
         for x, c in _criterion_4_instances():
             try:
-                kb, n = once(lambda: compile(x))
-                report, m = once(lambda: add_clause(kb, c))
+                kb, n = twice(lambda: compile(x))
+                report, m = twice(lambda: add_clause(kb, c))
             except ResourceLimitExceeded:
                 continue
             decided += n + m

@@ -1,6 +1,7 @@
 """Consensus pairs, association gating, the saturation step, and closure."""
 
 import collections
+import functools
 import itertools
 
 import hypothesis.strategies as st
@@ -155,7 +156,7 @@ def test_memoized_resolvents_match_built_then_tested_ones():
     for seed in range(200):
         x = ClauseSet(gen_kb(GenConfig(seed=seed, **FO_CFG)))
         members = [*x, *_Rounds(x, 1, None).next(x, x)]
-        applied = {}
+        applied = functools.cache(apply)
         for (i, d1), (j, d2) in itertools.permutations(enumerate(members, 1), 2):
             for pair in complementary_pairs(d1, d2):
                 expected = built_then_tested(d1, d2, pair, (i, j))
