@@ -23,8 +23,8 @@ import tempfile
 
 from .clauses import Clause, ClauseSet
 from .compiler import CompiledKB, CompileStats
-from .syntax import ParseError, Signature, _parse_literal, parse_clause, parse_term
-from .terms import EMPTY, Literal, Substitution, Term
+from .syntax import ParseError, Signature, _tokenize, parse_clause, parse_term
+from .terms import EMPTY, Compound, Literal, Substitution, Term, Variable
 
 FORMAT_NAME = "PIKB"
 FORMAT_VERSION = 1
@@ -76,16 +76,22 @@ _ORIGIN_RE = re.compile(r"consensus\((\d+),(\d+)\)$")
 # A bound term can itself contain commas, but never an arrow.
 _BINDING_SPLIT_RE = re.compile(r",(?=[A-Z][A-Za-z0-9_]*->)")
 _VARIABLE_RE = re.compile(r"[A-Z][A-Za-z0-9_]*")
+# A literal or term as it is printed: an optional `~`, a name, and what its
+# outer parentheses hold, if it has them.  No whitespace or bad character
+# matches.
+_NODE_RE = re.compile(r"(~?)([A-Za-z][A-Za-z0-9_]*)(?:\(([A-Za-z0-9_(),]*)\))?")
 
 
 class _LoadTable:
     """The parses that the entries of one store load share.
 
-    Maps the text of each literal and of each bound term to its parse, and
-    the text of each literal that was only checked to its canonical text, so
-    a text that repeats is parsed once.  `symbols` is the union of the
-    arities they use, whether built or checked, and `agree` says that no
-    symbol in it has two.  One table lives for one `loads_kb` call.
+    Maps the text of each literal and of each term, whether a literal's
+    argument or a bound term, to its parse, and the text of each literal
+    that was only checked to its canonical text, so a text that repeats is
+    parsed once and a term that repeats inside other literals is shared.
+    `symbols` is the union of the arities they use, whether built or
+    checked, and `agree` says that no symbol in it has two.  One table
+    lives for one `loads_kb` call.
     """
 
     def __init__(self) -> None:
@@ -95,28 +101,74 @@ class _LoadTable:
         self.symbols = Signature()
         self.agree = True
 
-    def _note(self, term: Term) -> None:
-        """Add a new bound term's arities to `symbols`; a second arity clears `agree`."""
+    def _noted(self, kind: str, name: str, arity: int) -> bool:
+        """Add one arity to `symbols`; False when the symbol has another."""
         try:
-            self.symbols.note_term(term)
+            self.symbols.note(kind, name, arity)
         except ValueError:
-            self.agree = False
+            return False
+        return True
+
+    def _args(self, text: str) -> tuple[Term, ...] | None:
+        """The terms listed in `text`, what a name's parentheses hold; None
+        when one of them is no term or clashes."""
+        args = []
+        part = ""
+        for chunk in text.split(","):
+            # A comma inside an argument leaves a parenthesis open.
+            part = part + "," + chunk if part else chunk
+            if part.count("(") == part.count(")"):
+                term = self._term(part)
+                if term is None:
+                    return None
+                args.append(term)
+                part = ""
+        return None if part else tuple(args)
+
+    def _term(self, text: str) -> Term | None:
+        """The term printed as `text`; None when `text` is no term's printed
+        form, or an arity in it clashes with `symbols`."""
+        term = self.terms.get(text)
+        if term is None:
+            m = _NODE_RE.fullmatch(text)
+            if m is None or m.group(1):
+                return None
+            _, name, inner = m.groups()
+            if name[0].isupper():
+                if inner is not None:
+                    return None
+                term = Variable(name)
+            else:
+                args = () if inner is None else self._args(inner)
+                if args is None or not self._noted("function symbol", name, len(args)):
+                    return None
+                term = Compound(name, args)
+            self.terms[text] = term
+        return term
+
+    def _literal(self, piece: str, build: bool) -> Literal | str | None:
+        """The piece's literal, or its canonical text when not building;
+        None when the piece is no literal, or an arity in it clashes with
+        `symbols`."""
+        m = _NODE_RE.fullmatch(piece) or _NODE_RE.fullmatch(_canonical(piece))
+        if m is None or m.group(2)[0].isupper():
+            return None
+        negated, name, inner = m.groups()
+        args = () if inner is None else self._args(inner)
+        if args is None or not self._noted("predicate", name, len(args)):
+            return None
+        return Literal(Compound(name, args), not negated) if build else m.group()
 
     def _literals(self, pieces: list[str], build: bool) -> list | None:
         """The pieces' literals, or their canonical texts when not building;
-        None when a piece is no literal.
-
-        A new literal's arities go into `symbols` as it is parsed, and one
-        that clashes with them makes the piece no literal.
-        """
+        None when a piece is no literal or an arity in it clashes."""
         known = self.literals if build else self.texts
         out = []
         for piece in pieces:
             lit = known.get(piece)
             if lit is None:
-                try:
-                    lit = _parse_literal(piece, self.symbols, build)
-                except ParseError:
+                lit = self._literal(piece, build)
+                if lit is None:
                     return None
                 known[piece] = lit
             out.append(lit)
@@ -150,15 +202,30 @@ class _LoadTable:
         return frozenset([lit.text for lit in literals]), literals
 
     def term(self, text: str, line_no: int) -> Term:
-        term = self.terms.get(text)
+        """A bound term, read as a literal's arguments are."""
+        term = self._term(text) or self._term(_canonical(text))
         if term is None:
+            # The term is malformed, or an arity clashes: parse it alone,
+            # which gives the error with its position in the term.
             try:
                 term = parse_term(text)
             except ParseError as err:
                 raise MalformedStoreError("line %d: bad association term: %s" % (line_no, err))
-            self.terms[text] = term
-            self._note(term)
+            self.agree = False
         return term
+
+
+def _canonical(text: str) -> str:
+    """The text with the whitespace between its tokens left out; "" when it
+    has a bad character, or whitespace parts two names, as in no literal or
+    term."""
+    try:
+        tokens = _tokenize(text)
+    except ParseError:
+        return ""
+    if any(a[:1].isalpha() and b[:1].isalpha() for a, b in zip(tokens, tokens[1:])):
+        return ""
+    return "".join(tokens)
 
 
 def heads_of(query: Clause) -> set[str]:
@@ -347,6 +414,9 @@ def save_kb(kb: CompiledKB, path: str) -> None:
     target = os.path.realpath(path)
     tmp = None
     try:
+        # realpath drops `x/..` without looking at `x`, where `open` needs a
+        # directory: stat the directory part as `open` would resolve it.
+        os.stat(os.path.dirname(path) or os.curdir)
         fd, tmp = tempfile.mkstemp(prefix=".pikb-", dir=os.path.dirname(target))
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(dumps_kb(kb))

@@ -106,12 +106,7 @@ def _offset(text: str, index: int) -> int:
 
 
 class _Parser:
-    """Recursive descent over the token list.
-
-    With `build` false, `parse_literal`, `parse_args` and `parse_term` check
-    the grammar and note arities exactly as when they build, but construct
-    nothing.
-    """
+    """Recursive descent over the token list."""
 
     def __init__(self, text: str, signature: Signature | None = None):
         self.text = text
@@ -132,14 +127,6 @@ class _Parser:
             self.signature.note(kind, self.tokens[at], arity)
         except ValueError as err:
             raise self.error(str(err), at) from None
-
-    def parse_whole(self, parse, what: str):
-        """`parse(self)`, which must read to the end of the text."""
-        node = parse(self)
-        tok = self.tokens[self.pos]
-        if tok:
-            raise self.error("trailing input after %s: %r" % (what, tok))
-        return node
 
     def parse_file(self) -> list[Clause]:
         out = []
@@ -162,7 +149,7 @@ class _Parser:
             else:
                 raise self.expected("'|' or '.'")
 
-    def parse_literal(self, build: bool = True) -> Literal | None:
+    def parse_literal(self) -> Literal:
         positive = self.tokens[self.pos] != "~"
         if not positive:
             self.pos += 1
@@ -170,38 +157,37 @@ class _Parser:
         if not self.tokens[at][:1].islower():
             raise self.expected("a predicate")
         self.pos += 1
-        args = self.parse_args(build)
+        args = self.parse_args()
         self.note("predicate", at, len(args))
-        return Literal(Compound(self.tokens[at], args), positive) if build else None
+        return Literal(Compound(self.tokens[at], args), positive)
 
-    def parse_args(self, build: bool = True) -> tuple:
-        """The arguments, or as many Nones when not building."""
+    def parse_args(self) -> tuple[Term, ...]:
         if self.tokens[self.pos] != "(":
             return ()
         self.pos += 1
-        args = [self.parse_term(build)]
+        args = [self.parse_term()]
         while True:
             tok = self.tokens[self.pos]
             if tok == ",":
                 self.pos += 1
-                args.append(self.parse_term(build))
+                args.append(self.parse_term())
             elif tok == ")":
                 self.pos += 1
                 return tuple(args)
             else:
                 raise self.expected("',' or ')'")
 
-    def parse_term(self, build: bool = True) -> Term | None:
+    def parse_term(self) -> Term:
         at = self.pos
         tok = self.tokens[at]
         if tok[:1].isupper():
             self.pos += 1
-            return Variable(tok) if build else None
+            return Variable(tok)
         if tok[:1].islower():
             self.pos += 1
-            args = self.parse_args(build)
+            args = self.parse_args()
             self.note("function symbol", at, len(args))
-            return Compound(tok, args) if build else None
+            return Compound(tok, args)
         raise self.expected("a term")
 
 
@@ -220,19 +206,12 @@ def parse_clause(text: str, signature: Signature | None = None) -> Clause:
 
 def parse_term(text: str) -> Term:
     """Parse a single term (used for association bindings)."""
-    return _Parser(text).parse_whole(_Parser.parse_term, "term")
-
-
-def _parse_literal(text: str, signature: Signature, build: bool = True) -> Literal | str:
-    """Parse exactly one literal, with no terminating period (store entries).
-
-    Its arities are noted in `signature`; one that clashes is a ParseError.
-    With `build` false the literal is only checked, and its canonical text,
-    the tokens with the whitespace left out, comes back instead.
-    """
-    parser = _Parser(text, signature)
-    literal = parser.parse_whole(lambda p: p.parse_literal(build), "literal")
-    return literal if build else "".join(parser.tokens)
+    parser = _Parser(text)
+    term = parser.parse_term()
+    tok = parser.tokens[parser.pos]
+    if tok:
+        raise parser.error("trailing input after term: %r" % tok)
+    return term
 
 
 def print_clause(c: Clause) -> str:

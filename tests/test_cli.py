@@ -134,7 +134,19 @@ class TestCompileCommand:
 
     @pytest.mark.parametrize(
         "output",
-        ["nonexistent/x.pikb", "somedir", "", "out/", "kb.pikb/", "link/", "kb.pikb/."],
+        [
+            "nonexistent/x.pikb",
+            "somedir",
+            "",
+            "out/",
+            "kb.pikb/",
+            "link/",
+            "kb.pikb/.",
+            "kb.pikb/../kb.pikb",
+            "kb.pikb/../kb2.pikb",
+            "nonexistent/../kb.pikb",
+            "link/../kb.pikb",
+        ],
     )
     def test_unwritable_output_names_the_given_path(self, tmp_path, capsys, monkeypatch, output):
         work = tmp_path / "work"
@@ -198,6 +210,10 @@ class TestCompileCommand:
             "YES witness=%s subst={}\n" % deep,
             "",
         )
+        done = pikit("show", kb)
+        assert (done.returncode, done.stderr) == (0, "")
+        members = "  1. ~q(a) ; assoc ; origin input\n  2. %s ; assoc ; origin consensus(1,3)\n"
+        assert done.stdout.startswith("prime implicates (2):\n" + members % deep)
 
     def test_clauses_sharing_a_literal_600_deep_exit_2_at_the_parser(self, workspace):
         tmp, _ = workspace

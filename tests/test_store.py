@@ -26,6 +26,7 @@ from pikit import (
     add_clause,
     compile,
     dumps_kb,
+    gen_clause,
     gen_kb,
     load_kb,
     loads_kb,
@@ -34,8 +35,9 @@ from pikit import (
     save_kb,
     signature_of,
 )
+from pikit import syntax
 from pikit.compiler import _STATS_RE
-from pikit.store import _ORIGIN_RE, _SYMBOL_RE
+from pikit.store import _BINDING_SPLIT_RE, _ORIGIN_RE, _SYMBOL_RE, heads_of
 
 WORKED = "q(Y). ~r(f(X),b). p(X)|r(Y,b)|~q(Z)."
 
@@ -322,6 +324,155 @@ class TestLossyEntries:
     def test_same_clause_with_another_association_is_kept(self):
         kb = loads_kb(store("p(a)" + IN, "p(a) ; assoc X->a ; origin consensus(1,1)"))
         assert len(kb.pi) == 2
+
+
+# An entry that binds X to the given term text.
+AT = "p(a) ; assoc X->%s ; origin consensus(1,1)"
+BAD = "line 9: bad clause: line 1, col "
+BAD_TERM = "line 9: bad association term: line 1, col "
+CLASH = "%s conflicts with signature table"
+
+# Unusual entries, each loaded alone: the error class and message, or the
+# members' entry texts and the signature.  Recorded from the loader that
+# read every literal and bound term with the clause parser; the load table,
+# which reads them by its own rule, must give the same.
+UNUSUAL_ENTRIES = [
+    ("p()" + IN, MalformedStoreError, BAD + "3: expected a term, found ')'"),
+    ("p(a,)" + IN, MalformedStoreError, BAD + "5: expected a term, found ')'"),
+    ("p((a))" + IN, MalformedStoreError, BAD + "3: expected a term, found '('"),
+    ("X(a)" + IN, MalformedStoreError, BAD + "1: expected a predicate, found 'X'"),
+    ("p(a b)" + IN, MalformedStoreError, BAD + "5: expected ',' or ')', found 'b'"),
+    ("p( a )" + IN, ["p(a)" + IN], {"p": 1}, {"a": 0}),
+    ("~ p(f( X ))" + IN, ["~p(f(X))" + IN], {"p": 1}, {"f": 1}),
+    ("p(f(a,a))" + IN, SignatureConflictError, CLASH % "function symbol 'f'"),
+    ("p(,a)" + IN, MalformedStoreError, BAD + "3: expected a term, found ','"),
+    ("p(a))" + IN, MalformedStoreError, BAD + "5: expected '|' or '.', found ')'"),
+    ("p((a)" + IN, MalformedStoreError, BAD + "3: expected a term, found '('"),
+    ("p(a)(b)" + IN, MalformedStoreError, BAD + "5: expected '|' or '.', found '('"),
+    ("p(X(a))" + IN, MalformedStoreError, BAD + "4: expected ',' or ')', found '('"),
+    ("p(f(X)" + IN, MalformedStoreError, BAD + "7: expected ',' or ')', found '.'"),
+    ("~~p(a)" + IN, MalformedStoreError, BAD + "2: expected a predicate, found '~'"),
+    ("~p" + IN, SignatureConflictError, CLASH % "predicate 'p'"),
+    ("p(1)" + IN, MalformedStoreError, BAD + "3: unexpected character '1'"),
+    ("p(a1)" + IN, SignatureConflictError, CLASH % "function symbol 'a1'"),
+    ("p(_a)" + IN, MalformedStoreError, BAD + "3: unexpected character '_'"),
+    ("p(a$)" + IN, MalformedStoreError, BAD + "4: unexpected character '$'"),
+    ("p(a)." + IN, MalformedStoreError, BAD + "6: empty clause"),
+    ("p(a)~q(b)" + IN, MalformedStoreError, BAD + "5: expected '|' or '.', found '~'"),
+    ("P(a)" + IN, MalformedStoreError, BAD + "1: expected a predicate, found 'P'"),
+    ("p (a)" + IN, ["p(a)" + IN], {"p": 1}, {"a": 0}),
+    ("p\t(a)" + IN, ["p(a)" + IN], {"p": 1}, {"a": 0}),
+    ("p(a)\xa0" + IN, ["p(a)" + IN], {"p": 1}, {"a": 0}),
+    ("p(f(f(f(a))))" + IN, ["p(f(f(f(a))))" + IN], {"p": 1}, {"a": 0, "f": 1}),
+    ("p(é)" + IN, MalformedStoreError, BAD + "3: unexpected character 'é'"),
+    ("q(X)|~p(f(Y))" + IN, ["~p(f(Y))|q(X)" + IN], {"q": 1, "p": 1}, {"f": 1}),
+    ("p(a,b)" + IN, SignatureConflictError, CLASH % "predicate 'p'"),
+    ("p(f(a)) |q(b)" + IN, ["p(f(a))|q(b)" + IN], {"p": 1, "q": 1}, {"a": 0, "f": 1, "b": 0}),
+    ("p(fa)" + IN, SignatureConflictError, CLASH % "function symbol 'fa'"),
+    (" p(a)" + IN, ["p(a)" + IN], {"p": 1}, {"a": 0}),
+    ("p(f(a)," + IN, MalformedStoreError, BAD + "8: expected a term, found '.'"),
+    ("r(a)" + IN, SignatureConflictError, CLASH % "predicate 'r'"),
+    ("p(a b c)" + IN, MalformedStoreError, BAD + "5: expected ',' or ')', found 'b'"),
+    ("~p(X) | q(Y)" + IN, ["~p(X)|q(Y)" + IN], {"p": 1, "q": 1}, {}),
+    ("p(f(X,Y))" + IN, SignatureConflictError, CLASH % "function symbol 'f'"),
+    ("p(f())" + IN, MalformedStoreError, BAD + "5: expected a term, found ')'"),
+    (
+        "q(f(a))|~p(f(a))|p(f(a))" + IN,
+        ["p(f(a))|~p(f(a))|q(f(a))" + IN],
+        {"q": 1, "p": 1},
+        {"a": 0, "f": 1},
+    ),
+    ("p(f (a))" + IN, ["p(f(a))" + IN], {"p": 1}, {"a": 0, "f": 1}),
+    ("~p(f(X))|r(f(f(X)))" + IN, SignatureConflictError, CLASH % "predicate 'r'"),
+    (AT % " f( a )", [AT % "f(a)"], {"p": 1}, {"a": 0, "f": 1}),
+    (AT % "a#b", [AT % "a"], {"p": 1}, {"a": 0}),
+    (AT % "a b", MalformedStoreError, BAD_TERM + "3: trailing input after term: 'b'"),
+    (AT % "", MalformedStoreError, BAD_TERM + "1: expected a term, found 'end of input'"),
+    (AT % "f(a,b)", SignatureConflictError, CLASH % "function symbol 'f'"),
+    (AT % "f(a)", [AT % "f(a)"], {"p": 1}, {"a": 0, "f": 1}),
+    (AT % "g(a)", SignatureConflictError, CLASH % "function symbol 'g'"),
+    (AT % "X", ["p(a) ; assoc ; origin consensus(1,1)"], {"p": 1}, {"a": 0}),
+    (AT % "f(X)", [AT % "f(X)"], {"p": 1}, {"a": 0, "f": 1}),
+    (AT % "f(f(a)", MalformedStoreError, BAD_TERM + "7: expected ',' or ')', found 'end of input'"),
+    (AT % " a", [AT % "a"], {"p": 1}, {"a": 0}),
+    (AT % "a ", [AT % "a"], {"p": 1}, {"a": 0}),
+    (AT % "Y(a)", MalformedStoreError, BAD_TERM + "2: trailing input after term: '('"),
+    (AT % "~a", MalformedStoreError, BAD_TERM + "1: expected a term, found '~'"),
+    (AT % "f(a))", MalformedStoreError, BAD_TERM + "5: trailing input after term: ')'"),
+    (AT % "f(a,f(b))", MalformedStoreError, BAD_TERM + "1: " + ARITY_F),
+    (AT % "f (f(a))", [AT % "f(f(a))"], {"p": 1}, {"a": 0, "f": 1}),
+]
+
+
+def may_answer(entry, heads):
+    return {lit.partition("(")[0] for lit in entry.split(" ; ")[0].split("|")} <= heads
+
+
+@pytest.mark.parametrize("heads", [None, {"p", "q"}, {"r"}], ids=["full", "heads-pq", "heads-r"])
+@pytest.mark.parametrize("case", UNUSUAL_ENTRIES, ids=lambda case: repr(case[0]))
+def test_unusual_entries_load_as_the_clause_parser_reads_them(case, heads):
+    entry, *expected = case
+    if isinstance(expected[0], type):
+        error, message = expected
+        with pytest.raises(error) as err:
+            loads_kb(store(entry), heads=heads)
+        assert (type(err.value), str(err.value)) == (error, message)
+        return
+    members, predicates, functions = expected
+    if heads is not None:
+        # Only the members that can answer a query over `heads` are built.
+        members = [m for m in members if may_answer(m, heads)]
+    kb = loads_kb(store(entry), heads=heads)
+    assert [m.entry_text for m in kb.pi] == members
+    assert (kb.signature.predicates, kb.signature.functions) == (predicates, functions)
+
+
+def spaced(text):
+    """A store's text with whitespace between the tokens of each entry's
+    clause and bound terms, which a load must read as it reads the text."""
+    lines = []
+    for line in text.splitlines():
+        if line.startswith("clause ") and not line.startswith("clause $false"):
+            clause, assoc, origin = line[7:].split(" ; ")
+            bindings = [b.split("->", 1) for b in _BINDING_SPLIT_RE.split(assoc[6:]) if b]
+            terms = ["%s-> %s" % (var, " ".join(_tokens(term))) for var, term in bindings]
+            assoc = "assoc " + ",".join(terms) if terms else "assoc"
+            line = "clause %s ; %s ; %s" % (" ".join(_tokens(clause)), assoc, origin)
+        lines.append(line + "\n")
+    return "".join(lines)
+
+
+def _tokens(text):
+    return re.findall(r"[A-Za-z][A-Za-z0-9_]*|[(),|~]", text)
+
+
+def test_a_load_reads_well_formed_entries_without_the_clause_parser(monkeypatch):
+    """A well-formed store, spaced or not, never falls back to the clause
+    parser, which would keep every output and lose the shared parses."""
+    made = []
+    parser_init = syntax._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(args[0])
+        parser_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(syntax._Parser, "__init__", counted)
+    bound = 0
+    for seed in range(50):
+        cfg = GenConfig(seed=seed, **FO_CFG)
+        try:
+            kb = compile(gen_kb(cfg))
+        except ResourceLimitExceeded:
+            continue
+        text = dumps_kb(kb)
+        bound += "->" in text
+        heads = heads_of(gen_clause(cfg))
+        made.clear()
+        full, some = loads_kb(text), loads_kb(text, heads=heads)
+        assert_same_kb(loads_kb(spaced(text)), full)
+        assert_same_kb(loads_kb(spaced(text), heads=heads), some)
+        assert made == [], seed
+    assert bound > 10
 
 
 def reference_loads(text):

@@ -18,7 +18,8 @@ from pikit import (
     print_clause,
     print_clause_file,
 )
-from pikit.syntax import Signature, _offset, _parse_literal, _tokenize
+from pikit.store import _LoadTable
+from pikit.syntax import Signature, _offset, _tokenize
 
 
 class TestParseClauseFile:
@@ -215,16 +216,32 @@ def test_tokens_and_first_bad_character_match_the_reference_scanner(text):
     assert offsets == [at for _, at in expected] + [len(text)]
 
 
-def literal_outcome(text, build):
-    """What `_parse_literal` gives: (canonical text or error, noted arities in order)."""
+def arities(sig):
+    return list(sig.predicates.items()), list(sig.functions.items())
+
+
+def literal_outcomes(text):
+    """What a store load's table, checking and then building, and
+    `parse_clause` make of an entry's clause text: its distinct literal
+    texts and the arities noted in order, or None when it is no clause."""
+    outcomes = []
+    for build in (False, True):
+        table = _LoadTable()
+        table.symbols = Signature({"p": 1}, {"a": 0})
+        found = table._literals(text.split("|"), build)
+        if found is None:
+            outcomes.append(None)
+            continue
+        texts = [lit.text for lit in found] if build else found
+        outcomes.append((sorted(set(texts)), arities(table.symbols)))
     sig = Signature({"p": 1}, {"a": 0})
     try:
-        got = _parse_literal(text, sig, build)
-    except ParseError as err:
-        got = str(err)
+        literals = parse_clause(text + ".", sig).literals
+    except ParseError:
+        outcomes.append(None)
     else:
-        got = got.text if build else got
-    return got, list(sig.predicates.items()), list(sig.functions.items())
+        outcomes.append((sorted([lit.text for lit in literals]), arities(sig)))
+    return outcomes
 
 
 @settings(deadline=None, max_examples=60)
@@ -237,11 +254,13 @@ def test_a_checked_literal_gives_what_a_built_one_does(seed):
     for clause in gen_kb(cfg):
         for lit in clause:
             text = lit.text
-            assert literal_outcome(text, False) == literal_outcome(text, True)
+            checked, built, parsed = literal_outcomes(text)
+            assert checked == built == parsed and parsed is not None
             # One-character edits, some of them spaces, which change nothing.
             for _ in range(10):
                 i = rng.randrange(len(text) + 1)
                 edit = rng.choice(" ()|,~Xq$")
                 drop = rng.random() < 0.5
                 edited = text[:i] + edit + text[i + drop :]
-                assert literal_outcome(edited, False) == literal_outcome(edited, True), edited
+                checked, built, parsed = literal_outcomes(edited)
+                assert checked == built == parsed, edited
