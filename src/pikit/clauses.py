@@ -220,24 +220,23 @@ def residue(s: ClauseSet, settled: int = 0) -> Residue:
     members = list(s)
     n = len(members)
     feats = [m.features for m in members]
-
-    def covers(j: int, i: int) -> bool:
-        return feats[j] <= feats[i] and subsumes(members[j], members[i]) is not None
-
     kept: list[Clause] = []
     reach: list[int] = []  # per member i: the last j its scan decided
     back: list[tuple[int, int]] = []  # (i, j): j covers i, so i-covers-j was decided
     for i in range(n):
         last = n - 1
+        mi, fi = members[i], feats[i]
+        # j covers i when its features are a subset of i's and it subsumes i.
         for j in range(settled if i < settled else 0, n):
-            if j == i or not covers(j, i):
+            fj = feats[j]
+            if j == i or not fj <= fi or subsumes(members[j], mi) is None:
                 continue
             back.append((i, j))
-            if not covers(i, j) or j < i:
+            if not (fi <= fj and subsumes(mi, members[j]) is not None) or j < i:
                 last = j
                 break
         else:
-            kept.append(members[i])
+            kept.append(mi)
         reach.append(last)
     # The scan of i decided j covers i for every j <= reach[i] but i; a back
     # pair (i, j) is new unless the scan of j already reached i.

@@ -60,8 +60,10 @@ class CompiledKB:
     (`loads_kb` with `heads`) keeps only the members that can answer it,
     while `signature` still covers every entry.  `compile` and
     `add_clause` set `minimal`, since their `pi` is a residue's output; a
-    caller who edits `pi` must set it back to False.  Neither fact takes
-    part in equality.
+    caller who edits `pi` must set it back to False.  `add_clause` also sets
+    `memo`, the `unify` and `compose` memos of its fold, which the next fold
+    into this KB copies and never changes; `compile`, a store load and a
+    hand-built KB carry none.  None of the three takes part in equality.
     """
 
     pi: ClauseSet
@@ -69,6 +71,7 @@ class CompiledKB:
     source_digest: str = ""
     signature: Signature | None = field(default=None, compare=False, repr=False)
     minimal: bool = field(default=False, compare=False, repr=False)
+    memo: tuple[dict, dict] | None = field(default=None, compare=False, repr=False)
 
     @property
     def inconsistent(self) -> bool:
@@ -155,15 +158,20 @@ def add_clause(
 
     The rounds are those of the pair engine, `_Rounds`, which keeps the
     call's admissions, `unify`, `compose` and `apply` memos, attempt and
-    round counts and cap; nothing of it outlives the call.  From the second round on, an untraced fold attempts only the
-    pairs with a member that the previous round derived: every other pair
-    met in that round, so its attempts are counted, not repeated.  A traced
-    fold attempts every pair, so that each attempt gives an event.  Each
-    residue skips the pairs that an earlier residue has already left
-    minimal: a round's residue those of the previous working set, and the
-    first residue those of pi(X) when `kb.minimal` says that `compile` or
-    `add_clause` made it.  A loaded or hand-built KB gets the full first
-    residue, since nothing checks that its pi(X) is minimal.
+    round counts and cap.  The `unify` and `compose` memos start as copies
+    of `kb.memo` and ride on the returned KB (each dropped once it holds
+    `consensus.MEMO_CAP` entries), so a stream of folds decides each pair
+    once, while every fold into one KB starts from the same tables; the rest
+    of the engine does not outlive the call.  From the second round on, an
+    untraced fold attempts only the pairs with a member that the previous
+    round derived: every other pair met in that round, so its attempts are
+    counted, not repeated.  A traced fold attempts every pair, so that each
+    attempt gives an event.  Each residue skips the pairs that an earlier
+    residue has already left minimal: a round's residue those of the
+    previous working set, and the first residue those of pi(X) when
+    `kb.minimal` says that `compile` or `add_clause` made it.  A loaded or
+    hand-built KB gets the full first residue, since nothing checks that its
+    pi(X) is minimal.
 
     The result is sound: every member is in the consensus closure of X plus
     C.  On first-order inputs it can be coarser than compile(X + [C]).
@@ -190,7 +198,7 @@ def add_clause(
     support_history = [support.members]
     # The rounds' `seen` is every member ever in the support set, the
     # tombstones included.
-    rounds = _Rounds([clause], limits.max_rounds, trace, fold=True)
+    rounds = _Rounds([clause], limits.max_rounds, trace, fold=True, memo=kb.memo)
     previous = ClauseSet()
     # The support set stays a subset of eta: C survives the first residue
     # because nothing in pi(X) subsumes it, and each round keeps only the
@@ -211,7 +219,8 @@ def add_clause(
         snapshots.append(eta)
 
     stats = CompileStats(rounds.round, rounds.attempts, checks)
-    result = CompiledKB(eta, stats, chain_digest(kb.source_digest, clause), minimal=True)
+    digest = chain_digest(kb.source_digest, clause)
+    result = CompiledKB(eta, stats, digest, minimal=True, memo=rounds.memo)
     return IncrementalReport(result, "recompiled", support_history, snapshots)
 
 

@@ -13,14 +13,16 @@ support set.  From the second round on, only the pairs with a member that
 the previous round added are built (semi-naive evaluation), unless a traced
 fold asks for every attempt.  One engine object lives for one closure or
 fold call and keeps what passes from round to round: the `seen` admissions,
-the fresh members, one `functools.cache` each of `unify`, `compose` and
-`apply`, the attempt count and the round count that the max-rounds cap
-bounds.  Its one admission rule: a resolvent is added when no equal
-(literals, assoc) member is in `seen`, and a duplicate otherwise.  The
-tests check it against `complementary_pairs` and `consensus`.  Saturation
-is not guaranteed to terminate on first-order inputs, so every closure
-takes explicit resource limits and fails loudly with the partial set when
-a cap is hit.
+the fresh members, a memo each of `unify`, `compose` and `apply`, the
+attempt count and the round count that the max-rounds cap bounds.  Only
+the `unify` and `compose` memos outlive a fold: the KB it returns carries
+them, and the next fold into that KB starts from a copy, so a stream of
+folds decides each pair once.  Its one admission rule: a resolvent is
+added when no equal (literals, assoc) member is in `seen`, and a duplicate
+otherwise.  The tests check it against `complementary_pairs` and
+`consensus`.  Saturation is not guaranteed to terminate on first-order
+inputs, so every closure takes explicit resource limits and fails loudly
+with the partial set when a cap is hit.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, Mapping
 
 from .clauses import Clause, ClauseSet, fundamental
 from .terms import Literal, Substitution, apply, compose, unify
@@ -53,6 +55,11 @@ class ResourceLimits:
 
 
 DEFAULT_LIMITS = ResourceLimits()
+
+# The entries a `unify` or `compose` memo may hold and still ride on the KB
+# that a fold returns; a fuller memo is dropped, and the next fold starts
+# that table empty.
+MEMO_CAP = 10_000
 
 
 class ResourceLimitExceeded(Exception):
@@ -167,6 +174,21 @@ def _resolve(
     return Clause(tuple(rest), assoc, parents)
 
 
+class _Memo(dict):
+    """Values of the two-argument function `fn`, keyed by argument pair and
+    filled in on a miss; built from a copy of `table`."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn: Callable, table: Mapping):
+        super().__init__(table)
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(*key)
+        return value
+
+
 class _Rounds:
     """The rounds of one closure or one fold, each pairing a base with a new side.
 
@@ -195,17 +217,20 @@ class _Rounds:
     non-fundamental or duplicate.  What one costs is the one way the
     callers differ: the closure neither attempts nor counts it, and the
     fold counts it untraced and attempts it traced, so that each attempt
-    gives an event.  `_unify`, `_compose` and `_applied` are one
-    `functools.cache` each of this module's `unify`, `compose` and `apply`,
-    as the globals are bound when the engine is built: each pure function
-    runs once per argument pair per call, so a literal that many resolvents
-    share under one mgu is rebuilt once.
+    gives an event.  `_unify` and `_compose` are `_Memo` dicts of this
+    module's `unify` and `compose`, and `_applied` a `functools.cache` of
+    `apply`, as the globals are bound when the engine is built: each pure
+    function runs once per argument pair per call, so a literal that many
+    resolvents share under one mgu is rebuilt once.  The two dicts start
+    as copies of `memo`, the tables an earlier fold left (never changed
+    here), and `memo` gives them to the next fold while each is below
+    `MEMO_CAP`.
     `round` is the number of the last round begun, and round `max_rounds`
     + 1 raises ResourceLimitExceeded with its base instead.  `attempts`
     sums the attempts of the rounds so far, and a fold's repeats with them.
     """
 
-    def __init__(self, seen, max_rounds: int, trace: Trace | None, *, fold=False):
+    def __init__(self, seen, max_rounds: int, trace: Trace | None, *, fold=False, memo=None):
         self.seen = set(seen)
         self.max_rounds = max_rounds
         self.trace = trace
@@ -213,9 +238,15 @@ class _Rounds:
         self.fresh: set | None = None
         self.round = 0
         self.attempts = 0
-        self._unify = functools.cache(unify)
-        self._compose = functools.cache(compose)
+        unifiers, composed = memo or ({}, {})
+        self._unify = _Memo(unify, unifiers)
+        self._compose = _Memo(compose, composed)
         self._applied = functools.cache(apply)
+
+    @property
+    def memo(self) -> tuple[dict, dict]:
+        """The `unify` and `compose` memos, each left empty at `MEMO_CAP`."""
+        return tuple(t if len(t) < MEMO_CAP else {} for t in (self._unify, self._compose))
 
     def next(
         self, base: ClauseSet, new_side: ClauseSet, max_clauses: int | None = None
@@ -227,6 +258,7 @@ class _Rounds:
             raise ResourceLimitExceeded("max-rounds", self.max_rounds, base)
         self.round += 1
         trace, seen = self.trace, self.seen
+        unifiers, composed = self._unify, self._compose
         fresh = None if self.fold and trace is not None else self.fresh
         at = {m: j for j, m in enumerate(new_side)}
         index: dict[Literal, list] = {}  # (i in base, k, member, fresh, j in new_side or None)
@@ -251,7 +283,7 @@ class _Rounds:
             for s_lit, ss, s_fresh in opposite:
                 if len(rs) == len(ss) == 1 and rs[0][0] == ss[0][0]:
                     continue  # one member holds both: no attempt uses the pair
-                mgu = self._unify(r_lit.atom, s_lit.atom)
+                mgu = unifiers[r_lit.atom, s_lit.atom]
                 if mgu is None:
                     continue
                 # Attempts pair two distinct holders; `both` lists the members
@@ -264,13 +296,13 @@ class _Rounds:
                 if not new_pairs:
                     continue
                 attempts += new_pairs
-                partners = [(o, self._compose(o[2].assoc, mgu)) for o in ss]
+                partners = [(o, composed[o[2].assoc, mgu]) for o in ss]
                 buckets: dict[Substitution, list] = {}
                 if trace is None:
                     for o, key in partners:
                         buckets.setdefault(key, []).append((o, key))
                 for i1, k1, d1, new1, _ in rs:
-                    key1 = self._compose(d1.assoc, mgu)
+                    key1 = composed[d1.assoc, mgu]
                     for (i2, k2, d2, new2, j2), key2 in (
                         partners if trace is not None else buckets.get(key1, ())
                     ):

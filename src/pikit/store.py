@@ -23,7 +23,7 @@ import tempfile
 
 from .clauses import Clause, ClauseSet
 from .compiler import CompiledKB, CompileStats
-from .syntax import ParseError, Signature, _tokenize, parse_clause, parse_term
+from .syntax import ParseError, Signature, _bad_character, _tokenize, parse_clause, parse_term
 from .terms import EMPTY, Compound, Literal, Substitution, Term, Variable
 
 FORMAT_NAME = "PIKB"
@@ -202,7 +202,11 @@ class _LoadTable:
         return frozenset([lit.text for lit in literals]), literals
 
     def term(self, text: str, line_no: int) -> Term:
-        """A bound term, read as a literal's arguments are."""
+        """A bound term, read as a literal's arguments are.  A `#`, which
+        the parser would read as the start of a comment, is refused."""
+        if "#" in text:
+            bad = _bad_character(text, text.index("#"))
+            raise MalformedStoreError("line %d: bad association term: %s" % (line_no, bad))
         term = self._term(text) or self._term(_canonical(text))
         if term is None:
             # The term is malformed, or an arity clashes: parse it alone,

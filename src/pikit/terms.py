@@ -169,15 +169,26 @@ def apply(sub: Substitution | Mapping[str, Term], x):
     its caller.  A node none of whose variables `sub` binds comes back as it
     is.
     """
-    if isinstance(x, Variable):
-        return sub.get(x.name, x)
-    if isinstance(x, (Compound, Literal)) and sub.keys().isdisjoint(x.variables):
-        return x
-    if isinstance(x, Compound):
-        return Compound(x.functor, tuple(apply(sub, a) for a in x.args))
-    if isinstance(x, Literal):
-        return Literal(apply(sub, x.atom), x.positive)
-    raise TypeError("cannot apply a substitution to %s" % type(x).__name__)
+    return _apply(sub._bindings if type(sub) is Substitution else sub, x)
+
+
+def _apply(d, x):
+    """`apply` of a name-to-term map, dispatched once on the node's type."""
+    kind = type(x)
+    if kind is Variable:
+        return d.get(x.name, x)
+    if kind is Compound:
+        if d.keys().isdisjoint(x.variables):
+            return x
+        args = []
+        for arg in x.args:
+            args.append(_apply(d, arg))
+        return Compound(x.functor, tuple(args))
+    if kind is Literal:
+        if d.keys().isdisjoint(x.variables):
+            return x
+        return Literal(_apply(d, x.atom), x.positive)
+    raise TypeError("cannot apply a substitution to %s" % kind.__name__)
 
 
 def compose(s1: Substitution, s2: Substitution) -> Substitution:
@@ -190,8 +201,9 @@ def compose(s1: Substitution, s2: Substitution) -> Substitution:
 
 def _bind(d: dict[str, Term], name: str, term: Term) -> None:
     one = {name: term}
-    for k in list(d):
-        d[k] = apply(one, d[k])
+    for k, v in d.items():
+        if name in v.variables:
+            d[k] = _apply(one, v)
     d[name] = term
 
 
@@ -199,36 +211,44 @@ def unify(a: Term, b: Term) -> Substitution | None:
     """Most general unifier of two terms (atoms included), or None.
 
     Robinson-style with occurs check; the result is idempotent.  Equations
-    are solved left to right, so a variable meeting another variable binds
-    the left one to the right.
+    are solved left to right from one stack, so a variable meeting another
+    variable binds the left one to the right.  The bindings so far are
+    applied to an equation only once there are some, and two ground
+    compounds settle it by their texts: they unify exactly when equal.
     """
-    if isinstance(a, Compound) and isinstance(b, Compound):
+    if type(a) is Compound and type(b) is Compound:
         # Two atoms, mostly: check their heads once, then solve their
         # arguments, rather than compare the whole atoms first.
         if a.functor != b.functor or len(a.args) != len(b.args):
             return None
         stack = list(reversed(list(zip(a.args, b.args))))
     else:
-        stack = [(a, b)]
+        # What is no term, atom or literal gets `apply`'s TypeError.
+        stack = [(_apply({}, a), _apply({}, b))]
 
     d: dict[str, Term] = {}
     while stack:
         s, t = stack.pop()
-        s = apply(d, s)
-        t = apply(d, t)
-        if s == t:
-            continue
-        if isinstance(s, Variable):
+        if d:
+            s = _apply(d, s)
+            t = _apply(d, t)
+        if type(s) is Variable:
+            if type(t) is Variable and t.name == s.name:
+                continue
             if s.name in t.variables:
                 return None
             _bind(d, s.name, t)
-        elif isinstance(t, Variable):
+        elif type(t) is Variable:
             if t.name in s.variables:
                 return None
             _bind(d, t.name, s)
+        elif s.text == t.text:
+            continue
+        elif not (s.variables or t.variables):
+            return None
+        elif s.functor != t.functor or len(s.args) != len(t.args):
+            return None
         else:
-            if s.functor != t.functor or len(s.args) != len(t.args):
-                return None
             stack.extend(reversed(list(zip(s.args, t.args))))
     return Substitution(d)
 
@@ -237,18 +257,20 @@ def _match(p, t, d: dict[str, Term]) -> dict[str, Term] | None:
     """Extend the raw binding map `d` so that the pattern maps onto `t`.
 
     Identity bindings are kept in the map (they pin a variable to itself for
-    later consistency checks); callers normalize at the end.
+    later consistency checks); callers normalize at the end.  A ground
+    pattern matches only its equal, which one compare of the fixed texts
+    settles.
     """
-    if isinstance(p, Variable):
+    if type(p) is Variable:
         bound = d.get(p.name)
         if bound is None:
             out = dict(d)
             out[p.name] = t
             return out
         return d if bound == t else None
-    if isinstance(t, Variable):
-        return None
-    if p.functor != t.functor or len(p.args) != len(t.args):
+    if not p.variables:
+        return d if p.text == t.text else None
+    if type(t) is Variable or p.functor != t.functor or len(p.args) != len(t.args):
         return None
     for pa, ta in zip(p.args, t.args):
         d = _match(pa, ta, d)

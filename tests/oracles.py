@@ -5,7 +5,10 @@ propositional prime-implicate oracle enumerates models and minimal covering
 clauses directly, so comparing it against the compiler is a genuine
 cross-check rather than a tautology.  `satisfiable` decides a ground clause
 set by DPLL search instead, for sets whose alphabet is too large for a truth
-table.  `reference_tokens` is the clause grammar's original token scanner.
+table.  `reference_tokens` is the clause grammar's original token scanner,
+and `reference_apply`, `reference_unify` and `reference_match` are the
+term kernels as first written: recursive `isinstance` walks that apply the
+bindings so far to every equation and compare whole terms.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from pikit import Clause, Compound, Literal, Substitution, Term, apply
+from pikit import Clause, Compound, Literal, Substitution, Term, Variable, apply
 
 
 class CapacityError(Exception):
@@ -254,3 +257,76 @@ def reference_tokens(text: str) -> tuple[list[tuple[str, int]] | None, int | Non
         if m.lastgroup not in ("ws", "comment"):
             tokens.append((m.group(), m.start()))
     return tokens, None
+
+
+def reference_apply(sub, x):
+    """`apply` as first written."""
+    if isinstance(x, Variable):
+        return sub.get(x.name, x)
+    if isinstance(x, (Compound, Literal)) and sub.keys().isdisjoint(x.variables):
+        return x
+    if isinstance(x, Compound):
+        return Compound(x.functor, tuple(reference_apply(sub, a) for a in x.args))
+    if isinstance(x, Literal):
+        return Literal(reference_apply(sub, x.atom), x.positive)
+    raise TypeError("cannot apply a substitution to %s" % type(x).__name__)
+
+
+def _reference_bind(d: dict[str, Term], name: str, term: Term) -> None:
+    one = {name: term}
+    for k in list(d):
+        d[k] = reference_apply(one, d[k])
+    d[name] = term
+
+
+def reference_unify(a: Term, b: Term) -> Substitution | None:
+    """`unify` as first written."""
+    if isinstance(a, Compound) and isinstance(b, Compound):
+        # Two atoms, mostly: check their heads once, then solve their
+        # arguments, rather than compare the whole atoms first.
+        if a.functor != b.functor or len(a.args) != len(b.args):
+            return None
+        stack = list(reversed(list(zip(a.args, b.args))))
+    else:
+        stack = [(a, b)]
+
+    d: dict[str, Term] = {}
+    while stack:
+        s, t = stack.pop()
+        s = reference_apply(d, s)
+        t = reference_apply(d, t)
+        if s == t:
+            continue
+        if isinstance(s, Variable):
+            if s.name in t.variables:
+                return None
+            _reference_bind(d, s.name, t)
+        elif isinstance(t, Variable):
+            if t.name in s.variables:
+                return None
+            _reference_bind(d, t.name, s)
+        else:
+            if s.functor != t.functor or len(s.args) != len(t.args):
+                return None
+            stack.extend(reversed(list(zip(s.args, t.args))))
+    return Substitution(d)
+
+
+def reference_match(p, t, d: dict[str, Term]) -> dict[str, Term] | None:
+    """`_match` as first written."""
+    if isinstance(p, Variable):
+        bound = d.get(p.name)
+        if bound is None:
+            out = dict(d)
+            out[p.name] = t
+            return out
+        return d if bound == t else None
+    if isinstance(t, Variable):
+        return None
+    if p.functor != t.functor or len(p.args) != len(t.args):
+        return None
+    for pa, ta in zip(p.args, t.args):
+        d = reference_match(pa, ta, d)
+        if d is None:
+            return None
+    return d

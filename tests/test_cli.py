@@ -624,6 +624,21 @@ class TestShowCommand:
             assert (code, out) == (2, "")
             assert "line 4: second stats line" in err
 
+    def test_a_hash_in_a_bound_term_exits_2_in_every_command(self, tmp_path, capsys):
+        # The parser reads a `#` as a comment, which would bind X to `a`.
+        path, extra, out_kb = tmp_path / "kb.pikb", tmp_path / "extra.fol", tmp_path / "out.pikb"
+        path.write_text(STORE_HEAD + "clause p(a) ; assoc X->a#b ; origin consensus(1,1)\nend\n")
+        extra.write_text("p(b).\n")
+        message = "error: line 10: bad association term: line 1, col 2: unexpected character '#'\n"
+        for argv in (
+            ["query", path, "p(a)."],
+            ["query", path, "q(a)."],
+            ["show", path],
+            ["add", path, extra, "-o", out_kb],
+        ):
+            assert run(capsys, *argv) == (2, "", message), argv
+        assert not out_kb.exists()
+
     def test_show_malformed_store_exits_2(self, workspace, capsys):
         tmp, _ = workspace
         bad = tmp / "bad.pikb"

@@ -12,6 +12,7 @@ from pikit import (
     EMPTY,
     Clause,
     ClauseSet,
+    CompiledKB,
     Compound,
     GenConfig,
     ResourceLimitExceeded,
@@ -479,6 +480,104 @@ class TestCountedAttempts:
                     assert d1 in new or d2 in new
                     later_rounds += 1
         assert later_rounds > 40 and built > 500
+
+
+def _count_decisions(monkeypatch):
+    """A counter of the real `unify` and `compose` calls of every engine
+    built from now on, keyed by (name, first argument, second argument)."""
+    engine = importlib.import_module("pikit.consensus")
+    calls = collections.Counter()
+    for name in ("unify", "compose"):
+        inner = getattr(engine, name)
+
+        def wrapper(a, b, name=name, inner=inner):
+            calls[name, a, b] += 1
+            return inner(a, b)
+
+        monkeypatch.setattr(engine, name, wrapper)
+    return calls
+
+
+def _memo_snapshot(kb):
+    """The KB's memo tables as (key, value) items, values by identity."""
+    return [[(k, id(v)) for k, v in table.items()] for table in kb.memo]
+
+
+def _stream(cfg, length=6):
+    """A criterion-4 seed's clauses to fold one after another."""
+    return [gen_clause(vary_seed(cfg, 1_000_003 * k)) for k in range(1, length + 1)]
+
+
+class TestMemoLifetime:
+    """A fold's `unify` and `compose` memos ride on the KB it returns: the
+    next fold into that KB starts from a copy, and nothing else has one."""
+
+    def test_two_folds_into_one_kb_decide_the_same_pairs(self, monkeypatch):
+        calls = _count_decisions(monkeypatch)
+        checked = 0
+        for seed in range(50):
+            cfg = GenConfig(seed=seed, **FO_CFG)
+            c1, c2 = _stream(cfg, 2)
+            try:
+                kb = add_clause(compile(gen_kb(cfg)), c1).result
+                if kb.memo is None:
+                    continue  # c1 was absorbed or a tautology
+                before = _memo_snapshot(kb)
+                runs = []
+                for _ in range(2):
+                    calls.clear()
+                    add_clause(kb, c2)
+                    runs.append(set(calls))
+            except ResourceLimitExceeded:
+                continue
+            assert runs[0] == runs[1]
+            assert _memo_snapshot(kb) == before
+            checked += bool(runs[0])
+        assert checked >= 10
+
+    def test_a_stream_of_folds_decides_each_pair_once(self, monkeypatch):
+        calls = _count_decisions(monkeypatch)
+        decided = recompiled = 0
+        for seed in range(50):
+            cfg = GenConfig(seed=seed, **FO_CFG)
+            try:
+                kb = compile(gen_kb(cfg))
+                calls.clear()
+                batch = add_clauses(kb, _stream(cfg))
+            except ResourceLimitExceeded:
+                continue
+            assert [k for k, n in calls.items() if n > 1] == [], seed
+            decided += len(calls)
+            recompiled += batch.outcomes.count("recompiled")
+        assert recompiled >= 100 and decided > 1000
+
+    def test_only_a_fold_result_carries_a_memo(self):
+        kb = base_compiled()
+        assert kb.memo is None
+        assert loads_kb(dumps_kb(kb)).memo is None
+        assert CompiledKB(ClauseSet()).memo is None
+        folded = add_clause(kb, cl(ADDED)).result
+        assert folded.memo is not None and all(folded.memo)
+        assert loads_kb(dumps_kb(folded)).memo is None
+        assert loads_kb(dumps_kb(folded)) == folded  # the memo takes no part in ==
+
+    def test_an_absorbed_or_tautological_clause_returns_the_input_kb(self):
+        kb = add_clause(base_compiled(), cl(ADDED)).result
+        before = _memo_snapshot(kb)
+        for text, outcome in [("q(a).", "absorbed"), ("p(a)|~p(a).", "unchanged")]:
+            report = add_clause(kb, cl(text))
+            assert report.outcome == outcome
+            assert report.result is kb and _memo_snapshot(kb) == before
+
+    def test_a_memo_at_the_cap_is_not_carried(self, monkeypatch):
+        kb = base_compiled()
+        sizes = [len(table) for table in add_clause(kb, cl(ADDED)).result.memo]
+        assert min(sizes) > 1 and sizes[0] != sizes[1]
+        engine = importlib.import_module("pikit.consensus")
+        for cap in sorted({*sizes, *(n + 1 for n in sizes)}):
+            monkeypatch.setattr(engine, "MEMO_CAP", cap)
+            folded = add_clause(kb, cl(ADDED)).result
+            assert [len(table) for table in folded.memo] == [n if n < cap else 0 for n in sizes]
 
 
 class TestMinimalFact:

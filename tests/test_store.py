@@ -335,7 +335,9 @@ CLASH = "%s conflicts with signature table"
 # Unusual entries, each loaded alone: the error class and message, or the
 # members' entry texts and the signature.  Recorded from the loader that
 # read every literal and bound term with the clause parser; the load table,
-# which reads them by its own rule, must give the same.
+# which reads them by its own rule, must give the same.  The one exception
+# is a `#` in a bound term, which that loader read as a comment (binding X
+# to `a` for `a#b`) and which is now refused.
 UNUSUAL_ENTRIES = [
     ("p()" + IN, MalformedStoreError, BAD + "3: expected a term, found ')'"),
     ("p(a,)" + IN, MalformedStoreError, BAD + "5: expected a term, found ')'"),
@@ -385,7 +387,7 @@ UNUSUAL_ENTRIES = [
     ("p(f (a))" + IN, ["p(f(a))" + IN], {"p": 1}, {"a": 0, "f": 1}),
     ("~p(f(X))|r(f(f(X)))" + IN, SignatureConflictError, CLASH % "predicate 'r'"),
     (AT % " f( a )", [AT % "f(a)"], {"p": 1}, {"a": 0, "f": 1}),
-    (AT % "a#b", [AT % "a"], {"p": 1}, {"a": 0}),
+    (AT % "a#b", MalformedStoreError, BAD_TERM + "2: unexpected character '#'"),
     (AT % "a b", MalformedStoreError, BAD_TERM + "3: trailing input after term: 'b'"),
     (AT % "", MalformedStoreError, BAD_TERM + "1: expected a term, found 'end of input'"),
     (AT % "f(a,b)", SignatureConflictError, CLASH % "function symbol 'f'"),
@@ -481,7 +483,8 @@ def reference_loads(text):
     Each clause text goes whole through `parse_clause` and each bound term
     through `parse_term`, and `signature_of` then walks the members; the KB
     keeps what that walk finds.  It rejects a variable bound twice and a
-    repeated entry where it meets them.
+    repeated entry where it meets them, and a bound term with a `#`, which
+    `parse_term` would read as a comment, before it parses the term.
     """
     from pikit import CompileStats, ParseError, Signature, parse_term
 
@@ -548,6 +551,12 @@ def reference_loads(text):
                     raise MalformedStoreError("line %d: bad association variable %r" % (n, var))
                 if var in bindings:
                     raise MalformedStoreError("line %d: variable %r bound twice" % (n, var))
+                if "#" in term_text:
+                    col = term_text.index("#") + 1
+                    raise MalformedStoreError(
+                        "line %d: bad association term: line 1, col %d: unexpected character '#'"
+                        % (n, col)
+                    )
                 try:
                     bindings[var] = parse_term(term_text)
                 except ParseError as err:

@@ -1,11 +1,13 @@
 """Unification, substitution application and composition, and their algebra."""
 
 import itertools
+from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 
+import pikit.clauses
 from pikit import (
     EMPTY,
     Clause,
@@ -18,8 +20,10 @@ from pikit import (
     subsumes,
     unify,
 )
+from pikit.terms import _match
 
-from strategies import atoms, literals, substitutions, terms
+from oracles import reference_apply, reference_match, reference_unify
+from strategies import atoms, clauses, literals, substitutions, terms
 
 X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
 a, b = Compound("a"), Compound("b")
@@ -329,3 +333,102 @@ def test_apply_returns_a_node_whose_variables_it_leaves_unbound(x, bindings):
     unbound = {name: t for name, t in bindings.items() if name not in x.variables}
     assert apply(unbound, x) is x
     assert apply(Substitution(unbound), x) is x
+
+
+# The kernels against their first versions in `oracles`.  Terms here also
+# take a binary function symbol, so that equations branch and bindings
+# chain through more than one argument.
+wide_terms = st.recursive(
+    st.sampled_from("XYZ").map(Variable) | st.sampled_from("ab").map(Compound),
+    lambda kids: st.builds(Compound, st.sampled_from("fg"), st.tuples(kids))
+    | st.builds(lambda s, t: Compound("h", (s, t)), kids, kids),
+    max_leaves=6,
+)
+wide_atoms = st.builds(lambda s, t: Compound("q", (s, t)), wide_terms, wide_terms)
+term_nodes = st.one_of(terms, atoms, wide_terms, wide_atoms)
+nodes = term_nodes | literals
+binding_maps = st.dictionaries(st.sampled_from("XYZU"), wide_terms, max_size=3)
+not_nodes = st.one_of(st.integers(), st.text(max_size=3), st.none(), st.tuples(terms), clauses)
+
+
+def _same_map(new, ref):
+    """Two results agree: both None, or equal bindings in the same order."""
+    if new is None or ref is None:
+        return new is ref
+    return list(new.items()) == list(ref.items())
+
+
+def _instance_pairs(pattern, target):
+    """Pairs of a pattern and a target, or an instance of the pattern."""
+    return st.one_of(
+        st.tuples(pattern, target),
+        st.builds(lambda p, b: (p, apply(b, p)), pattern, binding_maps),
+    )
+
+
+# Two atoms with a variable on each side: the second binding often has to
+# be applied to the first one's term.
+crossed_atoms = st.builds(
+    lambda x, s, t, y: (Compound("q", (x, s)), Compound("q", (t, y))),
+    st.sampled_from("XYZ").map(Variable),
+    wide_terms,
+    wide_terms,
+    st.sampled_from("XYZ").map(Variable),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.one_of(
+        same_predicate_pairs,
+        crossed_atoms,
+        st.tuples(wide_terms, wide_terms),
+        _instance_pairs(wide_atoms, wide_atoms),
+        st.tuples(term_nodes, term_nodes),
+    )
+)
+@example((Compound("q", (X, Y)), Compound("q", (f(Y), a))))
+def test_unify_gives_what_the_reference_gives(pair):
+    assert _same_map(unify(*pair), reference_unify(*pair))
+
+
+@settings(deadline=None, max_examples=200)
+@given(nodes, binding_maps, st.booleans())
+def test_apply_gives_what_the_reference_gives(x, bound, wrapped):
+    sub = Substitution(bound) if wrapped else bound
+    new, ref = apply(sub, x), reference_apply(sub, x)
+    assert type(new) is type(ref) and new == ref and new.text == ref.text
+    assert (new is x) == (ref is x)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.one_of(_instance_pairs(wide_atoms, wide_atoms), _instance_pairs(atoms, atoms)),
+    st.dictionaries(st.sampled_from("XYZU"), wide_terms | st.sampled_from("XYZ").map(Variable)),
+)
+def test_match_gives_what_the_reference_gives(pair, d):
+    assert _same_map(_match(*pair, dict(d)), reference_match(*pair, dict(d)))
+
+
+@settings(deadline=None, max_examples=150)
+@given(clauses, clauses, binding_maps)
+def test_subsumes_gives_the_reference_witness(c1, c2, bound):
+    for target in (c2, Clause(tuple(apply(bound, l) for l in c1.literals + c2.literals))):
+        witness = subsumes(c1, target)
+        with mock.patch.object(pikit.clauses, "_match", reference_match):
+            assert _same_map(witness, subsumes(c1, target))
+
+
+@given(not_nodes, term_nodes, binding_maps)
+def test_kernels_refuse_what_is_no_node_as_the_reference_does(bad, term, bound):
+    for new, ref, args in (
+        (apply, reference_apply, (bound, bad)),
+        (apply, reference_apply, (Substitution(bound), bad)),
+        (unify, reference_unify, (bad, term)),
+        (unify, reference_unify, (term, bad)),
+    ):
+        with pytest.raises(TypeError) as expected:
+            ref(*args)
+        with pytest.raises(TypeError) as got:
+            new(*args)
+        assert str(got.value) == str(expected.value)
