@@ -35,7 +35,6 @@ from .consensus import (
     ResourceLimitExceeded,
     ResourceLimits,
     TraceEvent,
-    complementary_pairs,
     consensus_closure,
 )
 from .oracle import GenConfig, gen_clause, gen_kb, vary_seed
@@ -56,8 +55,6 @@ from .syntax import (
     parse_clause,
     parse_clause_file,
     parse_term,
-    print_clause,
-    print_clause_file,
 )
 from .terms import (
     EMPTY,
@@ -82,7 +79,7 @@ __all__ = [
     # consensus
     "ResourceLimits", "DEFAULT_LIMITS", "ResourceLimitExceeded",
     "Outcome", "TraceEvent", "ClosureResult",
-    "complementary_pairs", "consensus_closure",
+    "consensus_closure",
     # compiler
     "CompileStats", "CompiledKB", "IncrementalReport", "BatchReport", "Entailment",
     "compile", "add_clause", "add_clauses", "entails",
@@ -92,7 +89,6 @@ __all__ = [
     # syntax
     "ParseError", "Signature",
     "parse_clause_file", "parse_clause", "parse_term",
-    "print_clause", "print_clause_file",
     # store
     "StoreError", "StoreVersionError", "MalformedStoreError", "SignatureConflictError",
     "save_kb", "load_kb", "dumps_kb", "loads_kb", "signature_of",

@@ -173,9 +173,6 @@ class ClauseSet:
     def members(self) -> tuple[Clause, ...]:
         return tuple(self._members)
 
-    def clause_texts(self) -> list[str]:
-        return [str(m) for m in self]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ClauseSet):
             return NotImplemented

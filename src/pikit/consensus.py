@@ -1,4 +1,4 @@
-"""Pairwise consensus, the pair engine, and closure to a fixpoint.
+"""The consensus step, the pair engine, and closure to a fixpoint.
 
 Consensus of two clauses resolves one complementary literal pair under its
 mgu, but is only defined when both parents' associations compose with the
@@ -19,8 +19,8 @@ the `unify` and `compose` memos outlive a fold: the KB it returns carries
 them, and the next fold into that KB starts from a copy, so a stream of
 folds decides each pair once.  Its one admission rule: a resolvent is
 added when no equal (literals, assoc) member is in `seen`, and a duplicate
-otherwise.  The tests check it against `complementary_pairs` and
-`consensus`.  Saturation is not guaranteed to terminate on first-order
+otherwise.  The tests check it against a pairwise reference step in
+`tests/oracles.py`.  Saturation is not guaranteed to terminate on first-order
 inputs, so every closure takes explicit resource limits and fails loudly
 with the partial set when a cap is hit.
 """
@@ -107,47 +107,6 @@ class TraceEvent:
 Trace = Callable[[TraceEvent], None]
 
 
-def complementary_pairs(
-    c1: Clause, c2: Clause
-) -> list[tuple[Literal, Literal, Substitution]]:
-    """All opposite-sign literal pairs (r in c1, s in c2) whose atoms unify.
-
-    Pairs come out in the canonical literal order of c1 then c2, each with
-    its mgu, so enumeration is deterministic.
-    """
-    pairs = []
-    for r in c1.literals:
-        for s in c2.literals:
-            if r.positive == s.positive or r.atom.functor != s.atom.functor:
-                continue
-            mgu = unify(r.atom, s.atom)
-            if mgu is not None:
-                pairs.append((r, s, mgu))
-    return pairs
-
-
-def consensus(
-    c1: Clause,
-    c2: Clause,
-    pair: tuple[Literal, Literal, Substitution],
-    parents: tuple[int, int] = (0, 0),
-) -> Clause | Outcome:
-    """Consensus of c1 and c2 on one complementary pair.
-
-    `pair` is one of `complementary_pairs(c1, c2)`: its two literals are the
-    parents' own objects, so the resolvent drops them by identity.
-    Returns Outcome.BLOCKED when the parents' associations do not compose
-    consistently with the mgu, Outcome.NON_FUNDAMENTAL when the resolvent is
-    tautological, and otherwise the resolvent, associated with the composed
-    substitution and carrying `parents`.  This is the engine's reference:
-    a `_Rounds` round decides the same attempts without composing any twice.
-    """
-    assoc = compose(c1.assoc, pair[2])
-    if assoc != compose(c2.assoc, pair[2]):
-        return Outcome.BLOCKED
-    return _resolve(c1, c2, pair, assoc, parents, apply)
-
-
 def _resolve(
     c1: Clause,
     c2: Clause,
@@ -156,12 +115,16 @@ def _resolve(
     parents: tuple[int, int],
     applied: Callable[[Substitution, Literal], Literal],
 ) -> Clause | Outcome:
-    """`consensus` of an attempt whose associations compose to `assoc`.
+    """Consensus of c1 and c2 on `pair`, an unblocked attempt whose
+    associations compose with its mgu to `assoc`.
 
-    `applied` is `apply` or a memo of it: `apply` is pure, so a hit is the
-    value a call would build.  The applied literals are tested for an atom
-    of both signs before the resolvent is built, so a tautology is never
-    sorted or hashed.
+    `pair` is (R in c1, S in c2, mgu), R and S the parents' own literals,
+    so the resolvent drops them by identity.  Returns the resolvent, which
+    carries `assoc` and `parents`, or Outcome.NON_FUNDAMENTAL when it is
+    tautological.  `applied` is `apply` or a memo of it: `apply` is pure,
+    so a hit is the value a call would build.  The applied literals are
+    tested for an atom of both signs before the resolvent is built, so a
+    tautology is never sorted or hashed.
     """
     r, s, mgu = pair
     rest = []

@@ -1,4 +1,4 @@
-"""The clause-file grammar: parsing and printing.
+"""The clause-file grammar and its parser.
 
 Uppercase-initial identifiers are variables; lowercase-initial identifiers
 are predicates, functors, or constants depending on position.  Clauses are
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from .clauses import Clause
 from .terms import Compound, Literal, Term, Variable
@@ -213,11 +212,3 @@ def parse_term(text: str) -> Term:
         raise parser.error("trailing input after term: %r" % tok)
     return term
 
-
-def print_clause(c: Clause) -> str:
-    """Canonical-order one-line form, terminated by a period."""
-    return "%s." % c
-
-
-def print_clause_file(clauses: Iterable[Clause]) -> str:
-    return "".join(print_clause(c) + "\n" for c in clauses)

@@ -5,7 +5,10 @@ propositional prime-implicate oracle enumerates models and minimal covering
 clauses directly, so comparing it against the compiler is a genuine
 cross-check rather than a tautology.  `satisfiable` decides a ground clause
 set by DPLL search instead, for sets whose alphabet is too large for a truth
-table.  `reference_tokens` is the clause grammar's original token scanner,
+table.  `complementary_pairs` and `consensus` are the paper's consensus
+step taken one pair at a time: the reference that the pair engine's rounds
+are checked against.  `reference_tokens` is the clause grammar's original
+token scanner,
 and `reference_apply`, `reference_unify` and `reference_match` are the
 term kernels as first written: recursive `isinstance` walks that apply the
 bindings so far to every equation and compare whole terms.
@@ -18,7 +21,18 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from pikit import Clause, Compound, Literal, Substitution, Term, Variable, apply
+from pikit import (
+    Clause,
+    Compound,
+    Literal,
+    Outcome,
+    Substitution,
+    Term,
+    Variable,
+    apply,
+    compose,
+    unify,
+)
 
 
 class CapacityError(Exception):
@@ -233,6 +247,51 @@ def check_implicate_semantically(
         if not any(m & pos or neg & ~m & full for pos, neg in qmasks):
             return False
     return True
+
+
+def complementary_pairs(
+    c1: Clause, c2: Clause
+) -> list[tuple[Literal, Literal, Substitution]]:
+    """All opposite-sign literal pairs (r in c1, s in c2) whose atoms unify.
+
+    Pairs come out in the canonical literal order of c1 then c2, each with
+    its mgu, so enumeration is deterministic.
+    """
+    pairs = []
+    for r in c1.literals:
+        for s in c2.literals:
+            if r.positive == s.positive or r.atom.functor != s.atom.functor:
+                continue
+            mgu = unify(r.atom, s.atom)
+            if mgu is not None:
+                pairs.append((r, s, mgu))
+    return pairs
+
+
+def consensus(
+    c1: Clause,
+    c2: Clause,
+    pair: tuple[Literal, Literal, Substitution],
+    parents: tuple[int, int] = (0, 0),
+) -> Clause | Outcome:
+    """Consensus of c1 and c2 on one complementary pair, as first written.
+
+    `pair` is one of `complementary_pairs(c1, c2)`: its two literals are the
+    parents' own objects, so the resolvent drops them by identity.
+    Returns Outcome.BLOCKED when the parents' associations do not compose
+    consistently with the mgu.  Otherwise it applies the mgu to every kept
+    literal, builds the resolvent with the composed association and
+    `parents`, and then asks `is_fundamental()`: Outcome.NON_FUNDAMENTAL
+    for a tautology, else the resolvent.
+    """
+    r, s, mgu = pair
+    assoc = compose(c1.assoc, mgu)
+    if assoc != compose(c2.assoc, mgu):
+        return Outcome.BLOCKED
+    rest = [apply(mgu, l) for l in c1.literals if l is not r]
+    rest += [apply(mgu, l) for l in c2.literals if l is not s]
+    resolvent = Clause(tuple(rest), assoc, parents)
+    return resolvent if resolvent.is_fundamental() else Outcome.NON_FUNDAMENTAL
 
 
 _TOKEN = re.compile(

@@ -1,8 +1,10 @@
 """Shared hypothesis strategies for terms, clauses, and substitutions.
 
 Also `entries`: member equality ignores provenance, so a test that compares
-members, clause sets or KBs with `==` compares their entries as well; and
-`closure_iterates`, which reads a closure's saturation iterates off its trace.
+members, clause sets or KBs with `==` compares their entries as well;
+`texts` and `clause_file`, the members' clause texts and a clause file that
+holds them; and `closure_iterates`, which reads a closure's saturation
+iterates off its trace.
 """
 
 import collections
@@ -59,6 +61,16 @@ substitutions = st.dictionaries(st.sampled_from("XYZ"), terms, max_size=3).map(S
 def entries(members):
     """Each member's store entry, origin included, in order."""
     return [m.entry_text for m in members]
+
+
+def texts(members):
+    """Each member's clause text, in order."""
+    return [str(m) for m in members]
+
+
+def clause_file(clauses):
+    """A clause file's text that holds `clauses` in order, one a line."""
+    return "".join("%s.\n" % c for c in clauses)
 
 
 def closure_iterates(x, limits=DEFAULT_LIMITS):

@@ -46,7 +46,6 @@ from pikit import (
     loads_kb,
     parse_clause,
     parse_clause_file,
-    print_clause_file,
     residue,
     subsumes,
     unify,
@@ -61,7 +60,7 @@ from oracles import (
     same_models,
     satisfiable,
 )
-from strategies import FO_CFG, closure_iterates, entries
+from strategies import FO_CFG, clause_file, closure_iterates, entries, texts
 
 EX1 = "p(X,a)|~q(a,f(X)). ~p(b,a)|r(b,Z). ~r(X,f(a))|q(Z,f(a))."
 EX2 = "q(Y). ~r(f(X),b). p(X)|r(Y,b)|~q(Z)."
@@ -150,7 +149,7 @@ def test_criterion_3_incremental_update_of_worked_example():
     report = add_clause(kb, parse_clause(EX2_ADD), trace=events.append)
     assert report.outcome == "recompiled"
 
-    snapshots = [snap.clause_texts() for snap in report.snapshot_history]
+    snapshots = [texts(snap) for snap in report.snapshot_history]
     assert snapshots[0] == [
         "q(Y)", "~r(f(X),b)", "p(X)|r(Z,b)", "p(X)|~q(Z)", "~p(a)|~q(Z)",
     ]
@@ -199,9 +198,7 @@ class FoldRun:
 
     @property
     def agrees(self):
-        return frozenset(self.batch.pi.clause_texts()) == frozenset(
-            self.incremental.result.pi.clause_texts()
-        )
+        return frozenset(texts(self.batch.pi)) == frozenset(texts(self.incremental.result.pi))
 
 
 def _fold_runs(count):
@@ -326,8 +323,8 @@ def test_criterion_4_batch_incremental_equivalence():
             "incremental %s"
             % (
                 run.seed,
-                sorted(batch.clause_texts()),
-                sorted(run.incremental.result.pi.clause_texts()),
+                sorted(texts(batch)),
+                sorted(texts(run.incremental.result.pi)),
             )
         )
 
@@ -351,9 +348,9 @@ def test_criterion_5_ground_oracle_equivalence():
         clauses = list(gen_kb(GenConfig(seed=seed, **GROUND8_CFG)))
         kb = compile(clauses)
         oracle = propositional_prime_implicates(clauses)
-        assert sorted(kb.pi.clause_texts()) == sorted(str(c) for c in oracle), (
+        assert sorted(texts(kb.pi)) == sorted(str(c) for c in oracle), (
             "seed %d: engine %s vs oracle %s"
-            % (seed, sorted(kb.pi.clause_texts()), sorted(str(c) for c in oracle))
+            % (seed, sorted(texts(kb.pi)), sorted(str(c) for c in oracle))
         )
     assert time.perf_counter() - started < 60.0
 
@@ -487,7 +484,7 @@ def test_criterion_8_property_suites():
             seed=seed,
         )
         clauses = list(gen_kb(cfg))
-        assert parse_clause_file(print_clause_file(clauses)) == clauses
+        assert parse_clause_file(clause_file(clauses)) == clauses
 
     # KB-store round-trip on 200 seeded compiled KBs.
     checked, seed = 0, 0

@@ -25,7 +25,7 @@ from pikit import (
 )
 
 from oracles import GroundUniverse, ground_instances
-from strategies import FO_CFG, clauses, closure_iterates, entries
+from strategies import FO_CFG, clauses, closure_iterates, entries, texts
 
 
 def cl(text):
@@ -227,7 +227,7 @@ class TestResidue:
             ("~p(a).", {"Y": Variable("Z")}),
         )
         got = residue(s)
-        assert "~p(a)|~q(Z)" not in got.kept.clause_texts()
+        assert "~p(a)|~q(Z)" not in texts(got.kept)
         assert [str(m) for m in s if m not in got.kept] == ["~p(a)|~q(Z)"]
 
     def test_unit_deletes_superset_clause(self):
@@ -250,13 +250,13 @@ class TestResidue:
     def test_variants_keep_the_earlier_member(self):
         s = members("p(X)|q(Y,b).", "p(Z)|q(X,b).")
         got = residue(s)
-        assert got.kept.clause_texts() == ["p(X)|q(Y,b)"]
+        assert texts(got.kept) == ["p(X)|q(Y,b)"]
         assert [str(m) for m in s if m not in got.kept] == ["p(Z)|q(X,b)"]
 
     def test_empty_clause_wins(self):
         s = ClauseSet([cl("p(a)."), Clause()])
         got = residue(s)
-        assert got.kept.clause_texts() == ["$false"]
+        assert texts(got.kept) == ["$false"]
 
     # Feature prefilter: j can subsume i only if j's (predicate, sign) pairs
     # and (symbol, arity) pairs are subsets of i's, and j's ground literals
@@ -265,19 +265,19 @@ class TestResidue:
     def test_longer_clause_deletes_its_instance(self):
         s = members("p(a).", "p(X)|p(Y).")
         got = residue(s)
-        assert got.kept.clause_texts() == ["p(X)|p(Y)"]
+        assert texts(got.kept) == ["p(X)|p(Y)"]
         assert got.checks == 2
 
     def test_clause_with_extra_symbol_deletes_nothing(self):
         s = members("q(f(X)).", "q(X).")
         got = residue(s)
-        assert got.kept.clause_texts() == ["q(X)"]
+        assert texts(got.kept) == ["q(X)"]
         assert got.checks == 2
 
     def test_ground_literal_absent_from_target_deletes_nothing(self):
         s = members("p(a)|q(X).", "p(b)|q(c).", "p(a)|q(b)|r(c).")
         got = residue(s)
-        assert got.kept.clause_texts() == ["p(a)|q(X)", "p(b)|q(c)"]
+        assert texts(got.kept) == ["p(a)|q(X)", "p(b)|q(c)"]
         assert got.checks == 5
 
 

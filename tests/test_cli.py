@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from strategies import FO_CFG
+from strategies import FO_CFG, texts
 
 from pikit import (
     GenConfig,
@@ -342,7 +342,7 @@ class TestAddCommand:
         code, _, _ = run(capsys, "add", link, extra, "-o", link)
         assert code == 0
         assert link.is_symlink() and os.readlink(link) == os.path.join("real", "kb.pikb")
-        assert load_kb(str(target)).pi.clause_texts() == ["q(a)", "r(b)"]
+        assert texts(load_kb(str(target)).pi) == ["q(a)", "r(b)"]
         assert stat.S_IMODE(target.stat().st_mode) == 0o640
         assert [p.name for p in (tmp / "real").iterdir()] == ["kb.pikb"]  # no temp file left
 

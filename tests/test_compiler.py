@@ -35,7 +35,7 @@ from pikit import (
 )
 
 from oracles import GroundUniverse, check_implicate_semantically, models_of, same_models
-from strategies import FO_CFG, entries
+from strategies import FO_CFG, entries, texts
 
 BASE_KB = "q(Y). ~r(f(X),b). p(X)|r(Y,b)|~q(Z)."
 ADDED = "~p(a)|~q(Z)."
@@ -62,23 +62,23 @@ class TestCompile:
 
     def test_single_unit_clause(self):
         kb = compile([cl("p(a).")])
-        assert kb.pi.clause_texts() == ["p(a)"]
+        assert texts(kb.pi) == ["p(a)"]
         assert kb.stats.rounds == 0
 
     def test_unsatisfiable_ground_kb_compiles_to_empty_clause(self):
-        texts = "p|q. ~p|q. p|~q. ~p|~q."
-        clauses = parse_clause_file(texts)
+        text = "p|q. ~p|q. p|~q. ~p|~q."
+        clauses = parse_clause_file(text)
         # Oracle first: the truth table confirms unsatisfiability.
         assert models_of(clauses) == []
         kb = compile(clauses)
-        assert kb.pi.clause_texts() == ["$false"]
+        assert texts(kb.pi) == ["$false"]
         assert kb.inconsistent
 
     def test_non_fundamental_inputs_dropped_with_warning(self):
         clauses = parse_clause_file("p(X)|~p(X). q(a).")
         with pytest.warns(UserWarning, match="non-fundamental"):
             kb = compile(clauses)
-        assert kb.pi.clause_texts() == ["q(a)"]
+        assert texts(kb.pi) == ["q(a)"]
 
     def test_result_is_subsumption_minimal_and_fundamental(self):
         kb = base_compiled()
@@ -113,14 +113,14 @@ class TestAddClause:
 
     def test_worked_example_snapshots(self):
         report = add_clause(base_compiled(), cl(ADDED))
-        texts = [snap.clause_texts() for snap in report.snapshot_history]
-        assert texts[0] == [
+        snapshots = [texts(snap) for snap in report.snapshot_history]
+        assert snapshots[0] == [
             "q(Y)", "~r(f(X),b)", "p(X)|r(Z,b)", "p(X)|~q(Z)", "~p(a)|~q(Z)",
         ]
-        assert texts[1] == ["q(Y)", "~r(f(X),b)", "p(X)|r(Z,b)", "p(X)|~q(Z)", "~p(a)"]
-        assert texts[2] == ["q(Y)", "~r(f(X),b)", "p(X)|~q(Z)", "~p(a)", "r(Z,b)"]
-        assert texts[3] == texts[2]  # fixpoint: two equal consecutive snapshots
-        assert len(texts) == 4
+        assert snapshots[1] == ["q(Y)", "~r(f(X),b)", "p(X)|r(Z,b)", "p(X)|~q(Z)", "~p(a)"]
+        assert snapshots[2] == ["q(Y)", "~r(f(X),b)", "p(X)|~q(Z)", "~p(a)", "r(Z,b)"]
+        assert snapshots[3] == snapshots[2]  # fixpoint: two equal consecutive snapshots
+        assert len(snapshots) == 4
 
     def test_worked_example_support_history(self):
         report = add_clause(base_compiled(), cl(ADDED))
@@ -173,7 +173,7 @@ class TestAddClause:
         kb = compile([cl("p(a)|q(b).")])
         report = add_clause(kb, cl("p(a)."))
         assert report.outcome == "recompiled"
-        assert report.result.pi.clause_texts() == ["p(a)"]
+        assert texts(report.result.pi) == ["p(a)"]
 
     def test_non_empty_association_is_rejected(self):
         kb = base_compiled()
@@ -299,7 +299,7 @@ def test_round_cap_counts_every_engine_round(x, added, max_rounds, expected):
     with pytest.raises(ResourceLimitExceeded) as err:
         run()
     assert (err.value.limit, err.value.value) == ("max-rounds", max_rounds)
-    assert err.value.partial.clause_texts() == expected
+    assert texts(err.value.partial) == expected
 
 
 def _criterion_4_instances(count=50):
@@ -594,7 +594,7 @@ class TestMinimalFact:
     def test_a_loaded_kb_gets_the_full_first_residue(self):
         report = add_clause(loads_kb(self.REDUNDANT), cl("r(a)."))
         assert report.outcome == "recompiled"
-        assert report.result.pi.clause_texts() == ["p(X)", "r(a)"]
+        assert texts(report.result.pi) == ["p(X)", "r(a)"]
         assert report.result.stats.subsumption_checks == 7
 
     def test_compile_and_add_clause_set_the_fact_and_a_load_does_not(self):
@@ -642,9 +642,7 @@ class TestAddClauses:
         clauses = list(gen_kb(cfg))
         incremental = add_clauses(compile([]), clauses)
         batch = compile(clauses)
-        assert sorted(incremental.result.pi.clause_texts()) == sorted(
-            batch.pi.clause_texts()
-        )
+        assert sorted(texts(incremental.result.pi)) == sorted(texts(batch.pi))
 
 
 class TestAbsorption:
@@ -761,7 +759,7 @@ def test_ground_incremental_agrees_with_batch(seed):
         incremental = add_clause(compile(clauses, limits), extra, limits)
     except ResourceLimitExceeded:
         return
-    assert sorted(batch.pi.clause_texts()) == sorted(incremental.result.pi.clause_texts())
+    assert sorted(texts(batch.pi)) == sorted(texts(incremental.result.pi))
 
 
 @settings(deadline=None, max_examples=50)
@@ -842,8 +840,8 @@ class TestKnownIncrementalDivergence:
 
     def test_divergence_is_real_and_pinned(self):
         batch, incremental = self._both_routes()
-        assert sorted(batch.pi.clause_texts()) == ["p(X)", "q(Y)", "~p(a)", "~q(a)"]
-        assert sorted(incremental.pi.clause_texts()) == ["p(X)", "q(Y)", "~q(a)"]
+        assert sorted(texts(batch.pi)) == ["p(X)", "q(Y)", "~p(a)", "~q(a)"]
+        assert sorted(texts(incremental.pi)) == ["p(X)", "q(Y)", "~q(a)"]
 
     @pytest.mark.xfail(
         strict=True,
@@ -852,7 +850,7 @@ class TestKnownIncrementalDivergence:
     )
     def test_batch_and_incremental_agree_in_general(self):
         batch, incremental = self._both_routes()
-        assert sorted(batch.pi.clause_texts()) == sorted(incremental.pi.clause_texts())
+        assert sorted(texts(batch.pi)) == sorted(texts(incremental.pi))
 
     @pytest.mark.xfail(
         strict=True,
@@ -869,7 +867,7 @@ class TestKnownIncrementalDivergence:
         raw = ClauseSet(clauses + [cl(self.C)])
         lhs = residue(consensus_closure(with_pi).clauses).kept
         rhs = residue(consensus_closure(raw).clauses).kept
-        assert sorted(lhs.clause_texts()) == sorted(rhs.clause_texts())
+        assert sorted(texts(lhs)) == sorted(texts(rhs))
 
     def test_residue_of_closure_agreement_on_worked_example(self):
         from pikit import consensus_closure
@@ -881,4 +879,4 @@ class TestKnownIncrementalDivergence:
         raw = ClauseSet(clauses + [cl(ADDED)])
         lhs = residue(consensus_closure(with_pi).clauses).kept
         rhs = residue(consensus_closure(raw).clauses).kept
-        assert sorted(lhs.clause_texts()) == sorted(rhs.clause_texts())
+        assert sorted(texts(lhs)) == sorted(texts(rhs))

@@ -22,7 +22,6 @@ from pikit import (
     add_clause,
     apply,
     compile,
-    complementary_pairs,
     compose,
     consensus_closure,
     gen_clause,
@@ -31,12 +30,14 @@ from pikit import (
     parse_clause_file,
     vary_seed,
 )
-from pikit.consensus import _resolve, _Rounds, consensus
+from pikit.consensus import _resolve, _Rounds
 
 from oracles import (
     CapacityError,
     GroundUniverse,
     check_implicate_semantically,
+    complementary_pairs,
+    consensus,
     same_models,
     truth_table_entails,
 )
@@ -85,7 +86,7 @@ def test_pikit_consensus_is_the_module():
     import pikit.consensus as m
 
     assert m.__name__ == "pikit.consensus"
-    assert callable(m.unify) and callable(m.compose) and m.consensus is consensus
+    assert callable(m.unify) and callable(m.compose)
 
 
 class TestConsensus:
@@ -134,24 +135,12 @@ def test_association_coherence_of_results(seed, a1, a2):
             assert compose(c1.assoc, pair[2]) != compose(c2.assoc, pair[2])
 
 
-def built_then_tested(c1, c2, pair, parents):
-    """`consensus` as it was first written: apply the mgu to every kept
-    literal, build the resolvent, then ask `is_fundamental()`."""
-    r, s, mgu = pair
-    assoc = compose(c1.assoc, mgu)
-    if assoc != compose(c2.assoc, mgu):
-        return Outcome.BLOCKED
-    rest = [apply(mgu, l) for l in c1.literals if l is not r]
-    rest += [apply(mgu, l) for l in c2.literals if l is not s]
-    resolvent = Clause(tuple(rest), assoc, parents)
-    return resolvent if resolvent.is_fundamental() else Outcome.NON_FUNDAMENTAL
-
-
 def test_memoized_resolvents_match_built_then_tested_ones():
-    """`consensus`, and `_resolve` with one memo shared by every attempt on a
-    set as an engine round shares it, decide each attempt as
-    `built_then_tested` does.  The set is a criterion-4 KB and its first
-    round's resolvents, which carry associations."""
+    """`_resolve`, with plain `apply` and with one memo shared by every
+    attempt on a set as an engine round shares it, decides each unblocked
+    attempt as the reference `consensus`, which builds the resolvent and
+    then tests it, does.  The set is a criterion-4 KB and its first round's
+    resolvents, which carry associations."""
     outcomes = collections.Counter()
     for seed in range(200):
         x = ClauseSet(gen_kb(GenConfig(seed=seed, **FO_CFG)))
@@ -159,10 +148,11 @@ def test_memoized_resolvents_match_built_then_tested_ones():
         applied = functools.cache(apply)
         for (i, d1), (j, d2) in itertools.permutations(enumerate(members, 1), 2):
             for pair in complementary_pairs(d1, d2):
-                expected = built_then_tested(d1, d2, pair, (i, j))
-                got = [consensus(d1, d2, pair, (i, j))]
+                expected = consensus(d1, d2, pair, (i, j))
+                got = []
                 if expected is not Outcome.BLOCKED:
-                    got.append(_resolve(d1, d2, pair, compose(d1.assoc, pair[2]), (i, j), applied))
+                    assoc = compose(d1.assoc, pair[2])
+                    got = [_resolve(d1, d2, pair, assoc, (i, j), f) for f in (apply, applied)]
                 for res in got:
                     if isinstance(expected, Outcome):
                         assert res is expected
@@ -450,6 +440,10 @@ def nested_loop_round(base, new_side, seen, fresh, round_no):
     return events, admitted
 
 
+# The criterion-4 seeds above 99 whose X ∪ {C} grounding refutes and whose
+# `compile` leaves without `$false` (the gating gap of test_acceptance.py).
+GATING_GAP_SEEDS = (139, 144, 147, 156, 197, 202, 214, 217, 240, 301, 315, 416, 432, 482)
+
 # The fold that `TestAddClause` in test_compiler.py pins: round 1 derives a
 # member equal to an input, which the support set then holds later than eta.
 EQUAL_MEMBER_FOLD = ("p|q. q|r. ~r|s.", "~p|r.")
@@ -470,7 +464,7 @@ def test_pair_engine_matches_nested_loops(monkeypatch):
     monkeypatch.setattr(_Rounds, "next", recorded)
     x, c = EQUAL_MEMBER_FOLD
     instances = [(parse_clause_file(x), cl(c))]
-    for seed in range(100):
+    for seed in [*range(100), *GATING_GAP_SEEDS]:
         cfg = GenConfig(seed=seed, **FO_CFG)
         instances.append((list(gen_kb(cfg)), gen_clause(vary_seed(cfg, 1_000_003))))
     for x, c in instances:

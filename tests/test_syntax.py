@@ -6,6 +6,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 from oracles import reference_tokens
+from strategies import clause_file
 
 from pikit import (
     GenConfig,
@@ -15,8 +16,6 @@ from pikit import (
     parse_clause,
     parse_clause_file,
     parse_term,
-    print_clause,
-    print_clause_file,
 )
 from pikit.store import _LoadTable
 from pikit.syntax import Signature, _offset, _tokenize
@@ -157,15 +156,15 @@ class TestParseClause:
 
 
 class TestPrinting:
-    def test_print_clause_appends_period(self):
-        assert print_clause(parse_clause("~p(a).")) == "~p(a)."
+    def test_a_clause_prints_without_its_period(self):
+        assert str(parse_clause("~p(a).")) == "~p(a)"
 
     def test_print_uses_canonical_literal_order(self):
-        assert print_clause(parse_clause("r(Y,b)|p(X)|~q(Z).")) == "p(X)|~q(Z)|r(Y,b)."
+        assert str(parse_clause("r(Y,b)|p(X)|~q(Z).")) == "p(X)|~q(Z)|r(Y,b)"
 
-    def test_print_clause_file_round_trips_worked_example(self):
+    def test_clause_file_text_round_trips_worked_example(self):
         parsed = parse_clause_file("q(Y). ~r(f(X),b). p(X)|r(Y,b)|~q(Z).")
-        again = parse_clause_file(print_clause_file(parsed))
+        again = parse_clause_file(clause_file(parsed))
         assert again == parsed
 
 
@@ -184,7 +183,7 @@ def test_parser_round_trip_on_random_clause_files(seed):
         seed=seed,
     )
     clauses = list(gen_kb(cfg))
-    text = print_clause_file(clauses)
+    text = clause_file(clauses)
     assert parse_clause_file(text) == clauses
 
 
