@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 from .clauses import Clause
 from .compiler import add_clauses, compile, entails
 from .consensus import DEFAULT_LIMITS, ResourceLimitExceeded, ResourceLimits, Trace
-from .store import StoreError, heads_of, load_kb, save_kb
+from .store import StoreError, load_kb, save_kb
 from .syntax import ParseError, Signature, parse_clause, parse_clause_file
 
 
@@ -76,13 +76,13 @@ def _cmd_add(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    # Only a member whose every literal head is among the query's can
-    # subsume it, so the load builds only those, after checking every entry.
+    # The load checks every entry but builds only those that can subsume
+    # the query.
     try:
         query = parse_clause(args.clause)
     except (ParseError, RecursionError):
         query = None
-    kb = load_kb(args.kb, heads=None if query is None else heads_of(query))
+    kb = load_kb(args.kb, query=query)
     if query is None or _clashes(query, kb.signature):
         # A store error comes first, then the error of the parse against
         # the store's arities, as from the one parse that used them.

@@ -80,26 +80,44 @@ _VARIABLE_RE = re.compile(r"[A-Z][A-Za-z0-9_]*")
 # outer parentheses hold, if it has them.  No whitespace or bad character
 # matches.
 _NODE_RE = re.compile(r"(~?)([A-Za-z][A-Za-z0-9_]*)(?:\(([A-Za-z0-9_(),]*)\))?")
+# The identifiers of a well-formed text, each whole: a run of identifier
+# characters starts with a letter wherever the tokenizer accepts it.
+_IDENTIFIER_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 
 class _LoadTable:
     """The parses that the entries of one store load share.
 
-    Maps the text of each literal and of each term, whether a literal's
-    argument or a bound term, to its parse, and the text of each literal
-    that was only checked to its canonical text, so a text that repeats is
-    parsed once and a term that repeats inside other literals is shared.
-    `symbols` is the union of the arities they use, whether built or
-    checked, and `agree` says that no symbol in it has two.  One table
-    lives for one `loads_kb` call.
+    Maps the text of each literal, of each term, whether a literal's
+    argument or a bound term, and of each association to its parse, and
+    the text of each literal that was only checked to its canonical text,
+    so a text that repeats is parsed once and a term that repeats inside
+    other literals, or an association that several entries carry, is
+    shared.  `symbols` is the union of the arities they use, whether built
+    or checked, and `agree` says that no symbol in it has two.  With a
+    query, `candidate` records for each literal text whether it passes the
+    query's tests (see `_passes`).  One table lives for one `loads_kb`
+    call.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, query: Clause | None = None) -> None:
         self.literals: dict[str, Literal] = {}
         self.texts: dict[str, str] = {}
         self.terms: dict[str, Term] = {}
+        self.assocs: dict[str, Substitution] = {}
         self.symbols = Signature()
         self.agree = True
+        self.query = query
+        if query is not None:
+            self.heads = {lit.text.partition("(")[0] for lit in query.literals}
+            self.names = {
+                name
+                for lit in query.literals
+                for name in _IDENTIFIER_RE.findall(lit.text)
+                if not name[0].isupper()
+            }
+            self.ground = {lit.text for lit in query.literals if not lit.variables}
+            self.candidate: dict[str, bool] = {}
 
     def _noted(self, kind: str, name: str, arity: int) -> bool:
         """Add one arity to `symbols`; False when the symbol has another."""
@@ -174,16 +192,48 @@ class _LoadTable:
             out.append(lit)
         return out
 
+    def _passes(self, piece: str) -> bool:
+        """Whether a literal text passes three tests that θ-subsumption of
+        the query implies: a substitution keeps a literal's predicate, its
+        sign and its names, and leaves a ground literal as it is.
+
+        The piece's head, its text up to the first `(` with any whitespace
+        removed, is one of the query's heads; every lowercase-initial name
+        in it appears in the query; and, when it names no variable, its
+        text with the whitespace removed is one of the query's literals.
+        """
+        head = piece.partition("(")[0]
+        if head not in self.heads and "".join(head.split()) not in self.heads:
+            return False
+        has_variable = False
+        for name in _IDENTIFIER_RE.findall(piece):
+            if name[0].isupper():
+                has_variable = True
+            elif name not in self.names:
+                return False
+        return has_variable or "".join(piece.split()) in self.ground
+
+    def _may_answer(self, pieces: list[str]) -> bool:
+        """False when some piece fails the query's tests."""
+        candidate = self.candidate
+        for piece in pieces:
+            passes = candidate.get(piece)
+            if passes is None:
+                passes = candidate[piece] = self._passes(piece)
+            if not passes:
+                return False
+        return True
+
     def clause(
-        self, text: str, line_no: int, heads: set[str] | None
+        self, text: str, line_no: int
     ) -> tuple[frozenset[str], tuple[Literal, ...] | None]:
         """The canonical texts of one entry's literals, and the literals
-        themselves unless `heads` rules the entry out."""
+        themselves unless the query rules the entry out."""
         # `|` only ever separates literals, so a well-formed entry splits
         # into literal texts.  While the symbols agree, so do the literals
         # of each entry.
         pieces = text.split("|")
-        build = heads is None or _may_answer(pieces, heads)
+        build = self.query is None or self._may_answer(pieces)
         if self.agree and "#" not in text:
             found = self._literals(pieces, build)
             if found is not None and build:
@@ -232,29 +282,12 @@ def _canonical(text: str) -> str:
     return "".join(tokens)
 
 
-def heads_of(query: Clause) -> set[str]:
-    """The literal heads of a query, as `loads_kb` takes them: each literal's
-    text up to its first `(`, which is its predicate after a `~` when it is
-    negative."""
-    return {lit.text.partition("(")[0] for lit in query.literals}
-
-
-def _may_answer(pieces: list[str], heads: set[str]) -> bool:
-    """False when some piece, read as a literal, has a head outside `heads`.
-
-    A piece's head is read as a literal's: its text up to the first `(`,
-    with any whitespace in it removed.
-    """
-    for piece in pieces:
-        head = piece.partition("(")[0]
-        if head not in heads and "".join(head.split()) not in heads:
-            return False
-    return True
-
-
 def _parse_assoc(text: str, line_no: int, table: _LoadTable) -> Substitution:
     if not text:
         return EMPTY
+    assoc = table.assocs.get(text)
+    if assoc is not None:
+        return assoc
     bindings = {}
     # Split only before a `Var->`.
     for part in _BINDING_SPLIT_RE.split(text):
@@ -266,15 +299,14 @@ def _parse_assoc(text: str, line_no: int, table: _LoadTable) -> Substitution:
         if var in bindings:
             raise MalformedStoreError("line %d: variable %r bound twice" % (line_no, var))
         bindings[var] = table.term(term_text, line_no)
-    return Substitution(bindings)
+    assoc = table.assocs[text] = Substitution(bindings)
+    return assoc
 
 
-def _parse_entry(
-    payload: str, line_no: int, table: _LoadTable, heads: set[str] | None
-) -> tuple[tuple, Clause | None]:
+def _parse_entry(payload: str, line_no: int, table: _LoadTable) -> tuple[tuple, Clause | None]:
     """The entry's key, (canonical literal texts, association), which is the
     same for two entries exactly when their clauses are equal, and the
-    entry's clause unless `heads` rules it out."""
+    entry's clause unless the table's query rules it out."""
     parts = payload.split(" ; ")
     if len(parts) != 3:
         raise MalformedStoreError("line %d: expected 'clause ; assoc ; origin' entry" % line_no)
@@ -282,7 +314,7 @@ def _parse_entry(
     if clause_text == "$false":
         texts, literals = frozenset(), ()
     else:
-        texts, literals = table.clause(clause_text, line_no, heads)
+        texts, literals = table.clause(clause_text, line_no)
     if assoc_part != "assoc" and not assoc_part.startswith("assoc "):
         raise MalformedStoreError("line %d: expected association field" % line_no)
     assoc = _parse_assoc(assoc_part[6:] if len(assoc_part) > 5 else "", line_no, table)
@@ -311,17 +343,21 @@ def _undeclared(implied: Signature, declared: Signature) -> str | None:
     return None
 
 
-def loads_kb(text: str, *, heads: set[str] | None = None) -> CompiledKB:
+def loads_kb(text: str, *, query: Clause | None = None) -> CompiledKB:
     """The compiled KB that a store's text holds; a bad store raises a StoreError.
 
-    By default every entry becomes a member.  With `heads`, the `heads_of` a
-    query, the load still reads and checks every line as the full load
-    does, and fails on exactly the same stores with the same error, but
-    builds only `$false` and the entries whose every literal has its head in
-    `heads`, in store order.  Only those can θ-subsume the query, so such a
-    KB answers `entails` for it as the full one does.  Its `signature` is still the whole store's, not that of its
-    members.  It is for answering queries only: it must never reach
-    `save_kb` or `add_clause`.
+    By default every entry becomes a member.  With `query`, the load still
+    reads and checks every line as the full load does, and fails on exactly
+    the same stores with the same error, but builds only `$false` and the
+    entries whose every literal passes three tests that θ-subsumption of the
+    query implies: its predicate with its sign is one of the query's, every
+    lowercase-initial name in it appears in the query, and a literal with
+    no variable is one of the query's literals.  They keep their store
+    order.  Only those can θ-subsume the query, so such a KB answers
+    `entails` for it as the full one does, with the same first witness.
+    Its `signature` is still the whole store's, not that of its members.
+    It is for answering that query only: it must never reach `save_kb` or
+    `add_clause`.
     """
     lines = text.splitlines()
     if not lines:
@@ -337,7 +373,7 @@ def loads_kb(text: str, *, heads: set[str] | None = None) -> CompiledKB:
     declared = Signature()
     pi = ClauseSet()
     keys: set[tuple] = set()
-    parses = _LoadTable()
+    parses = _LoadTable(query)
     ended = False
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -369,7 +405,7 @@ def loads_kb(text: str, *, heads: set[str] | None = None) -> CompiledKB:
                 )
             table[name] = arity
         elif kind == "clause":
-            key, member = _parse_entry(payload, line_no, parses, heads)
+            key, member = _parse_entry(payload, line_no, parses)
             if key in keys:
                 raise MalformedStoreError("line %d: duplicate entry" % line_no)
             keys.add(key)
@@ -385,7 +421,7 @@ def loads_kb(text: str, *, heads: set[str] | None = None) -> CompiledKB:
     kb = CompiledKB(pi, stats, digest)
     implied = parses.symbols
     if not parses.agree or _undeclared(implied, declared) is not None:
-        if heads is not None:
+        if query is not None:
             # The conflict to name is the first a walk of every member meets.
             return loads_kb(text)
         # Name the conflict that a walk of the members in order meets first.
@@ -440,7 +476,7 @@ def save_kb(kb: CompiledKB, path: str) -> None:
         raise
 
 
-def load_kb(path: str, *, heads: set[str] | None = None) -> CompiledKB:
-    """`loads_kb` of the file's text; with `heads`, a KB for queries only."""
+def load_kb(path: str, *, query: Clause | None = None) -> CompiledKB:
+    """`loads_kb` of the file's text; with `query`, a KB for that query only."""
     with open(path, "r", encoding="utf-8") as fh:
-        return loads_kb(fh.read(), heads=heads)
+        return loads_kb(fh.read(), query=query)

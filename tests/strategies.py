@@ -2,9 +2,10 @@
 
 Also `entries`: member equality ignores provenance, so a test that compares
 members, clause sets or KBs with `==` compares their entries as well;
-`texts` and `clause_file`, the members' clause texts and a clause file that
-holds them; and `closure_iterates`, which reads a closure's saturation
-iterates off its trace.
+`answer`, an entailment answer with its witness's entry; `texts` and
+`clause_file`, the members' clause texts and a clause file that holds them;
+and `closure_iterates`, which reads a closure's saturation iterates off its
+trace.
 """
 
 import collections
@@ -61,6 +62,12 @@ substitutions = st.dictionaries(st.sampled_from("XYZ"), terms, max_size=3).map(S
 def entries(members):
     """Each member's store entry, origin included, in order."""
     return [m.entry_text for m in members]
+
+
+def answer(e):
+    """An entailment answer with its witness's entry and the substitution's text."""
+    witness = None if e.witness is None else e.witness.entry_text
+    return e, witness, str(e.substitution)
 
 
 def texts(members):

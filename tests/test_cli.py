@@ -495,7 +495,10 @@ STORE_HEAD = (
 )
 IN = " ; assoc ; origin input"
 
-# Faults on entries over `p` alone, which a query over `q` alone does not build.
+# Faults on entries over `p` alone, which a query over `q` alone does not
+# build.  Neither do two queries over `p` whose names or ground literals
+# the entries lack: `p(g(X)).` names no constant and no `f`, and no entry
+# is `p(g(a,b,c,d))`, while each is ground or names `f`.
 NOT_BUILT_FAULTS = {
     "bad character": ["p($)" + IN],
     "arity clash with the table": ["p(a,b)" + IN],
@@ -511,8 +514,8 @@ NOT_BUILT_FAULTS = {
     "spaced duplicate first": ["p (a)|p (b)" + IN, "p(a)|p(b)" + IN],
     "duplicate of a built entry": ["q( X )" + IN],
     "bad association variable": ["p(a) ; assoc x->a ; origin input"],
-    "variable bound twice": ["p(X) ; assoc Y->a,Y->b ; origin input"],
-    "bad binding term": ["p(X) ; assoc Y->f( ; origin input"],
+    "variable bound twice": ["p(f(X)) ; assoc Y->a,Y->b ; origin input"],
+    "bad binding term": ["p(f(X)) ; assoc Y->f( ; origin input"],
     "bad origin": ["p(a) ; assoc ; origin consensus(1)"],
     "empty piece": ["p(a)||p(b)" + IN],
     "comment character": ["p(a)#" + IN],
@@ -524,7 +527,10 @@ class TestQueryBuildsOnlyCandidates:
     """`pikit query` checks every entry but builds only those that can answer."""
 
     @pytest.mark.parametrize("fault", sorted(NOT_BUILT_FAULTS))
-    @pytest.mark.parametrize("query", ["q(a).", "~q(b)|q(f(a)).", "p(a)|q(a).", "s(a)."])
+    @pytest.mark.parametrize(
+        "query",
+        ["q(a).", "~q(b)|q(f(a)).", "p(a)|q(a).", "s(a).", "p(g(X)).", "p(g(a,b,c,d))."],
+    )
     def test_store_errors_on_entries_not_built(self, tmp_path, capsys, fault, query):
         path = tmp_path / "kb.pikb"
         good = "clause p(f(b))|q(b)%s\n" % IN
@@ -549,7 +555,25 @@ class TestQueryBuildsOnlyCandidates:
         head = STORE_HEAD.replace("pred q/1\n", "pred q/1\npred r/1\n")
         path.write_text(head + "clause ~ r (X)|p (X)%s\nend\n" % IN)
         for query, built in [("p(a)|q(a).", ["q(X)"]), ("p(b).", [])]:
-            kb = load_kb(path, heads=store.heads_of(parse_clause(query)))
+            kb = load_kb(path, query=parse_clause(query))
+            assert [str(m) for m in kb.pi] == built
+            assert run(capsys, "query", path, query) == full_load_query(path, query)
+
+    def test_an_entry_ruled_out_only_by_a_name_or_a_ground_literal_is_not_built(
+        self, tmp_path, capsys
+    ):
+        # Under `p(a)|q(b).`, `p(f(X))` has the query's head but names `f`,
+        # and `p(b)` has its head and names but is no literal of it.
+        path = tmp_path / "kb.pikb"
+        entries = "".join("clause %s%s\n" % (e, IN) for e in ["p(f(X))", "p(b)", "p(X)"])
+        path.write_text(STORE_HEAD + entries + "end\n")
+        for query, built in [
+            ("p(a)|q(b).", ["q(X)", "p(X)"]),
+            ("p(f(a))|p(b).", ["p(f(X))", "p(b)", "p(X)"]),
+            ("p(f(a))|q(a).", ["q(X)", "p(f(X))", "p(X)"]),
+            ("p(b)|p(a).", ["p(b)", "p(X)"]),
+        ]:
+            kb = load_kb(path, query=parse_clause(query))
             assert [str(m) for m in kb.pi] == built
             assert run(capsys, "query", path, query) == full_load_query(path, query)
 

@@ -8,7 +8,7 @@ import stat
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
-from strategies import FO_CFG, entries
+from strategies import FO_CFG, answer, entries
 
 from pikit import (
     Clause,
@@ -26,6 +26,7 @@ from pikit import (
     add_clause,
     compile,
     dumps_kb,
+    entails,
     gen_clause,
     gen_kb,
     load_kb,
@@ -34,10 +35,12 @@ from pikit import (
     parse_clause_file,
     save_kb,
     signature_of,
+    subsumes,
+    vary_seed,
 )
 from pikit import syntax
 from pikit.compiler import _STATS_RE
-from pikit.store import _BINDING_SPLIT_RE, _ORIGIN_RE, _SYMBOL_RE, heads_of
+from pikit.store import _BINDING_SPLIT_RE, _ORIGIN_RE, _SYMBOL_RE
 
 WORKED = "q(Y). ~r(f(X),b). p(X)|r(Y,b)|~q(Z)."
 
@@ -406,25 +409,35 @@ UNUSUAL_ENTRIES = [
 ]
 
 
-def may_answer(entry, heads):
-    return {lit.partition("(")[0] for lit in entry.split(" ; ")[0].split("|")} <= heads
+# Queries for the unusual entries: one over p, ~p and q with ground
+# literals among its own, and one over r alone, which builds no entry.
+UNUSUAL_QUERIES = {"query-pq": "p(a)|p(f(a))|q(b)|~p(f(Y))|q(X).", "query-r": "r(X)."}
 
 
-@pytest.mark.parametrize("heads", [None, {"p", "q"}, {"r"}], ids=["full", "heads-pq", "heads-r"])
+def may_answer(entry, query):
+    """Whether a query load builds the entry.  Its three text tests, on the
+    predicates with their signs, the names and the ground literals, pass
+    here exactly when the entry's features are a subset of the query's."""
+    return parse_clause(entry.split(" ; ")[0] + ".").features <= query.features
+
+
+@pytest.mark.parametrize("query", [None, *UNUSUAL_QUERIES], ids=["full", *UNUSUAL_QUERIES])
 @pytest.mark.parametrize("case", UNUSUAL_ENTRIES, ids=lambda case: repr(case[0]))
-def test_unusual_entries_load_as_the_clause_parser_reads_them(case, heads):
+def test_unusual_entries_load_as_the_clause_parser_reads_them(case, query):
     entry, *expected = case
+    if query is not None:
+        query = parse_clause(UNUSUAL_QUERIES[query])
     if isinstance(expected[0], type):
         error, message = expected
         with pytest.raises(error) as err:
-            loads_kb(store(entry), heads=heads)
+            loads_kb(store(entry), query=query)
         assert (type(err.value), str(err.value)) == (error, message)
         return
     members, predicates, functions = expected
-    if heads is not None:
-        # Only the members that can answer a query over `heads` are built.
-        members = [m for m in members if may_answer(m, heads)]
-    kb = loads_kb(store(entry), heads=heads)
+    if query is not None:
+        # Only the members that can answer the query are built.
+        members = [m for m in members if may_answer(m, query)]
+    kb = loads_kb(store(entry), query=query)
     assert [m.entry_text for m in kb.pi] == members
     assert (kb.signature.predicates, kb.signature.functions) == (predicates, functions)
 
@@ -468,13 +481,72 @@ def test_a_load_reads_well_formed_entries_without_the_clause_parser(monkeypatch)
             continue
         text = dumps_kb(kb)
         bound += "->" in text
-        heads = heads_of(gen_clause(cfg))
+        query = gen_clause(cfg)
         made.clear()
-        full, some = loads_kb(text), loads_kb(text, heads=heads)
+        full, some = loads_kb(text), loads_kb(text, query=query)
         assert_same_kb(loads_kb(spaced(text)), full)
-        assert_same_kb(loads_kb(spaced(text), heads=heads), some)
+        assert_same_kb(loads_kb(spaced(text), query=query), some)
         assert made == [], seed
     assert bound > 10
+
+
+def renamed(text):
+    """A store's text with each variable of its entries renamed to end in
+    `v`, which no query names, so that a name found inside a variable's
+    identifier would rule its entry out."""
+    variable = re.compile(r"(?<![A-Za-z0-9_])[A-Z][A-Za-z0-9_]*")
+    return "".join(
+        variable.sub(r"\g<0>v", line) if line.startswith("clause ") else line
+        for line in text.splitlines(keepends=True)
+    )
+
+
+def folded_stores():
+    """The stores of criterion-4 seeds 0-49, each compiled and then folded
+    once, with queries drawn as the kb-query benchmark draws them: every
+    other one a member plus one literal over atoms the member lacks, the
+    rest generated clauses."""
+    limits = ResourceLimits(max_rounds=6, max_clauses=120)
+    for seed in range(50):
+        cfg = GenConfig(seed=seed, **FO_CFG)
+        c = gen_clause(vary_seed(cfg, 1_000_003))
+        try:
+            kb = add_clause(compile(gen_kb(cfg), limits), c, limits).result
+        except ResourceLimitExceeded:
+            continue
+        one = GenConfig(seed=seed, **dict(FO_CFG, clause_len_range=(1, 1)))
+        rng = random.Random(seed)
+        members = [m.clause for m in kb.pi if not m.is_empty]
+        queries = []
+        while len(queries) < 16:
+            if len(queries) % 2 or not members:
+                queries.append(gen_clause(cfg, rng))
+                continue
+            base, extra = rng.choice(members), gen_clause(one, rng)
+            if not {l.atom for l in base} & {l.atom for l in extra}:
+                queries.append(parse_clause("%s|%s." % (base, extra)))
+        yield dumps_kb(kb), queries
+
+
+def test_a_query_load_builds_every_member_that_can_answer():
+    """A load for a query builds, in store order, a part of the full load's
+    members that holds each member subsuming the query, so `entails` gives
+    the same answer, witness and substitution."""
+    built = loaded = yes = 0
+    for text, queries in folded_stores():
+        for copy in (text, spaced(text), renamed(text)):
+            full = loads_kb(copy)
+            for query in queries:
+                some = loads_kb(copy, query=query)
+                rest = iter(entries(full.pi))
+                assert all(e in rest for e in entries(some.pi)), (copy, query)
+                needed = [m for m in full.pi if subsumes(m, query) is not None]
+                assert set(entries(needed)) <= set(entries(some.pi)), (copy, query)
+                assert answer(entails(some, query)) == answer(entails(full, query))
+                assert some.signature == full.signature
+                built, loaded = built + len(some.pi), loaded + len(full.pi)
+                yes += bool(needed)
+    assert yes > 1000 and 4 * built < loaded
 
 
 def reference_loads(text):
@@ -615,6 +687,7 @@ def test_loader_matches_entry_by_entry_reference(seed):
     text = dumps_kb(kb)
     assert outcome(loads_kb, text) == outcome(reference_loads, text)
     assert_same_kb(loads_kb(text), kb)
+    query = gen_clause(cfg)
     # One-character edits, three in four of them among the entries.
     rng = random.Random(seed)
     entries = text.find("\nclause ")
@@ -630,4 +703,8 @@ def test_loader_matches_entry_by_entry_reference(seed):
             bad = text[:i] + char + text[i:]
         else:
             bad = text[:i] + text[i + 1 :]
-        assert outcome(loads_kb, bad) == outcome(reference_loads, bad), bad
+        expected = outcome(reference_loads, bad)
+        assert outcome(loads_kb, bad) == expected, bad
+        if len(expected) == 2:
+            # A load for a query fails on the same stores with the same error.
+            assert outcome(lambda t: loads_kb(t, query=query), bad) == expected, bad
