@@ -23,8 +23,6 @@ from .compiler import (
     IncrementalReport,
     add_clause,
     add_clauses,
-    chain_digest,
-    clause_set_digest,
     compile,
     entails,
 )
@@ -83,7 +81,6 @@ __all__ = [
     # compiler
     "CompileStats", "CompiledKB", "IncrementalReport", "BatchReport", "Entailment",
     "compile", "add_clause", "add_clauses", "entails",
-    "clause_set_digest", "chain_digest",
     # oracle
     "GenConfig", "gen_kb", "gen_clause", "vary_seed",
     # syntax

@@ -80,29 +80,29 @@ _VARIABLE_RE = re.compile(r"[A-Z][A-Za-z0-9_]*")
 # outer parentheses hold, if it has them.  No whitespace or bad character
 # matches.
 _NODE_RE = re.compile(r"(~?)([A-Za-z][A-Za-z0-9_]*)(?:\(([A-Za-z0-9_(),]*)\))?")
-# The identifiers of a well-formed text, each whole: a run of identifier
-# characters starts with a letter wherever the tokenizer accepts it.
-_IDENTIFIER_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+# In a canonical text, a whole lowercase-initial name, and the start of a
+# variable: a run of identifier characters starts with a letter.
+_NAME_RE = re.compile(r"\b[a-z][A-Za-z0-9_]*")
+_VARIABLE_START_RE = re.compile(r"\b[A-Z]")
 
 
 class _LoadTable:
     """The parses that the entries of one store load share.
 
-    Maps the text of each literal, of each term, whether a literal's
-    argument or a bound term, and of each association to its parse, and
-    the text of each literal that was only checked to its canonical text,
-    so a text that repeats is parsed once and a term that repeats inside
-    other literals, or an association that several entries carry, is
-    shared.  `symbols` is the union of the arities they use, whether built
-    or checked, and `agree` says that no symbol in it has two.  With a
-    query, `candidate` records for each literal text whether it passes the
-    query's tests (see `_passes`).  One table lives for one `loads_kb`
-    call.
+    Each distinct literal piece is read once, to its canonical text in
+    `texts`, which keys the entry and is what the query's tests see.  The
+    parts of a literal that passes them, of every literal without a query,
+    go to `parts`, and become a `Literal` in `literals` once an entry that
+    holds it is built.  Each term and association text is parsed once, into
+    `terms` and `assocs`, so every repeat shares one object.  `symbols` is
+    the union of the arities the reads use, and `agree` says that no symbol
+    in it has two.  One table lives for one `loads_kb` call.
     """
 
     def __init__(self, query: Clause | None = None) -> None:
-        self.literals: dict[str, Literal] = {}
         self.texts: dict[str, str] = {}
+        self.parts: dict[str, tuple[str, tuple[Term, ...], bool]] = {}
+        self.literals: dict[str, Literal] = {}
         self.terms: dict[str, Term] = {}
         self.assocs: dict[str, Substitution] = {}
         self.symbols = Signature()
@@ -110,14 +110,8 @@ class _LoadTable:
         self.query = query
         if query is not None:
             self.heads = {lit.text.partition("(")[0] for lit in query.literals}
-            self.names = {
-                name
-                for lit in query.literals
-                for name in _IDENTIFIER_RE.findall(lit.text)
-                if not name[0].isupper()
-            }
+            self.names = {name for lit in query.literals for name in _NAME_RE.findall(lit.text)}
             self.ground = {lit.text for lit in query.literals if not lit.variables}
-            self.candidate: dict[str, bool] = {}
 
     def _noted(self, kind: str, name: str, arity: int) -> bool:
         """Add one arity to `symbols`; False when the symbol has another."""
@@ -164,10 +158,22 @@ class _LoadTable:
             self.terms[text] = term
         return term
 
-    def _literal(self, piece: str, build: bool) -> Literal | str | None:
-        """The piece's literal, or its canonical text when not building;
-        None when the piece is no literal, or an arity in it clashes with
-        `symbols`."""
+    def _texts(self, pieces: list[str]) -> list[str] | None:
+        """The canonical texts of the literal pieces, each read once per
+        load; None when one is no literal or an arity in it clashes."""
+        known = self.texts
+        out = []
+        for piece in pieces:
+            text = known.get(piece) or self._read(piece)
+            if text is None:
+                return None
+            out.append(text)
+        return out
+
+    def _read(self, piece: str) -> str | None:
+        """The canonical text of the literal piece, entered in `texts`, and
+        in `parts` when it passes the query's tests; None when the piece is
+        no literal, or an arity in it clashes with `symbols`."""
         m = _NODE_RE.fullmatch(piece) or _NODE_RE.fullmatch(_canonical(piece))
         if m is None or m.group(2)[0].isupper():
             return None
@@ -175,54 +181,31 @@ class _LoadTable:
         args = () if inner is None else self._args(inner)
         if args is None or not self._noted("predicate", name, len(args)):
             return None
-        return Literal(Compound(name, args), not negated) if build else m.group()
+        text = self.texts[piece] = m.group()
+        if self.query is None or self._passes(text):
+            self.parts[text] = (name, args, not negated)
+        return text
 
-    def _literals(self, pieces: list[str], build: bool) -> list | None:
-        """The pieces' literals, or their canonical texts when not building;
-        None when a piece is no literal or an arity in it clashes."""
-        known = self.literals if build else self.texts
-        out = []
-        for piece in pieces:
-            lit = known.get(piece)
-            if lit is None:
-                lit = self._literal(piece, build)
-                if lit is None:
-                    return None
-                known[piece] = lit
-            out.append(lit)
-        return out
+    def _literal(self, text: str) -> Literal:
+        """The literal of a text in `parts`, built once per load."""
+        lit = self.literals.get(text)
+        if lit is None:
+            name, args, positive = self.parts[text]
+            lit = self.literals[text] = Literal(Compound(name, args), positive)
+        return lit
 
-    def _passes(self, piece: str) -> bool:
-        """Whether a literal text passes three tests that θ-subsumption of
-        the query implies: a substitution keeps a literal's predicate, its
-        sign and its names, and leaves a ground literal as it is.
-
-        The piece's head, its text up to the first `(` with any whitespace
-        removed, is one of the query's heads; every lowercase-initial name
-        in it appears in the query; and, when it names no variable, its
-        text with the whitespace removed is one of the query's literals.
-        """
-        head = piece.partition("(")[0]
-        if head not in self.heads and "".join(head.split()) not in self.heads:
+    def _passes(self, text: str) -> bool:
+        """Whether a canonical literal text passes three tests that
+        θ-subsumption of the query implies, as a substitution keeps a
+        literal's predicate, sign and names, and leaves a ground literal as
+        it is: its head, up to the first `(`, is one of the query's; it is
+        one of the query's literals if it names no variable; and every
+        lowercase-initial name in it appears in the query."""
+        if text.partition("(")[0] not in self.heads:
             return False
-        has_variable = False
-        for name in _IDENTIFIER_RE.findall(piece):
-            if name[0].isupper():
-                has_variable = True
-            elif name not in self.names:
-                return False
-        return has_variable or "".join(piece.split()) in self.ground
-
-    def _may_answer(self, pieces: list[str]) -> bool:
-        """False when some piece fails the query's tests."""
-        candidate = self.candidate
-        for piece in pieces:
-            passes = candidate.get(piece)
-            if passes is None:
-                passes = candidate[piece] = self._passes(piece)
-            if not passes:
-                return False
-        return True
+        if _VARIABLE_START_RE.search(text) is None:
+            return text in self.ground
+        return self.names.issuperset(_NAME_RE.findall(text))
 
     def clause(
         self, text: str, line_no: int
@@ -230,16 +213,15 @@ class _LoadTable:
         """The canonical texts of one entry's literals, and the literals
         themselves unless the query rules the entry out."""
         # `|` only ever separates literals, so a well-formed entry splits
-        # into literal texts.  While the symbols agree, so do the literals
+        # into literal pieces.  While the symbols agree, so do the literals
         # of each entry.
-        pieces = text.split("|")
-        build = self.query is None or self._may_answer(pieces)
         if self.agree and "#" not in text:
-            found = self._literals(pieces, build)
-            if found is not None and build:
-                return frozenset([lit.text for lit in found]), tuple(found)
-            if found is not None:
-                return frozenset(found), None
+            texts = self._texts(text.split("|"))
+            if texts is not None:
+                key = frozenset(texts)
+                if not self.parts.keys() >= key:
+                    return key, None
+                return key, tuple(map(self._literal, texts))
         # A `#` comments out the entry's closing period, a piece is no
         # literal, or an arity clashes: parse the entry whole, which gives
         # the error with its position in the entry.  The table's symbols are

@@ -8,38 +8,47 @@ Variable names live in one global namespace shared by every clause of a
 knowledge base; clauses are deliberately not standardized apart before
 unification.
 
-Every node fixes its `text`, its `variables` (the frozenset of the
-variable names in it) and its hash when it is built, from those of its
-arguments, which are built first; a literal also fixes its `sort_key`.
-Two compounds, or two literals, are equal when their fixed hashes and texts
-are, so comparing two deep terms does not recurse.  That is structural
-equality only for the names the clause grammar accepts, whose printed form
-is injective: the constructors do not check names, and
-``Compound("f", (Compound("a,b"),))`` prints, and so compares, like
-``f(a,b)``.  Only grammar names are supported.
+`Variable`, `Compound` and `Literal` are immutable `_Node`s, each built in
+one step that sets every field: the node's arguments, and its `text`, its
+`variables` (the frozenset of the variable names in it) and its hash from
+those its arguments fixed; a literal also sets its `sort_key`.  Two nodes
+are equal when their types, fixed hashes and texts are, so comparing two
+deep terms does not recurse.  That is structural equality only for the
+names the clause grammar accepts, whose printed form is injective: the
+constructors do not check names, and ``Compound("f", (Compound("a,b"),))``
+prints, and so compares, like ``f(a,b)``.  Only grammar names are supported.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, KeysView, Mapping, Union
 
 
 _NO_VARIABLES: frozenset[str] = frozenset()
+_set = object.__setattr__
 
 
-def _fix(node, text: str, variables: frozenset[str], parts: tuple) -> None:
-    object.__setattr__(node, "text", text)
-    object.__setattr__(node, "variables", variables)
-    object.__setattr__(node, "_hash", hash(parts))
+class _Node:
+    """An immutable term or literal that compares and hashes by its fixed
+    text and hash, and prints as its text."""
 
+    __slots__ = ("text", "variables", "_hash")
 
-@dataclass(frozen=True)
-class Variable:
-    name: str
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError("cannot assign to field %r" % name)
 
-    def __post_init__(self) -> None:
-        _fix(self, self.name, frozenset((self.name,)), ("v", self.name))
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __setstate__(self, state: tuple) -> None:
+        """Restore a copied or unpickled node's slots."""
+        for name, value in state[1].items():
+            _set(self, name, value)
+
+    def __eq__(self, other: object) -> bool:
+        return self is other or (
+            type(other) is type(self) and other._hash == self._hash and other.text == self.text
+        )
 
     def __hash__(self) -> int:
         return self._hash
@@ -50,59 +59,54 @@ class Variable:
     __repr__ = __str__
 
 
-def _same(node, other) -> bool:
-    """Equality of two compounds or two literals, by their fixed text."""
-    return node is other or (
-        type(other) is type(node) and other._hash == node._hash and other.text == node.text
-    )
+class Variable(_Node):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        _set(self, "name", name)
+        _set(self, "text", name)
+        _set(self, "variables", frozenset((name,)))
+        _set(self, "_hash", hash(("v", name)))
 
 
-@dataclass(frozen=True, eq=False)
-class Compound:
+class Compound(_Node):
     """A function or predicate application; a constant is a compound with
     no arguments, and a literal's atom is a compound over its predicate."""
 
-    functor: str
-    args: tuple["Term", ...] = ()
+    __slots__ = ("functor", "args")
 
-    def __post_init__(self) -> None:
-        head, args = self.functor, self.args
-        text = "%s(%s)" % (head, ",".join([a.text for a in args])) if args else head
+    def __init__(self, functor: str, args: tuple[Term, ...] = ()) -> None:
+        text = "%s(%s)" % (functor, ",".join([a.text for a in args])) if args else functor
         # Ground nodes share one empty set; a node with one non-ground
         # argument shares that argument's set.
         sets = [a.variables for a in args if a.variables] or [_NO_VARIABLES]
-        variables = sets[0] if len(sets) == 1 else frozenset().union(*sets)
-        _fix(self, text, variables, (head, args))
-
-    __eq__ = _same
-    __hash__ = Variable.__hash__
-    __str__ = __repr__ = Variable.__str__
+        _set(self, "functor", functor)
+        _set(self, "args", args)
+        _set(self, "text", text)
+        _set(self, "variables", sets[0] if len(sets) == 1 else frozenset().union(*sets))
+        _set(self, "_hash", hash((functor, args)))
 
 
 Term = Union[Variable, Compound]
 
 
-@dataclass(frozen=True, eq=False)
-class Literal:
+class Literal(_Node):
     """A possibly negated atom.
 
     `sort_key` is the canonical literal order: predicate, then sign, then
     argument text.
     """
 
-    atom: Compound
-    positive: bool = True
+    __slots__ = ("atom", "positive", "sort_key")
 
-    def __post_init__(self) -> None:
-        atom = self.atom
-        text = atom.text if self.positive else "~" + atom.text
-        _fix(self, text, atom.variables, (atom, self.positive))
-        key = (atom.functor, 0 if self.positive else 1, tuple([a.text for a in atom.args]))
-        object.__setattr__(self, "sort_key", key)
-
-    __eq__ = _same
-    __hash__ = Variable.__hash__
-    __str__ = __repr__ = Variable.__str__
+    def __init__(self, atom: Compound, positive: bool = True) -> None:
+        _set(self, "atom", atom)
+        _set(self, "positive", positive)
+        _set(self, "text", atom.text if positive else "~" + atom.text)
+        _set(self, "variables", atom.variables)
+        _set(self, "_hash", hash((atom, positive)))
+        key = (atom.functor, 0 if positive else 1, tuple([a.text for a in atom.args]))
+        _set(self, "sort_key", key)
 
 
 class Substitution:
@@ -161,15 +165,14 @@ class Substitution:
 EMPTY = Substitution()
 
 
-def apply(sub: Substitution | Mapping[str, Term], x):
+def apply(sub: Substitution, x):
     """Simultaneously replace every variable bound by `sub` inside `x`.
 
-    `sub` is a Substitution or a plain name-to-term dict.  Works on terms
-    (atoms included) and literals; a clause is rebuilt literal by literal by
-    its caller.  A node none of whose variables `sub` binds comes back as it
-    is.
+    Works on terms (atoms included) and literals; a clause is rebuilt
+    literal by literal by its caller.  A node none of whose variables `sub`
+    binds comes back as it is.
     """
-    return _apply(sub._bindings if type(sub) is Substitution else sub, x)
+    return _apply(sub._bindings, x)
 
 
 def _apply(d, x):

@@ -663,6 +663,12 @@ class TestShowCommand:
             assert run(capsys, *argv) == (2, "", message), argv
         assert not out_kb.exists()
 
+    def test_empty_store_exits_2_in_show_and_query(self, tmp_path, capsys):
+        empty = tmp_path / "empty.pikb"
+        empty.write_text("")
+        for argv in (["show", empty], ["query", empty, "q(a)."]):
+            assert run(capsys, *argv) == (2, "", "error: empty store\n"), argv
+
     def test_show_malformed_store_exits_2(self, workspace, capsys):
         tmp, _ = workspace
         bad = tmp / "bad.pikb"

@@ -1,9 +1,12 @@
 """Smoke tests: the scripts under scripts/ run against the package in src/."""
 
+import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from strategies import FO_CFG
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -40,3 +43,22 @@ def test_output_hash_matches_golden_on_forty_instances():
         GOLDEN_HASH_40,
         "untraced " + GOLDEN_UNTRACED_40,
     ]
+
+
+def fo_cfg_in(path):
+    """The fields of the top-level `FO_CFG = dict(...)` in a file, read
+    without importing it."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["FO_CFG"]:
+            call = node.value
+            assert isinstance(call, ast.Call) and ast.unparse(call.func) == "dict"
+            assert not call.args and all(kw.arg for kw in call.keywords)
+            return {kw.arg: ast.literal_eval(kw.value) for kw in call.keywords}
+    raise AssertionError("no FO_CFG in %s" % path)
+
+
+def test_the_copies_of_the_criterion_4_shape_agree():
+    """The tests, `scripts/output_hash.py` and the benchmark's workloads
+    each spell out the first-order instance shape; they must be one shape."""
+    for path in (ROOT / "scripts" / "output_hash.py", ROOT / "perfbench" / "workloads.py"):
+        assert fo_cfg_in(path) == FO_CFG, path

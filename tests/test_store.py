@@ -16,6 +16,7 @@ from pikit import (
     CompiledKB,
     Compound,
     GenConfig,
+    Literal,
     MalformedStoreError,
     ResourceLimitExceeded,
     ResourceLimits,
@@ -121,6 +122,22 @@ class TestRoundTrip:
             os.umask(umask)
         assert stat.S_IMODE(path.stat().st_mode) == 0o640
         assert_same_kb(load_kb(str(path)), kb)
+
+    def test_a_kb_that_cannot_be_dumped_leaves_the_old_store(self, tmp_path):
+        # A hand-built KB can use one predicate with two arities, which no
+        # store can declare.
+        p = [Compound("p", (Compound("a"),)), Compound("p", (Compound("a"), Compound("b")))]
+        kb = CompiledKB(ClauseSet([Clause((Literal(atom),)) for atom in p]))
+        with pytest.raises(ValueError) as dumped:
+            dumps_kb(kb)
+        path = tmp_path / "kb.pikb"
+        save_kb(worked_kb(), str(path))
+        store = path.read_bytes()
+        with pytest.raises(ValueError) as saved:
+            save_kb(kb, str(path))
+        assert type(saved.value) is ValueError and str(saved.value) == str(dumped.value)
+        assert os.listdir(tmp_path) == ["kb.pikb"]
+        assert path.read_bytes() == store
 
     @settings(deadline=None, max_examples=60)
     @given(st.integers(0, 10**9))
@@ -249,6 +266,11 @@ class TestStoreErrors:
                 loads_kb(store(*entries))
             assert type(err.value) is error
             assert str(err.value) == expected
+
+    def test_empty_store_is_malformed(self):
+        with pytest.raises(MalformedStoreError) as err:
+            loads_kb("")
+        assert type(err.value) is MalformedStoreError and str(err.value) == "empty store"
 
     def test_truncated_store_is_malformed(self):
         text = dumps_kb(worked_kb())

@@ -220,19 +220,19 @@ def arities(sig):
 
 
 def literal_outcomes(text):
-    """What a store load's table, checking and then building, and
-    `parse_clause` make of an entry's clause text: its distinct literal
-    texts and the arities noted in order, or None when it is no clause."""
-    outcomes = []
-    for build in (False, True):
-        table = _LoadTable()
-        table.symbols = Signature({"p": 1}, {"a": 0})
-        found = table._literals(text.split("|"), build)
-        if found is None:
-            outcomes.append(None)
-            continue
-        texts = [lit.text for lit in found] if build else found
-        outcomes.append((sorted(set(texts)), arities(table.symbols)))
+    """What a store load's table and `parse_clause` make of an entry's
+    clause text: the table's canonical literal texts, the texts of the
+    literals it builds from them, and the parser's literal texts, each
+    distinct and with the arities noted in order, or None when it is no
+    clause."""
+    table = _LoadTable()
+    table.symbols = Signature({"p": 1}, {"a": 0})
+    if None in [table._read(piece) for piece in text.split("|")]:
+        outcomes = [None, None]
+    else:
+        texts, literals = table.clause(text, 1)
+        noted = arities(table.symbols)
+        outcomes = [(sorted(texts), noted), (sorted({lit.text for lit in literals}), noted)]
     sig = Signature({"p": 1}, {"a": 0})
     try:
         literals = parse_clause(text + ".", sig).literals
