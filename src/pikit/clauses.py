@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .terms import EMPTY, Compound, Literal, Substitution, _match
+from .terms import EMPTY, Compound, Literal, Substitution, Term, _match
 
 
 @dataclass(frozen=True)
@@ -36,6 +36,9 @@ class Clause:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self) -> tuple:
+        return Clause, (self.literals, self.assoc, self.parents)
+
     @property
     def clause(self) -> "Clause":
         """The same literals with the empty association."""
@@ -54,28 +57,13 @@ class Clause:
 
     @cached_property
     def features(self) -> frozenset:
-        """What every clause that θ-subsumes this one has.
-
-        One set of three kinds of items: ``"p"``/``"~p"`` for each predicate
-        and sign, ``(f, arity)`` for each function symbol and constant, and
-        the text of each ground literal.  A substitution keeps all three, so
-        if c θ-subsumes d then c's features are a subset of d's.  Literal
-        counts and clause lengths give no such condition: ``p(X)|p(Y)``
-        subsumes ``p(a)``.  Texts compare without recursion, so the features
-        of clauses over deeply nested terms compare too; a 0-ary literal's
-        text is its sign item.
-        """
+        """What every clause that θ-subsumes this one has, its literals'
+        `literal_features`: if c θ-subsumes d, c's features are a subset of
+        d's.  Literal counts give no such condition: ``p(X)|p(Y)`` subsumes
+        ``p(a)``."""
         out: set = set()
         for lit in self.literals:
-            out.add(lit.atom.functor if lit.positive else "~" + lit.atom.functor)
-            if not lit.variables:
-                out.add(lit.text)
-            stack = list(lit.atom.args)
-            while stack:
-                t = stack.pop()
-                if isinstance(t, Compound):
-                    out.add((t.functor, len(t.args)))
-                    stack.extend(t.args)
+            out.update(literal_features(lit.text, lit.atom.args))
         return frozenset(out)
 
     def is_fundamental(self) -> bool:
@@ -96,6 +84,26 @@ class Clause:
         return "|".join([l.text for l in self.literals]) if self.literals else "$false"
 
     __repr__ = __str__
+
+
+def literal_features(text: str, args: tuple[Term, ...]) -> list:
+    """The items a substitution keeps of the literal printed as `text` over
+    the atom arguments `args`: its signed head, ``"p"`` or ``"~p"``; an
+    ``(f, arity)`` for each compound in `args`; and `text` if it names no
+    variable, as a text compares without recursion however deep it is."""
+    out: list = [text.partition("(")[0]]
+    ground = True
+    stack = list(args)
+    while stack:
+        t = stack.pop()
+        if type(t) is Compound:
+            out.append((t.functor, len(t.args)))
+            stack.extend(t.args)
+        else:
+            ground = False
+    if ground:
+        out.append(text)
+    return out
 
 
 def fundamental(literals: Sequence[Literal]) -> bool:

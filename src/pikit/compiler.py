@@ -57,9 +57,9 @@ class CompiledKB:
     a KB whose only member is the empty clause is inconsistent.  A store
     load sets `signature` to the arities the store's entries use, which it
     has collected anyway; it is not kept up to date.  A load for one query
-    (`loads_kb` with `query`) keeps, in store order, only the members that
-    pass the text tests θ-subsuming that query implies, while `signature`
-    still covers every entry.  `compile` and
+    (`loads_kb` with `query`) keeps, in store order, only the members whose
+    features are among that query's, while `signature` still covers every
+    entry.  `compile` and
     `add_clause` set `minimal`, since their `pi` is a residue's output; a
     caller who edits `pi` must set it back to False.  `add_clause` also sets
     `memo`, the `unify` and `compose` memos of its fold, which the next fold

@@ -21,7 +21,7 @@ import re
 import stat
 import tempfile
 
-from .clauses import Clause, ClauseSet
+from .clauses import Clause, ClauseSet, literal_features
 from .compiler import CompiledKB, CompileStats
 from .syntax import ParseError, Signature, _bad_character, _tokenize, parse_clause, parse_term
 from .terms import EMPTY, Compound, Literal, Substitution, Term, Variable
@@ -80,23 +80,20 @@ _VARIABLE_RE = re.compile(r"[A-Z][A-Za-z0-9_]*")
 # outer parentheses hold, if it has them.  No whitespace or bad character
 # matches.
 _NODE_RE = re.compile(r"(~?)([A-Za-z][A-Za-z0-9_]*)(?:\(([A-Za-z0-9_(),]*)\))?")
-# In a canonical text, a whole lowercase-initial name, and the start of a
-# variable: a run of identifier characters starts with a letter.
-_NAME_RE = re.compile(r"\b[a-z][A-Za-z0-9_]*")
-_VARIABLE_START_RE = re.compile(r"\b[A-Z]")
 
 
 class _LoadTable:
     """The parses that the entries of one store load share.
 
     Each distinct literal piece is read once, to its canonical text in
-    `texts`, which keys the entry and is what the query's tests see.  The
-    parts of a literal that passes them, of every literal without a query,
-    go to `parts`, and become a `Literal` in `literals` once an entry that
-    holds it is built.  Each term and association text is parsed once, into
-    `terms` and `assocs`, so every repeat shares one object.  `symbols` is
-    the union of the arities the reads use, and `agree` says that no symbol
-    in it has two.  One table lives for one `loads_kb` call.
+    `texts`, which keys the entry.  The parts of a literal whose
+    `literal_features` are all in the query's `features`, of every literal
+    without a query, go to `parts`, and become a `Literal` in `literals`
+    once an entry that holds it is built.  Each term and association text
+    is parsed once, into `terms` and `assocs`, so every repeat shares one
+    object.  `symbols` is the union of the arities the reads use, and
+    `agree` says that no symbol in it has two.  One table lives for one
+    `loads_kb` call.
     """
 
     def __init__(self, query: Clause | None = None) -> None:
@@ -107,11 +104,7 @@ class _LoadTable:
         self.assocs: dict[str, Substitution] = {}
         self.symbols = Signature()
         self.agree = True
-        self.query = query
-        if query is not None:
-            self.heads = {lit.text.partition("(")[0] for lit in query.literals}
-            self.names = {name for lit in query.literals for name in _NAME_RE.findall(lit.text)}
-            self.ground = {lit.text for lit in query.literals if not lit.variables}
+        self.features = None if query is None else query.features
 
     def _noted(self, kind: str, name: str, arity: int) -> bool:
         """Add one arity to `symbols`; False when the symbol has another."""
@@ -172,8 +165,9 @@ class _LoadTable:
 
     def _read(self, piece: str) -> str | None:
         """The canonical text of the literal piece, entered in `texts`, and
-        in `parts` when it passes the query's tests; None when the piece is
-        no literal, or an arity in it clashes with `symbols`."""
+        in `parts` when the query's features hold its own, its signed head
+        tried first; None when the piece is no literal, or an arity in it
+        clashes with `symbols`."""
         m = _NODE_RE.fullmatch(piece) or _NODE_RE.fullmatch(_canonical(piece))
         if m is None or m.group(2)[0].isupper():
             return None
@@ -182,7 +176,8 @@ class _LoadTable:
         if args is None or not self._noted("predicate", name, len(args)):
             return None
         text = self.texts[piece] = m.group()
-        if self.query is None or self._passes(text):
+        f = self.features
+        if f is None or negated + name in f and f.issuperset(literal_features(text, args)):
             self.parts[text] = (name, args, not negated)
         return text
 
@@ -193,19 +188,6 @@ class _LoadTable:
             name, args, positive = self.parts[text]
             lit = self.literals[text] = Literal(Compound(name, args), positive)
         return lit
-
-    def _passes(self, text: str) -> bool:
-        """Whether a canonical literal text passes three tests that
-        θ-subsumption of the query implies, as a substitution keeps a
-        literal's predicate, sign and names, and leaves a ground literal as
-        it is: its head, up to the first `(`, is one of the query's; it is
-        one of the query's literals if it names no variable; and every
-        lowercase-initial name in it appears in the query."""
-        if text.partition("(")[0] not in self.heads:
-            return False
-        if _VARIABLE_START_RE.search(text) is None:
-            return text in self.ground
-        return self.names.issuperset(_NAME_RE.findall(text))
 
     def clause(
         self, text: str, line_no: int
@@ -331,12 +313,12 @@ def loads_kb(text: str, *, query: Clause | None = None) -> CompiledKB:
     By default every entry becomes a member.  With `query`, the load still
     reads and checks every line as the full load does, and fails on exactly
     the same stores with the same error, but builds only `$false` and the
-    entries whose every literal passes three tests that θ-subsumption of the
-    query implies: its predicate with its sign is one of the query's, every
-    lowercase-initial name in it appears in the query, and a literal with
-    no variable is one of the query's literals.  They keep their store
-    order.  Only those can θ-subsume the query, so such a KB answers
-    `entails` for it as the full one does, with the same first witness.
+    entries whose every literal has its `literal_features` among the query's
+    `Clause.features`, as θ-subsumption of the query implies: its predicate
+    with its sign, each function symbol with its arity, and the literal
+    itself if it has no variable.  They keep their store order.  Only those
+    can θ-subsume the query, so such a KB answers `entails` for it as the
+    full one does, with the same first witness.
     Its `signature` is still the whole store's, not that of its members.
     It is for answering that query only: it must never reach `save_kb` or
     `add_clause`.

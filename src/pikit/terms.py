@@ -17,6 +17,8 @@ deep terms does not recurse.  That is structural equality only for the
 names the clause grammar accepts, whose printed form is injective: the
 constructors do not check names, and ``Compound("f", (Compound("a,b"),))``
 prints, and so compares, like ``f(a,b)``.  Only grammar names are supported.
+`PYTHONHASHSEED` salts string hashes, so nodes, `Substitution`s and `Clause`s
+copy and unpickle through their constructors, which fix the hash anew.
 """
 
 from __future__ import annotations
@@ -39,11 +41,6 @@ class _Node:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError("cannot delete field %r" % name)
-
-    def __setstate__(self, state: tuple) -> None:
-        """Restore a copied or unpickled node's slots."""
-        for name, value in state[1].items():
-            _set(self, name, value)
 
     def __eq__(self, other: object) -> bool:
         return self is other or (
@@ -68,6 +65,9 @@ class Variable(_Node):
         _set(self, "variables", frozenset((name,)))
         _set(self, "_hash", hash(("v", name)))
 
+    def __reduce__(self) -> tuple:
+        return Variable, (self.name,)
+
 
 class Compound(_Node):
     """A function or predicate application; a constant is a compound with
@@ -85,6 +85,9 @@ class Compound(_Node):
         _set(self, "text", text)
         _set(self, "variables", sets[0] if len(sets) == 1 else frozenset().union(*sets))
         _set(self, "_hash", hash((functor, args)))
+
+    def __reduce__(self) -> tuple:
+        return Compound, (self.functor, self.args)
 
 
 Term = Union[Variable, Compound]
@@ -107,6 +110,9 @@ class Literal(_Node):
         _set(self, "_hash", hash((atom, positive)))
         key = (atom.functor, 0 if positive else 1, tuple([a.text for a in atom.args]))
         _set(self, "sort_key", key)
+
+    def __reduce__(self) -> tuple:
+        return Literal, (self.atom, self.positive)
 
 
 class Substitution:
@@ -146,6 +152,9 @@ class Substitution:
         if not isinstance(other, Substitution):
             return NotImplemented
         return self._bindings == other._bindings
+
+    def __reduce__(self) -> tuple:
+        return Substitution, (self._bindings,)
 
     def __hash__(self) -> int:
         if self._hash is None:

@@ -1,14 +1,18 @@
 """Persistence round-trips and store validation errors."""
 
+import json
 import os
 import random
 import re
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
-from strategies import FO_CFG, answer, entries
+from strategies import FO_CFG, answer, clauses, entries, substitutions
 
 from pikit import (
     Clause,
@@ -25,6 +29,7 @@ from pikit import (
     Substitution,
     Variable,
     add_clause,
+    apply,
     compile,
     dumps_kb,
     entails,
@@ -41,7 +46,8 @@ from pikit import (
 )
 from pikit import syntax
 from pikit.compiler import _STATS_RE
-from pikit.store import _BINDING_SPLIT_RE, _ORIGIN_RE, _SYMBOL_RE
+from pikit.clauses import literal_features
+from pikit.store import _BINDING_SPLIT_RE, _ORIGIN_RE, _SYMBOL_RE, _LoadTable
 
 WORKED = "q(Y). ~r(f(X),b). p(X)|r(Y,b)|~q(Z)."
 
@@ -54,6 +60,50 @@ def worked_kb():
 def assert_same_kb(got, kb):
     assert got == kb
     assert entries(got.pi) == entries(kb.pi)
+
+
+# Run as `python -c PICKLED dump|load PATH`: `dump` pickles a term, a
+# member, its association, a folded KB's members and the KB, memo and all,
+# to PATH; `load` unpickles them and prints, as JSON, which checks against
+# the same values built afresh hold.
+PICKLED = """
+import json, pickle, sys
+from pikit import Compound, Variable, add_clause, compile, dumps_kb, loads_kb
+from pikit import parse_clause, parse_clause_file
+
+def values():
+    kb = compile(parse_clause_file("q(Y). ~r(f(X),b). p(X)|r(Y,b)|~q(Z)."))
+    kb = add_clause(kb, parse_clause("~p(a)|~q(Z).")).result
+    member = next(m for m in kb.pi if not m.assoc.is_empty())
+    return [Compound("f", (Variable("X"),)), member, member.assoc, kb.pi, kb]
+
+mode, path = sys.argv[1:]
+if mode == "dump":
+    with open(path, "wb") as fh:
+        pickle.dump(values(), fh)
+    sys.exit()
+with open(path, "rb") as fh:
+    got = pickle.load(fh)
+fresh = values()
+kb, again = got[-1], fresh[-1]
+more = parse_clause("r(a,b)|s(Y).")
+print(json.dumps({
+    "equal": [x == y for x, y in zip(got, fresh)],
+    "hash alike": [hash(x) == hash(y) for x, y in zip(got[:3], fresh[:3])],
+    "members found": all(m in kb.pi for m in again.pi),
+    "equals its store reload": kb == loads_kb(dumps_kb(kb)),
+    "same store": dumps_kb(kb) == dumps_kb(again),
+    "same store after a fold": dumps_kb(add_clause(kb, more).result)
+    == dumps_kb(add_clause(again, more).result),
+}))
+"""
+
+
+def run_pickled(mode, path, seed):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=str(seed))
+    command = [sys.executable, "-c", PICKLED, mode, str(path)]
+    return subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
 
 
 class TestRoundTrip:
@@ -138,6 +188,23 @@ class TestRoundTrip:
         assert type(saved.value) is ValueError and str(saved.value) == str(dumped.value)
         assert os.listdir(tmp_path) == ["kb.pikb"]
         assert path.read_bytes() == store
+
+    def test_what_one_process_pickles_another_loads_equal(self, tmp_path):
+        """String hashes differ between the two hash seeds, so a value that
+        kept the hash it was pickled with would compare unequal."""
+        path = tmp_path / "values.pickle"
+        dumped = run_pickled("dump", path, 1)
+        assert (dumped.returncode, dumped.stderr) == (0, "")
+        loaded = run_pickled("load", path, 2)
+        assert (loaded.returncode, loaded.stderr) == (0, "")
+        assert json.loads(loaded.stdout) == {
+            "equal": [True] * 5,
+            "hash alike": [True] * 3,
+            "members found": True,
+            "equals its store reload": True,
+            "same store": True,
+            "same store after a fold": True,
+        }
 
     @settings(deadline=None, max_examples=60)
     @given(st.integers(0, 10**9))
@@ -437,9 +504,9 @@ UNUSUAL_QUERIES = {"query-pq": "p(a)|p(f(a))|q(b)|~p(f(Y))|q(X).", "query-r": "r
 
 
 def may_answer(entry, query):
-    """Whether a query load builds the entry.  Its three text tests, on the
-    predicates with their signs, the names and the ground literals, pass
-    here exactly when the entry's features are a subset of the query's."""
+    """Whether a query load builds the entry: the `literal_features` of each
+    of its literals are among the query's features, that is, the entry's
+    own features are."""
     return parse_clause(entry.split(" ; ")[0] + ".").features <= query.features
 
 
@@ -481,6 +548,52 @@ def spaced(text):
 
 def _tokens(text):
     return re.findall(r"[A-Za-z][A-Za-z0-9_]*|[(),|~]", text)
+
+
+def test_a_query_load_needs_each_function_symbol_with_its_arity():
+    """`q` is a function symbol in the store and a predicate in the query,
+    so no `p` entry over `q(X)` can subsume the query: a load for it builds
+    neither entry, and answers as the full load does."""
+    text = dumps_kb(compile(parse_clause_file("p(q(X)). r(a).")))
+    query = parse_clause("q(a)|p(Y).")
+    full, some = loads_kb(text), loads_kb(text, query=query)
+    assert (len(full.pi), len(some.pi)) == (2, 0)
+    assert answer(entails(some, query)) == answer(entails(full, query))
+
+
+@settings(deadline=None, max_examples=200)
+@given(clauses, clauses, substitutions)
+def test_a_subsumer_passes_the_feature_pre_test(c, d, sub):
+    """Whenever c θ-subsumes d, c's features are among d's, and a load of
+    c's entry for the query d, spaced or not, builds it."""
+    text = dumps_kb(CompiledKB(ClauseSet([c])))
+    instance = Clause(tuple(apply(sub, l) for l in c.literals + d.literals))
+    for query in (d, instance):
+        if subsumes(c, query) is None:
+            continue
+        assert c.features <= query.features
+        for copy in (text, spaced(text)):
+            assert loads_kb(copy, query=query).pi.members == (c,)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(clauses, min_size=1, max_size=4), clauses)
+def test_a_read_literal_has_the_features_of_the_built_one(members, query):
+    """The table reads each literal of a store, spaced or not, to arguments
+    with the `literal_features` of the literal the parser builds, and a
+    query load keeps it exactly when those are among the query's."""
+    text = dumps_kb(CompiledKB(ClauseSet(members)))
+    for copy in (text, spaced(text)):
+        for line in copy.splitlines():
+            if not line.startswith("clause "):
+                continue
+            for piece in line[7:].split(" ; ")[0].split("|"):
+                lit = parse_clause(piece + ".").literals[0]
+                full, some = _LoadTable(), _LoadTable(query)
+                assert full._read(piece) == some._read(piece) == lit.text
+                args = full.parts[lit.text][1]
+                assert literal_features(lit.text, args) == literal_features(lit.text, lit.atom.args)
+                assert (lit.text in some.parts) == (Clause((lit,)).features <= query.features)
 
 
 def test_a_load_reads_well_formed_entries_without_the_clause_parser(monkeypatch):
