@@ -90,10 +90,11 @@ class _LoadTable:
     `literal_features` are all in the query's `features`, of every literal
     without a query, go to `parts`, and become a `Literal` in `literals`
     once an entry that holds it is built.  Each term and association text
-    is parsed once, into `terms` and `assocs`, so every repeat shares one
-    object.  `symbols` is the union of the arities the reads use, and
-    `agree` says that no symbol in it has two.  One table lives for one
-    `loads_kb` call.
+    is parsed once, into `terms` and `assocs`.  Nodes and substitutions are
+    interned, so equal ones are one object however they were built: these
+    tables only save reading a repeated text again.  `symbols` is the union
+    of the arities the reads use, and `agree` says that no symbol in it has
+    two.  One table lives for one `loads_kb` call.
     """
 
     def __init__(self, query: Clause | None = None) -> None:

@@ -9,46 +9,80 @@ knowledge base; clauses are deliberately not standardized apart before
 unification.
 
 `Variable`, `Compound` and `Literal` are immutable `_Node`s, each built in
-one step that sets every field: the node's arguments, and its `text`, its
-`variables` (the frozenset of the variable names in it) and its hash from
-those its arguments fixed; a literal also sets its `sort_key`.  Two nodes
-are equal when their types, fixed hashes and texts are, so comparing two
-deep terms does not recurse.  That is structural equality only for the
-names the clause grammar accepts, whose printed form is injective: the
-constructors do not check names, and ``Compound("f", (Compound("a,b"),))``
-prints, and so compares, like ``f(a,b)``.  Only grammar names are supported.
-`PYTHONHASHSEED` salts string hashes, so nodes, `Substitution`s and `Clause`s
-copy and unpickle through their constructors, which fix the hash anew.
+one step that sets every field: the node's arguments, and its `text` and
+its `variables` (the frozenset of the variable names in it) from those its
+arguments fixed; a literal also sets its `sort_key`.  Nodes and
+`Substitution`s are interned (hash-consed, as in Filliâtre & Conchon,
+"Type-Safe Modular Hash-Consing", 2006): each constructor looks its value
+up in a weak table of its kind, keyed by the name, ``(functor, args)``,
+``(atom, positive)`` or the set of non-identity bindings, and builds an
+object only on a miss.  So equal values are one object, and equality and
+hashing are object identity: comparing two deep terms does not recurse,
+and the equality is structural, whatever the names.  Copies and unpickles
+go through the constructors, so they give the one object too.  An object
+nobody holds leaves its table, so nothing is kept from one call to the
+next that its caller does not keep.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, KeysView, Mapping, Union
+from typing import Callable, Iterable, Iterator, KeysView, Mapping, Union
+from weakref import KeyedRef
+
+from _weakref import _remove_dead_weakref
 
 
 _NO_VARIABLES: frozenset[str] = frozenset()
 _set = object.__setattr__
 
 
-class _Node:
-    """An immutable term or literal that compares and hashes by its fixed
-    text and hash, and prints as its text."""
+def _absent() -> None:
+    """A table lookup's default: answers as a dead reference does."""
 
-    __slots__ = ("text", "variables", "_hash")
+
+def _weak_table() -> tuple[dict, Callable]:
+    """One kind's intern table, a dict from key to a `KeyedRef` of the one
+    object with that value, and `enter(key, value)`, which returns the live
+    object under `key`: `value`, unless another thread entered one first.
+
+    `enter` inserts with one `dict.setdefault`.  It and the callback that
+    runs when an entered object goes remove an entry only while it is still
+    dead.  The keys hash and compare in C, so no other thread runs inside a
+    table operation, no lock is taken, and no two live objects ever have one
+    value.
+    """
+    table: dict = {}
+
+    def remove(ref: KeyedRef) -> None:
+        _remove_dead_weakref(table, ref.key)
+
+    def enter(key, value):
+        ref = KeyedRef(value, remove, key)
+        while True:
+            live = table.setdefault(key, ref)()
+            if live is not None:
+                return live
+            _remove_dead_weakref(table, key)
+
+    return table, enter
+
+
+_VARIABLES, _enter_variable = _weak_table()
+_COMPOUNDS, _enter_compound = _weak_table()
+_LITERALS, _enter_literal = _weak_table()
+_SUBSTITUTIONS, _enter_substitution = _weak_table()
+
+
+class _Node:
+    """An immutable, interned term or literal that prints as its text."""
+
+    __slots__ = ("text", "variables", "__weakref__")
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("cannot assign to field %r" % name)
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError("cannot delete field %r" % name)
-
-    def __eq__(self, other: object) -> bool:
-        return self is other or (
-            type(other) is type(self) and other._hash == self._hash and other.text == self.text
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __str__(self) -> str:
         return self.text
@@ -59,11 +93,15 @@ class _Node:
 class Variable(_Node):
     __slots__ = ("name",)
 
-    def __init__(self, name: str) -> None:
-        _set(self, "name", name)
-        _set(self, "text", name)
-        _set(self, "variables", frozenset((name,)))
-        _set(self, "_hash", hash(("v", name)))
+    def __new__(cls, name: str) -> Variable:
+        self = _VARIABLES.get(name, _absent)()
+        if self is None:
+            self = object.__new__(cls)
+            _set(self, "name", name)
+            _set(self, "text", name)
+            _set(self, "variables", frozenset((name,)))
+            self = _enter_variable(name, self)
+        return self
 
     def __reduce__(self) -> tuple:
         return Variable, (self.name,)
@@ -75,16 +113,21 @@ class Compound(_Node):
 
     __slots__ = ("functor", "args")
 
-    def __init__(self, functor: str, args: tuple[Term, ...] = ()) -> None:
-        text = "%s(%s)" % (functor, ",".join([a.text for a in args])) if args else functor
-        # Ground nodes share one empty set; a node with one non-ground
-        # argument shares that argument's set.
-        sets = [a.variables for a in args if a.variables] or [_NO_VARIABLES]
-        _set(self, "functor", functor)
-        _set(self, "args", args)
-        _set(self, "text", text)
-        _set(self, "variables", sets[0] if len(sets) == 1 else frozenset().union(*sets))
-        _set(self, "_hash", hash((functor, args)))
+    def __new__(cls, functor: str, args: tuple[Term, ...] = ()) -> Compound:
+        key = (functor, args)
+        self = _COMPOUNDS.get(key, _absent)()
+        if self is None:
+            self = object.__new__(cls)
+            text = "%s(%s)" % (functor, ",".join([a.text for a in args])) if args else functor
+            # Ground nodes share one empty set; a node with one non-ground
+            # argument shares that argument's set.
+            sets = [a.variables for a in args if a.variables] or [_NO_VARIABLES]
+            _set(self, "functor", functor)
+            _set(self, "args", args)
+            _set(self, "text", text)
+            _set(self, "variables", sets[0] if len(sets) == 1 else frozenset().union(*sets))
+            self = _enter_compound(key, self)
+        return self
 
     def __reduce__(self) -> tuple:
         return Compound, (self.functor, self.args)
@@ -102,36 +145,45 @@ class Literal(_Node):
 
     __slots__ = ("atom", "positive", "sort_key")
 
-    def __init__(self, atom: Compound, positive: bool = True) -> None:
-        _set(self, "atom", atom)
-        _set(self, "positive", positive)
-        _set(self, "text", atom.text if positive else "~" + atom.text)
-        _set(self, "variables", atom.variables)
-        _set(self, "_hash", hash((atom, positive)))
-        key = (atom.functor, 0 if positive else 1, tuple([a.text for a in atom.args]))
-        _set(self, "sort_key", key)
+    def __new__(cls, atom: Compound, positive: bool = True) -> Literal:
+        key = (atom, positive)
+        self = _LITERALS.get(key, _absent)()
+        if self is None:
+            self = object.__new__(cls)
+            _set(self, "atom", atom)
+            _set(self, "positive", positive)
+            _set(self, "text", atom.text if positive else "~" + atom.text)
+            _set(self, "variables", atom.variables)
+            sort_key = (atom.functor, 0 if positive else 1, tuple([a.text for a in atom.args]))
+            _set(self, "sort_key", sort_key)
+            self = _enter_literal(key, self)
+        return self
 
     def __reduce__(self) -> tuple:
         return Literal, (self.atom, self.positive)
 
 
 class Substitution:
-    """An immutable finite map from variable names to terms.
+    """An immutable, interned finite map from variable names to terms.
 
     Identity bindings are dropped at construction, so two substitutions are
-    equal exactly when their stored binding maps are equal.
+    one object exactly when their stored binding maps are equal.  Of equal
+    maps built in different orders, the first one built is kept.
     """
 
-    __slots__ = ("_bindings", "_hash")
+    __slots__ = ("_bindings", "__weakref__")
 
-    def __init__(self, bindings: Mapping[str, Term] | Iterable[tuple[str, Term]] = ()):
-        out: dict[str, Term] = {}
-        for name, term in dict(bindings).items():
-            if isinstance(term, Variable) and term.name == name:
-                continue
-            out[name] = term
-        self._bindings = out
-        self._hash: int | None = None
+    def __new__(
+        cls, bindings: Mapping[str, Term] | Iterable[tuple[str, Term]] = ()
+    ) -> Substitution:
+        out = {n: t for n, t in dict(bindings).items() if type(t) is not Variable or t.name != n}
+        key = frozenset(out.items())
+        self = _SUBSTITUTIONS.get(key, _absent)()
+        if self is None:
+            self = object.__new__(cls)
+            self._bindings = out
+            self = _enter_substitution(key, self)
+        return self
 
     def get(self, name: str, default: Term | None = None) -> Term | None:
         return self._bindings.get(name, default)
@@ -148,18 +200,8 @@ class Substitution:
     def __len__(self) -> int:
         return len(self._bindings)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Substitution):
-            return NotImplemented
-        return self._bindings == other._bindings
-
     def __reduce__(self) -> tuple:
         return Substitution, (self._bindings,)
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._bindings.items()))
-        return self._hash
 
     @property
     def bindings_text(self) -> str:
@@ -226,7 +268,7 @@ def unify(a: Term, b: Term) -> Substitution | None:
     are solved left to right from one stack, so a variable meeting another
     variable binds the left one to the right.  The bindings so far are
     applied to an equation only once there are some, and two ground
-    compounds settle it by their texts: they unify exactly when equal.
+    compounds settle it at once: they unify exactly when they are one node.
     """
     if type(a) is Compound and type(b) is Compound:
         # Two atoms, mostly: check their heads once, then solve their
@@ -244,9 +286,9 @@ def unify(a: Term, b: Term) -> Substitution | None:
         if d:
             s = _apply(d, s)
             t = _apply(d, t)
+        if s is t:
+            continue
         if type(s) is Variable:
-            if type(t) is Variable and t.name == s.name:
-                continue
             if s.name in t.variables:
                 return None
             _bind(d, s.name, t)
@@ -254,8 +296,6 @@ def unify(a: Term, b: Term) -> Substitution | None:
             if t.name in s.variables:
                 return None
             _bind(d, t.name, s)
-        elif s.text == t.text:
-            continue
         elif not (s.variables or t.variables):
             return None
         elif s.functor != t.functor or len(s.args) != len(t.args):
@@ -270,8 +310,7 @@ def _match(p, t, d: dict[str, Term]) -> dict[str, Term] | None:
 
     Identity bindings are kept in the map (they pin a variable to itself for
     later consistency checks); callers normalize at the end.  A ground
-    pattern matches only its equal, which one compare of the fixed texts
-    settles.
+    pattern matches only itself.
     """
     if type(p) is Variable:
         bound = d.get(p.name)
@@ -279,9 +318,9 @@ def _match(p, t, d: dict[str, Term]) -> dict[str, Term] | None:
             out = dict(d)
             out[p.name] = t
             return out
-        return d if bound == t else None
+        return d if bound is t else None
     if not p.variables:
-        return d if p.text == t.text else None
+        return d if p is t else None
     if type(t) is Variable or p.functor != t.functor or len(p.args) != len(t.args):
         return None
     for pa, ta in zip(p.args, t.args):

@@ -65,10 +65,11 @@ def assert_same_kb(got, kb):
 # Run as `python -c PICKLED dump|load PATH`: `dump` pickles a term, a
 # member, its association, a folded KB's members and the KB, memo and all,
 # to PATH; `load` unpickles them and prints, as JSON, which checks against
-# the same values built afresh hold.
+# the same values built afresh hold.  Terms, literals and associations are
+# interned, so each one loaded is the object the loading process builds.
 PICKLED = """
-import json, pickle, sys
-from pikit import Compound, Variable, add_clause, compile, dumps_kb, loads_kb
+import json, operator, pickle, sys
+from pikit import Clause, Compound, Substitution, Variable, add_clause, compile, dumps_kb, loads_kb
 from pikit import parse_clause, parse_clause_file
 
 def values():
@@ -76,6 +77,13 @@ def values():
     kb = add_clause(kb, parse_clause("~p(a)|~q(Z).")).result
     member = next(m for m in kb.pi if not m.assoc.is_empty())
     return [Compound("f", (Variable("X"),)), member, member.assoc, kb.pi, kb]
+
+def interned(x):
+    # The terms, literals and associations a value is made of.
+    if isinstance(x, (Compound, Substitution)):
+        return [x]
+    members = [x] if isinstance(x, Clause) else list(x)
+    return [v for m in members for v in (*m.literals, m.assoc)]
 
 mode, path = sys.argv[1:]
 if mode == "dump":
@@ -90,6 +98,10 @@ more = parse_clause("r(a,b)|s(Y).")
 print(json.dumps({
     "equal": [x == y for x, y in zip(got, fresh)],
     "hash alike": [hash(x) == hash(y) for x, y in zip(got[:3], fresh[:3])],
+    "one object": [
+        len(interned(x)) == len(interned(y)) and all(map(operator.is_, interned(x), interned(y)))
+        for x, y in zip(got[:4], fresh[:4])
+    ],
     "members found": all(m in kb.pi for m in again.pi),
     "equals its store reload": kb == loads_kb(dumps_kb(kb)),
     "same store": dumps_kb(kb) == dumps_kb(again),
@@ -191,7 +203,8 @@ class TestRoundTrip:
 
     def test_what_one_process_pickles_another_loads_equal(self, tmp_path):
         """String hashes differ between the two hash seeds, so a value that
-        kept the hash it was pickled with would compare unequal."""
+        kept the hash it was pickled with would compare unequal; and each
+        interned value loaded must be the one the loading process builds."""
         path = tmp_path / "values.pickle"
         dumped = run_pickled("dump", path, 1)
         assert (dumped.returncode, dumped.stderr) == (0, "")
@@ -200,6 +213,7 @@ class TestRoundTrip:
         assert json.loads(loaded.stdout) == {
             "equal": [True] * 5,
             "hash alike": [True] * 3,
+            "one object": [True] * 4,
             "members found": True,
             "equals its store reload": True,
             "same store": True,

@@ -1,8 +1,12 @@
 """Unification, substitution application and composition, and their algebra."""
 
 import copy
+import gc
 import itertools
+import os
 import pickle
+import sys
+import threading
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -17,12 +21,16 @@ from pikit import (
     Literal,
     Substitution,
     Variable,
+    add_clause,
     apply,
+    compile,
     compose,
+    parse_clause,
+    parse_clause_file,
     subsumes,
     unify,
 )
-from pikit.terms import _match
+from pikit.terms import _COMPOUNDS, _LITERALS, _SUBSTITUTIONS, _VARIABLES, _match
 
 from oracles import reference_apply, reference_match, reference_unify
 from strategies import atoms, clauses, literals, substitutions, terms
@@ -150,7 +158,13 @@ class TestNodes:
 
     def test_equal_nodes_built_apart_are_equal_and_hash_alike(self):
         for x, y in zip(built_nodes(), built_nodes()):
-            assert x is not y and x == y and hash(x) == hash(y)
+            assert x is y and x == y and hash(x) == hash(y)
+
+    def test_equality_is_structural_not_by_text(self):
+        # The constructors do not check names: a constant named `a,b`
+        # prints like two arguments, but is one.
+        odd, plain = Compound("f", (Compound("a,b"),)), f(a, b)
+        assert odd.text == plain.text and odd != plain and odd is not plain
 
     def test_a_variable_equals_no_node_of_another_type(self):
         # Built with the same text: `X` and `p` name a variable, a constant
@@ -159,6 +173,105 @@ class TestNodes:
             var, const, lit = Variable(name), Compound(name), Literal(Compound(name))
             for x, y in ((var, const), (var, lit), (const, lit)):
                 assert x.text == y.text and x != y and y != x
+
+
+def table_sizes():
+    """The entries of the four intern tables, once dead values are gone."""
+    gc.collect()
+    return [len(t) for t in (_VARIABLES, _COMPOUNDS, _LITERALS, _SUBSTITUTIONS)]
+
+
+class TestInterning:
+    """Equal values are one object across threads, and an object nobody
+    holds leaves its table."""
+
+    # Each round renames its symbols, so that every thread races to build
+    # values that do not exist yet.
+    TEXT = "p{0}(X,f{0}(Y))|~q{0}(Y,a{0}). q{0}(g{0}(X),b{0})|r{0}(X). ~p{0}(a{0},Z)|r{0}(Z)."
+
+    @classmethod
+    def build(cls, round_):
+        """The literals of one round's clauses, their pairwise unifiers and
+        those composed: terms, literals and substitutions alike."""
+        clauses_ = parse_clause_file(cls.TEXT.format(round_))
+        atoms_ = [lit.atom for c in clauses_ for lit in c.literals]
+        mgus = [unify(x, y) for x in atoms_ for y in atoms_ if x.functor == y.functor]
+        mgus = [m for m in mgus if m is not None]
+        composed = [compose(m1, m2) for m1 in mgus for m2 in mgus]
+        return [lit for c in clauses_ for lit in c.literals] + mgus + composed
+
+    def test_threads_building_one_value_get_one_object(self):
+        rounds = 25
+        workers = (os.cpu_count() or 1) + 3
+        start = threading.Barrier(workers)
+        built = [None] * workers
+        # The last churned literal some thread kept, or nothing: such
+        # values die and are built again while other threads look them up,
+        # and any two that are alive at once must be one object.
+        box, split = [], []
+
+        def work(at):
+            start.wait(timeout=30)
+            out = []
+            for r in range(rounds):
+                out.append(self.build(r))
+                for i in range(20):
+                    lit = Literal(Compound("churned", (Compound("c"),)))
+                    kept = box[:]
+                    if kept and kept[0] is not lit:
+                        split.append(lit)
+                    box[:] = [lit] if i % 2 else []
+            built[at] = out
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(at,)) for at in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        mine = [self.build(r) for r in range(rounds)]
+        for out in built:
+            assert len(out) == rounds
+            for values, expected in zip(out, mine):
+                assert len(values) == len(expected)
+                assert all(x is y for x, y in zip(values, expected))
+        assert not split
+        box.clear()
+        gc.collect()
+        assert not [key for key in _COMPOUNDS if key[0] == "churned"]
+
+    def test_a_value_nobody_holds_leaves_its_table(self):
+        before = table_sizes()
+        values = [
+            Variable("Lifetime"),
+            Compound("lifetime", (Variable("Lifetime"), Compound("lifetime_c"))),
+            Literal(Compound("lifetime", (Variable("Lifetime"),)), False),
+            Substitution({"Lifetime": Compound("lifetime_c")}),
+        ]
+        assert table_sizes() == [n + k for n, k in zip(before, (1, 3, 1, 1))]
+        del values
+        assert table_sizes() == before
+        assert "Lifetime" not in _VARIABLES and ("lifetime_c", ()) not in _COMPOUNDS
+
+    def test_a_repeated_fold_builds_everything_again(self):
+        """A fold repeated into one KB, as the benchmark's fold streams do,
+        keeps nothing of the first fold once its result is dropped."""
+        kb = compile(parse_clause_file("q(Y). ~r(f(X),b). p(X)|r(Y,b)|~q(Z)."))
+        clause = parse_clause("~p(a)|~q(Z)|s(g(Z)).")
+        before = table_sizes()
+        first = add_clause(kb, clause)
+        assert first.outcome == "recompiled"
+        after = table_sizes()
+        assert after != before
+        del first
+        assert table_sizes() == before
+        second = add_clause(kb, clause)
+        assert second.outcome == "recompiled" and table_sizes() == after
 
 
 class TestDeepGroundTerm:
