@@ -72,6 +72,12 @@ def dumps_kb(kb: CompiledKB) -> str:
 
 
 _SYMBOL_RE = re.compile(r"([a-z][A-Za-z0-9_]*)/(\d+)$")
+# An entry as `dumps_kb` writes it: the clause, the association's text
+# unless it is empty, and a consensus entry's parents.  A field with a space
+# or a `#` in it, or a malformed one, is left to `_split_entry`.
+_ENTRY_RE = re.compile(
+    r"([^ ;#]+) ; assoc(?: ([^ ;#]+))? ; origin (?:input|consensus\((\d+),(\d+)\))"
+)
 _ORIGIN_RE = re.compile(r"consensus\((\d+),(\d+)\)$")
 # A bound term can itself contain commas, but never an arrow.
 _BINDING_SPLIT_RE = re.compile(r",(?=[A-Z][A-Za-z0-9_]*->)")
@@ -89,12 +95,15 @@ class _LoadTable:
     `texts`, which keys the entry.  The parts of a literal whose
     `literal_features` are all in the query's `features`, of every literal
     without a query, go to `parts`, and become a `Literal` in `literals`
-    once an entry that holds it is built.  Each term and association text
-    is parsed once, into `terms` and `assocs`.  Nodes and substitutions are
-    interned, so equal ones are one object however they were built: these
-    tables only save reading a repeated text again.  `symbols` is the union
-    of the arities the reads use, and `agree` says that no symbol in it has
-    two.  One table lives for one `loads_kb` call.
+    once an entry that holds it is built.  Each term text is parsed once,
+    into `terms`.  Each association text is read once, into `assocs`: its
+    key, which keys the entry, and its bindings, which become a
+    `Substitution` in `substitutions` once an entry that holds it is built.
+    Nodes and substitutions are interned, so equal ones are one object
+    however they were built: these tables only save reading a repeated text
+    again.  `symbols` is the union of the arities the reads use, each noted
+    with one `setdefault`, and `agree` says that no symbol in it has two.
+    One table lives for one `loads_kb` call.
     """
 
     def __init__(self, query: Clause | None = None) -> None:
@@ -102,18 +111,11 @@ class _LoadTable:
         self.parts: dict[str, tuple[str, tuple[Term, ...], bool]] = {}
         self.literals: dict[str, Literal] = {}
         self.terms: dict[str, Term] = {}
-        self.assocs: dict[str, Substitution] = {}
+        self.assocs: dict[str, tuple[frozenset, dict[str, Term]]] = {"": (frozenset(), {})}
+        self.substitutions: dict[str, Substitution] = {"": EMPTY}
         self.symbols = Signature()
         self.agree = True
         self.features = None if query is None else query.features
-
-    def _noted(self, kind: str, name: str, arity: int) -> bool:
-        """Add one arity to `symbols`; False when the symbol has another."""
-        try:
-            self.symbols.note(kind, name, arity)
-        except ValueError:
-            return False
-        return True
 
     def _args(self, text: str) -> tuple[Term, ...] | None:
         """The terms listed in `text`, what a name's parentheses hold; None
@@ -146,7 +148,7 @@ class _LoadTable:
                 term = Variable(name)
             else:
                 args = () if inner is None else self._args(inner)
-                if args is None or not self._noted("function symbol", name, len(args)):
+                if args is None or self.symbols.functions.setdefault(name, len(args)) != len(args):
                     return None
                 term = Compound(name, args)
             self.terms[text] = term
@@ -174,7 +176,7 @@ class _LoadTable:
             return None
         negated, name, inner = m.groups()
         args = () if inner is None else self._args(inner)
-        if args is None or not self._noted("predicate", name, len(args)):
+        if args is None or self.symbols.predicates.setdefault(name, len(args)) != len(args):
             return None
         text = self.texts[piece] = m.group()
         f = self.features
@@ -195,6 +197,8 @@ class _LoadTable:
     ) -> tuple[frozenset[str], tuple[Literal, ...] | None]:
         """The canonical texts of one entry's literals, and the literals
         themselves unless the query rules the entry out."""
+        if text == "$false":
+            return frozenset(), ()
         # `|` only ever separates literals, so a well-formed entry splits
         # into literal pieces.  While the symbols agree, so do the literals
         # of each entry.
@@ -233,6 +237,14 @@ class _LoadTable:
             self.agree = False
         return term
 
+    def substitution(self, text: str) -> Substitution:
+        """The association read from `text` into `assocs`, built once per
+        load."""
+        sub = self.substitutions.get(text)
+        if sub is None:
+            sub = self.substitutions[text] = Substitution(self.assocs[text][1])
+        return sub
+
 
 def _canonical(text: str) -> str:
     """The text with the whitespace between its tokens left out; "" when it
@@ -247,12 +259,15 @@ def _canonical(text: str) -> str:
     return "".join(tokens)
 
 
-def _parse_assoc(text: str, line_no: int, table: _LoadTable) -> Substitution:
-    if not text:
-        return EMPTY
-    assoc = table.assocs.get(text)
-    if assoc is not None:
-        return assoc
+def _parse_assoc(text: str, line_no: int, table: _LoadTable) -> frozenset:
+    """The key of the association printed as `text`: the frozenset of its
+    non-identity bindings, as `(variable, term)` pairs.  Terms are interned,
+    so two keys are equal exactly when the two `Substitution`s would be one
+    object.  Every binding is checked, once per text per load, but the
+    `Substitution` is left to `_LoadTable.substitution`."""
+    known = table.assocs.get(text)
+    if known is not None:
+        return known[0]
     bindings = {}
     # Split only before a `Var->`.
     for part in _BINDING_SPLIT_RE.split(text):
@@ -264,25 +279,46 @@ def _parse_assoc(text: str, line_no: int, table: _LoadTable) -> Substitution:
         if var in bindings:
             raise MalformedStoreError("line %d: variable %r bound twice" % (line_no, var))
         bindings[var] = table.term(term_text, line_no)
-    assoc = table.assocs[text] = Substitution(bindings)
-    return assoc
+    key = frozenset([(v, t) for v, t in bindings.items() if type(t) is not Variable or t.name != v])
+    table.assocs[text] = (key, bindings)
+    return key
 
 
 def _parse_entry(payload: str, line_no: int, table: _LoadTable) -> tuple[tuple, Clause | None]:
-    """The entry's key, (canonical literal texts, association), which is the
-    same for two entries exactly when their clauses are equal, and the
-    entry's clause unless the table's query rules it out."""
+    """The entry's key, (canonical literal texts, association key), which is
+    the same for two entries exactly when their clauses are equal, and the
+    entry's clause unless the table's query rules it out.
+
+    One `_ENTRY_RE` match reads the fields of every entry that `dumps_kb`
+    writes.  Every check of `_split_entry` still runs on their contents,
+    but an entry that is not built builds no `Substitution` and converts no
+    parent to an integer."""
+    m = _ENTRY_RE.fullmatch(payload)
+    if m is None:
+        return _split_entry(payload, line_no, table)
+    clause_text, assoc_text, first, second = m.groups()
+    assoc_text = assoc_text or ""
+    texts, literals = table.clause(clause_text, line_no)
+    key = (texts, _parse_assoc(assoc_text, line_no, table))
+    if literals is None:
+        return key, None
+    parents = None if first is None else (int(first), int(second))
+    return key, Clause(literals, table.substitution(assoc_text), parents)
+
+
+def _split_entry(payload: str, line_no: int, table: _LoadTable) -> tuple[tuple, Clause | None]:
+    """`_parse_entry` of an entry that `_ENTRY_RE` does not match: its
+    fields are split apart and checked in order, so a malformed one gives
+    its error with the entry's line."""
     parts = payload.split(" ; ")
     if len(parts) != 3:
         raise MalformedStoreError("line %d: expected 'clause ; assoc ; origin' entry" % line_no)
     clause_text, assoc_part, origin_part = parts
-    if clause_text == "$false":
-        texts, literals = frozenset(), ()
-    else:
-        texts, literals = table.clause(clause_text, line_no)
+    texts, literals = table.clause(clause_text, line_no)
     if assoc_part != "assoc" and not assoc_part.startswith("assoc "):
         raise MalformedStoreError("line %d: expected association field" % line_no)
-    assoc = _parse_assoc(assoc_part[6:] if len(assoc_part) > 5 else "", line_no, table)
+    assoc_text = assoc_part[6:]
+    key = (texts, _parse_assoc(assoc_text, line_no, table))
     if not origin_part.startswith("origin "):
         raise MalformedStoreError("line %d: expected origin field" % line_no)
     origin = origin_part[7:]
@@ -293,8 +329,9 @@ def _parse_entry(payload: str, line_no: int, table: _LoadTable) -> tuple[tuple, 
         if m is None:
             raise MalformedStoreError("line %d: bad origin %r" % (line_no, origin))
         parents = (int(m.group(1)), int(m.group(2)))
-    member = None if literals is None else Clause(literals, assoc, parents)
-    return (texts, assoc), member
+    if literals is None:
+        return key, None
+    return key, Clause(literals, table.substitution(assoc_text), parents)
 
 
 def _undeclared(implied: Signature, declared: Signature) -> str | None:
@@ -319,7 +356,9 @@ def loads_kb(text: str, *, query: Clause | None = None) -> CompiledKB:
     with its sign, each function symbol with its arity, and the literal
     itself if it has no variable.  They keep their store order.  Only those
     can θ-subsume the query, so such a KB answers `entails` for it as the
-    full one does, with the same first witness.
+    full one does, with the same first witness.  An entry that is not built
+    gets no `Literal`, `Substitution` or `Clause`: its literals are keyed by
+    their texts and its association by its bindings.
     Its `signature` is still the whole store's, not that of its members.
     It is for answering that query only: it must never reach `save_kb` or
     `add_clause`.

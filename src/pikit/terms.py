@@ -27,7 +27,7 @@ next that its caller does not keep.
 from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator, KeysView, Mapping, Union
-from weakref import KeyedRef
+from weakref import ref
 
 from _weakref import _remove_dead_weakref
 
@@ -40,26 +40,35 @@ def _absent() -> None:
     """A table lookup's default: answers as a dead reference does."""
 
 
+class _Entry(ref):
+    """An intern-table entry: a weak reference to the table's object that
+    knows its key.  Unlike `weakref.KeyedRef`, whose `__new__` and
+    `__init__` are Python functions, it is built in C; `key` is set after."""
+
+    __slots__ = ("key",)
+
+
 def _weak_table() -> tuple[dict, Callable]:
-    """One kind's intern table, a dict from key to a `KeyedRef` of the one
+    """One kind's intern table, a dict from key to an `_Entry` of the one
     object with that value, and `enter(key, value)`, which returns the live
     object under `key`: `value`, unless another thread entered one first.
 
-    `enter` inserts with one `dict.setdefault`.  It and the callback that
-    runs when an entered object goes remove an entry only while it is still
-    dead.  The keys hash and compare in C, so no other thread runs inside a
-    table operation, no lock is taken, and no two live objects ever have one
-    value.
+    `enter` sets the entry's key before one `dict.setdefault` publishes it.
+    It and the callback that runs when an entered object goes remove an
+    entry only while it is still dead.  The keys hash and compare in C, so
+    no other thread runs inside a table operation, no lock is taken, and no
+    two live objects ever have one value.
     """
     table: dict = {}
 
-    def remove(ref: KeyedRef) -> None:
-        _remove_dead_weakref(table, ref.key)
+    def remove(entry: _Entry) -> None:
+        _remove_dead_weakref(table, entry.key)
 
     def enter(key, value):
-        ref = KeyedRef(value, remove, key)
+        entry = _Entry(value, remove)
+        entry.key = key
         while True:
-            live = table.setdefault(key, ref)()
+            live = table.setdefault(key, entry)()
             if live is not None:
                 return live
             _remove_dead_weakref(table, key)

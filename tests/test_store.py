@@ -44,6 +44,7 @@ from pikit import (
     subsumes,
     vary_seed,
 )
+import pikit.store
 from pikit import syntax
 from pikit.compiler import _STATS_RE
 from pikit.clauses import literal_features
@@ -431,6 +432,32 @@ class TestLossyEntries:
         kb = loads_kb(store("p(a)" + IN, "p(a) ; assoc X->a ; origin consensus(1,1)"))
         assert len(kb.pi) == 2
 
+    @pytest.mark.parametrize("query", [None, "p(a).", "q(b)."])
+    @pytest.mark.parametrize(
+        "first, second",
+        [("X->a,Y->b", "Y->b,X->a"), ("X->X,Y->b", "Y->b")],
+        ids=["bindings-reordered", "identity-binding"],
+    )
+    def test_equal_associations_written_apart_are_one_entry(self, first, second, query):
+        """Two association texts of one substitution key one entry, in a
+        full load and in a query load that builds it or rules it out,
+        whether the entries are read whole or field by field."""
+        text = store("p(a) ; assoc %s ; origin input" % first, "p(a) ; assoc %s ; origin input" % second)
+        for copy in (text, spaced(text)):
+            with pytest.raises(MalformedStoreError) as err:
+                loads_kb(copy, query=query and parse_clause(query))
+            assert str(err.value) == "line 10: duplicate entry"
+
+    @pytest.mark.parametrize("query, built", [(None, 2), ("p(a).", 2), ("q(b).", 0)])
+    def test_unequal_associations_are_two_entries(self, query, built):
+        text = store("p(a) ; assoc X->a ; origin input", "p(a) ; assoc X->b ; origin input")
+        for copy in (text, spaced(text)):
+            kb = loads_kb(copy, query=query and parse_clause(query))
+            assert [m.entry_text for m in kb.pi] == [
+                "p(a) ; assoc X->a ; origin input",
+                "p(a) ; assoc X->b ; origin input",
+            ][:built]
+
 
 # An entry that binds X to the given term text.
 AT = "p(a) ; assoc X->%s ; origin consensus(1,1)"
@@ -610,6 +637,18 @@ def test_a_read_literal_has_the_features_of_the_built_one(members, query):
                 assert (lit.text in some.parts) == (Clause((lit,)).features <= query.features)
 
 
+def generated_stores():
+    """The stores of criterion-4 seeds 0-49 compiled, each with a generated
+    clause of its seed as a query."""
+    for seed in range(50):
+        cfg = GenConfig(seed=seed, **FO_CFG)
+        try:
+            kb = compile(gen_kb(cfg))
+        except ResourceLimitExceeded:
+            continue
+        yield seed, dumps_kb(kb), gen_clause(cfg)
+
+
 def test_a_load_reads_well_formed_entries_without_the_clause_parser(monkeypatch):
     """A well-formed store, spaced or not, never falls back to the clause
     parser, which would keep every output and lose the shared parses."""
@@ -622,21 +661,43 @@ def test_a_load_reads_well_formed_entries_without_the_clause_parser(monkeypatch)
 
     monkeypatch.setattr(syntax._Parser, "__init__", counted)
     bound = 0
-    for seed in range(50):
-        cfg = GenConfig(seed=seed, **FO_CFG)
-        try:
-            kb = compile(gen_kb(cfg))
-        except ResourceLimitExceeded:
-            continue
-        text = dumps_kb(kb)
+    for seed, text, query in generated_stores():
         bound += "->" in text
-        query = gen_clause(cfg)
         made.clear()
         full, some = loads_kb(text), loads_kb(text, query=query)
         assert_same_kb(loads_kb(spaced(text)), full)
         assert_same_kb(loads_kb(spaced(text), query=query), some)
         assert made == [], seed
     assert bound > 10
+
+
+def test_a_query_load_builds_only_what_it_keeps(monkeypatch):
+    """A query load builds no more `Substitution`s than it keeps members
+    with an association, and a load reads every entry that `dumps_kb`
+    writes with one match, leaving the field-by-field checks to entries
+    written otherwise, such as spaced ones."""
+    built, split = [], []
+    real_split = pikit.store._split_entry
+
+    def counted_split(*args):
+        split.append(args[0])
+        return real_split(*args)
+
+    monkeypatch.setattr(pikit.store, "Substitution", lambda *a: built.append(a) or Substitution(*a))
+    monkeypatch.setattr(pikit.store, "_split_entry", counted_split)
+    unkept = 0
+    for seed, text, query in generated_stores():
+        spaced_entries = text.count("\nclause ") - text.count("\nclause $false ")
+        for copy, splits in ((text, 0), (spaced(text), spaced_entries)):
+            split.clear()
+            full = loads_kb(copy)
+            built.clear()
+            some = loads_kb(copy, query=query)
+            assert len(split) == 2 * splits, seed
+            bound = [m for m in some.pi if not m.assoc.is_empty()]
+            assert len(built) <= len(bound), seed
+            unkept += len([m for m in full.pi if not m.assoc.is_empty()]) - len(bound)
+    assert unkept > 100
 
 
 def renamed(text):
