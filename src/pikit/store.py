@@ -11,7 +11,9 @@ The format is line oriented and diff-friendly:
     end
 
 Entries appear in insertion order and the `end` line guards against
-truncation.  The empty clause is written as `$false`.
+truncation.  The empty clause is written as `$false`.  A load splits each
+entry at ` ; ` into its three fields and checks them in order, however
+the entry was written.
 """
 
 from __future__ import annotations
@@ -72,12 +74,6 @@ def dumps_kb(kb: CompiledKB) -> str:
 
 
 _SYMBOL_RE = re.compile(r"([a-z][A-Za-z0-9_]*)/(\d+)$")
-# An entry as `dumps_kb` writes it: the clause, the association's text
-# unless it is empty, and a consensus entry's parents.  A field with a space
-# or a `#` in it, or a malformed one, is left to `_split_entry`.
-_ENTRY_RE = re.compile(
-    r"([^ ;#]+) ; assoc(?: ([^ ;#]+))? ; origin (?:input|consensus\((\d+),(\d+)\))"
-)
 _ORIGIN_RE = re.compile(r"consensus\((\d+),(\d+)\)$")
 # A bound term can itself contain commas, but never an arrow.
 _BINDING_SPLIT_RE = re.compile(r",(?=[A-Z][A-Za-z0-9_]*->)")
@@ -289,27 +285,10 @@ def _parse_entry(payload: str, line_no: int, table: _LoadTable) -> tuple[tuple, 
     the same for two entries exactly when their clauses are equal, and the
     entry's clause unless the table's query rules it out.
 
-    One `_ENTRY_RE` match reads the fields of every entry that `dumps_kb`
-    writes.  Every check of `_split_entry` still runs on their contents,
-    but an entry that is not built builds no `Substitution` and converts no
-    parent to an integer."""
-    m = _ENTRY_RE.fullmatch(payload)
-    if m is None:
-        return _split_entry(payload, line_no, table)
-    clause_text, assoc_text, first, second = m.groups()
-    assoc_text = assoc_text or ""
-    texts, literals = table.clause(clause_text, line_no)
-    key = (texts, _parse_assoc(assoc_text, line_no, table))
-    if literals is None:
-        return key, None
-    parents = None if first is None else (int(first), int(second))
-    return key, Clause(literals, table.substitution(assoc_text), parents)
-
-
-def _split_entry(payload: str, line_no: int, table: _LoadTable) -> tuple[tuple, Clause | None]:
-    """`_parse_entry` of an entry that `_ENTRY_RE` does not match: its
-    fields are split apart and checked in order, so a malformed one gives
-    its error with the entry's line."""
+    The entry is split into its three fields once, and they are checked in
+    order, so a malformed one gives its error with the entry's line.  An
+    entry that is not built builds no `Substitution` and converts no parent
+    to an integer."""
     parts = payload.split(" ; ")
     if len(parts) != 3:
         raise MalformedStoreError("line %d: expected 'clause ; assoc ; origin' entry" % line_no)
@@ -319,18 +298,16 @@ def _split_entry(payload: str, line_no: int, table: _LoadTable) -> tuple[tuple, 
         raise MalformedStoreError("line %d: expected association field" % line_no)
     assoc_text = assoc_part[6:]
     key = (texts, _parse_assoc(assoc_text, line_no, table))
-    if not origin_part.startswith("origin "):
-        raise MalformedStoreError("line %d: expected origin field" % line_no)
-    origin = origin_part[7:]
-    if origin == "input":
-        parents = None
-    else:
-        m = _ORIGIN_RE.fullmatch(origin)
+    m = None
+    if origin_part != "origin input":
+        if not origin_part.startswith("origin "):
+            raise MalformedStoreError("line %d: expected origin field" % line_no)
+        m = _ORIGIN_RE.fullmatch(origin_part, 7)
         if m is None:
-            raise MalformedStoreError("line %d: bad origin %r" % (line_no, origin))
-        parents = (int(m.group(1)), int(m.group(2)))
+            raise MalformedStoreError("line %d: bad origin %r" % (line_no, origin_part[7:]))
     if literals is None:
         return key, None
+    parents = None if m is None else (int(m.group(1)), int(m.group(2)))
     return key, Clause(literals, table.substitution(assoc_text), parents)
 
 

@@ -286,8 +286,10 @@ def unify(a: Term, b: Term) -> Substitution | None:
             return None
         stack = list(reversed(list(zip(a.args, b.args))))
     else:
-        # What is no term, atom or literal gets `apply`'s TypeError.
+        # What is no node gets `apply`'s TypeError; a literal is no term.
         stack = [(_apply({}, a), _apply({}, b))]
+        if type(a) is Literal or type(b) is Literal:
+            raise TypeError("cannot unify a Literal; unify its atom")
 
     d: dict[str, Term] = {}
     while stack:

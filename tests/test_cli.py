@@ -517,6 +517,9 @@ NOT_BUILT_FAULTS = {
     "variable bound twice": ["p(f(X)) ; assoc Y->a,Y->b ; origin input"],
     "bad binding term": ["p(f(X)) ; assoc Y->f( ; origin input"],
     "bad origin": ["p(a) ; assoc ; origin consensus(1)"],
+    "misspelt association field": ["p(a) ; asoc ; origin input"],
+    "misspelt origin field": ["p(a) ; assoc ; from input"],
+    "bad clause before a bad field": ["p(a b) ; asoc ; origin input"],
     "empty piece": ["p(a)||p(b)" + IN],
     "comment character": ["p(a)#" + IN],
     "missing field": ["p(a) ; assoc"],

@@ -536,6 +536,10 @@ UNUSUAL_ENTRIES = [
     (AT % "f(a))", MalformedStoreError, BAD_TERM + "5: trailing input after term: ')'"),
     (AT % "f(a,f(b))", MalformedStoreError, BAD_TERM + "1: " + ARITY_F),
     (AT % "f (f(a))", [AT % "f(f(a))"], {"p": 1}, {"a": 0, "f": 1}),
+    # The fields are checked in order: the clause, then the association.
+    ("p(a) ; asoc ; origin input", MalformedStoreError, "line 9: expected association field"),
+    ("p(a) ; assoc ; from input", MalformedStoreError, "line 9: expected origin field"),
+    ("p(a b) ; asoc ; origin input", MalformedStoreError, BAD + "5: expected ',' or ')', found 'b'"),
 ]
 
 
@@ -673,27 +677,16 @@ def test_a_load_reads_well_formed_entries_without_the_clause_parser(monkeypatch)
 
 def test_a_query_load_builds_only_what_it_keeps(monkeypatch):
     """A query load builds no more `Substitution`s than it keeps members
-    with an association, and a load reads every entry that `dumps_kb`
-    writes with one match, leaving the field-by-field checks to entries
-    written otherwise, such as spaced ones."""
-    built, split = [], []
-    real_split = pikit.store._split_entry
-
-    def counted_split(*args):
-        split.append(args[0])
-        return real_split(*args)
-
+    with an association, whether `dumps_kb` wrote the store or it is
+    spaced."""
+    built = []
     monkeypatch.setattr(pikit.store, "Substitution", lambda *a: built.append(a) or Substitution(*a))
-    monkeypatch.setattr(pikit.store, "_split_entry", counted_split)
     unkept = 0
     for seed, text, query in generated_stores():
-        spaced_entries = text.count("\nclause ") - text.count("\nclause $false ")
-        for copy, splits in ((text, 0), (spaced(text), spaced_entries)):
-            split.clear()
+        for copy in (text, spaced(text)):
             full = loads_kb(copy)
             built.clear()
             some = loads_kb(copy, query=query)
-            assert len(split) == 2 * splits, seed
             bound = [m for m in some.pi if not m.assoc.is_empty()]
             assert len(built) <= len(bound), seed
             unkept += len([m for m in full.pi if not m.assoc.is_empty()]) - len(bound)

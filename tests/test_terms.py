@@ -122,6 +122,14 @@ class TestUnify:
     def test_variable_pair_binds_left_to_right(self):
         assert unify(Compound("q", (Y,)), Compound("q", (Z,))) == Substitution({"Y": Z})
 
+    def test_a_literal_is_refused(self):
+        # A variable must never be bound to a literal; two literals are
+        # unified through their atoms.
+        ground, open_ = Literal(Compound("p", (a,))), Literal(Compound("p", (X,)), False)
+        for pair in [(X, ground), (ground, X), (open_, ground), (ground, ground), (a, open_)]:
+            with pytest.raises(TypeError, match="cannot unify a Literal"):
+                unify(*pair)
+
 
 def built_nodes():
     """One node of each type, built anew on every call."""
