@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .terms import EMPTY, Compound, Literal, Substitution, Term, _match
+from .terms import EMPTY, Literal, Substitution, _match
 
 
 @dataclass(frozen=True)
@@ -57,14 +57,17 @@ class Clause:
 
     @cached_property
     def features(self) -> frozenset:
-        """What every clause that θ-subsumes this one has, its literals'
-        `literal_features`: if c θ-subsumes d, c's features are a subset of
-        d's.  Literal counts give no such condition: ``p(X)|p(Y)`` subsumes
-        ``p(a)``."""
-        out: set = set()
-        for lit in self.literals:
-            out.update(literal_features(lit.text, lit.atom.args))
-        return frozenset(out)
+        """What every clause that θ-subsumes this one has, the union of its
+        literals' `features`: if c θ-subsumes d, c's features are a subset
+        of d's.  Literal counts give no such condition: ``p(X)|p(Y)``
+        subsumes ``p(a)``."""
+        lits = self.literals
+        if not lits:
+            return frozenset()
+        out = lits[0].features
+        for lit in lits[1:]:
+            out |= lit.features
+        return out
 
     def is_fundamental(self) -> bool:
         """False iff some atom occurs both positively and negatively."""
@@ -84,26 +87,6 @@ class Clause:
         return "|".join([l.text for l in self.literals]) if self.literals else "$false"
 
     __repr__ = __str__
-
-
-def literal_features(text: str, args: tuple[Term, ...]) -> list:
-    """The items a substitution keeps of the literal printed as `text` over
-    the atom arguments `args`: its signed head, ``"p"`` or ``"~p"``; an
-    ``(f, arity)`` for each compound in `args`; and `text` if it names no
-    variable, as a text compares without recursion however deep it is."""
-    out: list = [text.partition("(")[0]]
-    ground = True
-    stack = list(args)
-    while stack:
-        t = stack.pop()
-        if type(t) is Compound:
-            out.append((t.functor, len(t.args)))
-            stack.extend(t.args)
-        else:
-            ground = False
-    if ground:
-        out.append(text)
-    return out
 
 
 def fundamental(literals: Sequence[Literal]) -> bool:

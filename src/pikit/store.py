@@ -23,10 +23,10 @@ import re
 import stat
 import tempfile
 
-from .clauses import Clause, ClauseSet, literal_features
+from .clauses import Clause, ClauseSet
 from .compiler import CompiledKB, CompileStats
 from .syntax import ParseError, Signature, _bad_character, _tokenize, parse_clause, parse_term
-from .terms import EMPTY, Compound, Literal, Substitution, Term, Variable
+from .terms import EMPTY, Compound, Literal, Substitution, Term, Variable, literal_features
 
 FORMAT_NAME = "PIKB"
 FORMAT_VERSION = 1

@@ -11,7 +11,9 @@ unification.
 `Variable`, `Compound` and `Literal` are immutable `_Node`s, each built in
 one step that sets every field: the node's arguments, and its `text` and
 its `variables` (the frozenset of the variable names in it) from those its
-arguments fixed; a literal also sets its `sort_key`.  Nodes and
+arguments fixed; a literal also sets its `sort_key` and its θ-subsumption
+`features`, so a literal's features are computed once however many
+clauses hold it.  Nodes and
 `Substitution`s are interned (hash-consed, as in Filliâtre & Conchon,
 "Type-Safe Modular Hash-Consing", 2006): each constructor looks its value
 up in a weak table of its kind, keyed by the name, ``(functor, args)``,
@@ -149,10 +151,11 @@ class Literal(_Node):
     """A possibly negated atom.
 
     `sort_key` is the canonical literal order: predicate, then sign, then
-    argument text.
+    argument text.  `features` is the frozenset of its `literal_features`,
+    computed once, when the literal is first built.
     """
 
-    __slots__ = ("atom", "positive", "sort_key")
+    __slots__ = ("atom", "positive", "sort_key", "features")
 
     def __new__(cls, atom: Compound, positive: bool = True) -> Literal:
         key = (atom, positive)
@@ -161,15 +164,39 @@ class Literal(_Node):
             self = object.__new__(cls)
             _set(self, "atom", atom)
             _set(self, "positive", positive)
-            _set(self, "text", atom.text if positive else "~" + atom.text)
+            text = atom.text if positive else "~" + atom.text
+            _set(self, "text", text)
             _set(self, "variables", atom.variables)
             sort_key = (atom.functor, 0 if positive else 1, tuple([a.text for a in atom.args]))
             _set(self, "sort_key", sort_key)
+            _set(self, "features", frozenset(literal_features(text, atom.args)))
             self = _enter_literal(key, self)
         return self
 
     def __reduce__(self) -> tuple:
         return Literal, (self.atom, self.positive)
+
+
+def literal_features(text: str, args: tuple[Term, ...]) -> list:
+    """The items a substitution keeps of the literal printed as `text` over
+    the atom arguments `args`: its signed head, ``"p"`` or ``"~p"``; an
+    ``(f, arity)`` for each compound in `args`; and `text` if it names no
+    variable, as a text compares without recursion however deep it is.
+    A `Literal` holds its own as `features`; a store load asks it of a
+    literal it has read but not built."""
+    out: list = [text.partition("(")[0]]
+    ground = True
+    stack = list(args)
+    while stack:
+        t = stack.pop()
+        if type(t) is Compound:
+            out.append((t.functor, len(t.args)))
+            stack.extend(t.args)
+        else:
+            ground = False
+    if ground:
+        out.append(text)
+    return out
 
 
 class Substitution:

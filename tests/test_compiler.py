@@ -2,6 +2,7 @@
 
 import collections
 import importlib
+import sys
 
 import hypothesis.strategies as st
 import pytest
@@ -643,6 +644,41 @@ class TestAddClauses:
         incremental = add_clauses(compile([]), clauses)
         batch = compile(clauses)
         assert sorted(texts(incremental.result.pi)) == sorted(texts(batch.pi))
+
+
+def test_a_fold_computes_features_once_per_new_literal(monkeypatch):
+    """Folding streams runs `literal_features` once per literal intern miss,
+    from `Literal`'s constructor, and never from `Clause.features`, which
+    only joins its literals' sets; every pikit module that binds the name
+    is wrapped."""
+    terms = importlib.import_module("pikit.terms")
+    callers, misses = [], []
+    features, enter = terms.literal_features, terms._enter_literal
+
+    def counted_features(text, args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return features(text, args)
+
+    def counted_enter(key, value):
+        misses.append(key)
+        return enter(key, value)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("pikit") and hasattr(module, "literal_features"):
+            monkeypatch.setattr(module, "literal_features", counted_features)
+    monkeypatch.setattr(terms, "_enter_literal", counted_enter)
+    outcomes = collections.Counter()
+    for seed, (x, c) in enumerate(_criterion_4_instances(10)):
+        try:
+            kb = compile(x)
+            for d in [c, *_stream(GenConfig(seed=seed, **FO_CFG))]:
+                report = add_clause(kb, d)
+                outcomes[report.outcome] += 1
+                kb = report.result
+        except ResourceLimitExceeded:
+            continue
+    assert outcomes["absorbed"] > 5 and outcomes["recompiled"] > 5, outcomes
+    assert len(callers) == len(misses) > 100 and set(callers) == {"__new__"}
 
 
 class TestAbsorption:

@@ -47,7 +47,7 @@ from pikit import (
 import pikit.store
 from pikit import syntax
 from pikit.compiler import _STATS_RE
-from pikit.clauses import literal_features
+from pikit.terms import literal_features
 from pikit.store import _BINDING_SPLIT_RE, _ORIGIN_RE, _SYMBOL_RE, _LoadTable
 
 WORKED = "q(Y). ~r(f(X),b). p(X)|r(Y,b)|~q(Z)."
@@ -625,8 +625,9 @@ def test_a_subsumer_passes_the_feature_pre_test(c, d, sub):
 @given(st.lists(clauses, min_size=1, max_size=4), clauses)
 def test_a_read_literal_has_the_features_of_the_built_one(members, query):
     """The table reads each literal of a store, spaced or not, to arguments
-    with the `literal_features` of the literal the parser builds, and a
-    query load keeps it exactly when those are among the query's."""
+    with the `literal_features` of the literal the parser builds, which are
+    that literal's `features`, and a query load keeps it exactly when those
+    are among the query's."""
     text = dumps_kb(CompiledKB(ClauseSet(members)))
     for copy in (text, spaced(text)):
         for line in copy.splitlines():
@@ -638,6 +639,7 @@ def test_a_read_literal_has_the_features_of_the_built_one(members, query):
                 assert full._read(piece) == some._read(piece) == lit.text
                 args = full.parts[lit.text][1]
                 assert literal_features(lit.text, args) == literal_features(lit.text, lit.atom.args)
+                assert frozenset(literal_features(lit.text, args)) == lit.features
                 assert (lit.text in some.parts) == (Clause((lit,)).features <= query.features)
 
 

@@ -30,7 +30,7 @@ from pikit import (
     subsumes,
     unify,
 )
-from pikit.terms import _COMPOUNDS, _LITERALS, _SUBSTITUTIONS, _VARIABLES, _match
+from pikit.terms import _COMPOUNDS, _LITERALS, _SUBSTITUTIONS, _VARIABLES, _match, literal_features
 
 from oracles import reference_apply, reference_match, reference_unify
 from strategies import atoms, clauses, literals, substitutions, terms
@@ -144,7 +144,7 @@ class TestNodes:
     FIELDS = {
         Variable: ("name",),
         Compound: ("functor", "args"),
-        Literal: ("atom", "positive", "sort_key"),
+        Literal: ("atom", "positive", "sort_key", "features"),
     }
 
     @pytest.mark.parametrize("at", range(3))
@@ -319,6 +319,10 @@ class TestDeepGroundTerm:
     def test_clause_features(self, deep):
         lit = Literal(Compound("p", (deep,)))
         assert Clause((lit,)).features == {"p", ("a", 0), ("f", 1), lit.text}
+        assert lit.features == frozenset(literal_features(lit.text, lit.atom.args))
+        neg = Literal(Compound("q", (deep, X)), False)
+        assert neg.features == {"~q", ("a", 0), ("f", 1)}
+        assert Clause((lit, neg)).features == lit.features | neg.features
         # Two separately built clauses: their features compare by text.
         other = Clause((Literal(Compound("p", (self.build(),))),))
         assert other.features == Clause((lit,)).features
@@ -495,6 +499,14 @@ def reference_variables(x):
 def test_fixed_variables_match_recursive_reference(t, at, lit):
     for x in (t, at, lit):
         assert x.variables == reference_variables(x)
+
+
+@given(clauses)
+def test_a_literal_carries_its_features_and_a_clause_their_union(c):
+    for lit in c.literals:
+        assert lit.features == frozenset(literal_features(lit.text, lit.atom.args))
+    assert c.features == frozenset().union(*[lit.features for lit in c.literals])
+    assert Clause(()).features == frozenset()
 
 
 @given(st.one_of(terms, atoms, literals), st.dictionaries(st.sampled_from("XYZUV"), terms))
