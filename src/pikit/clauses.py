@@ -3,14 +3,15 @@ and subsumption residue."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
-from .terms import EMPTY, Literal, Substitution, _match
+from .terms import EMPTY, Literal, Substitution, _match, _set
+
+_sort_key = attrgetter("sort_key")
 
 
-@dataclass(frozen=True)
 class Clause:
     """A duplicate-free disjunction of literals in a fixed canonical order,
     with its association and provenance.
@@ -20,18 +21,47 @@ class Clause:
     prints as ``$false``.  Input clauses carry the empty association;
     consensus results carry the composed substitution and the ids of their
     parents.  A clause is its (literals, assoc) pair: equality and the
-    hash, fixed when it is built, ignore `parents`, which only records
-    where the clause came from.
+    hash ignore `parents`, which only records where the clause came from.
+
+    A clause is immutable and slotted, and built in one step that sets
+    every field: the sorted literals, the association, the parents, the
+    hash of (literals, assoc) and the θ-subsumption `features`, the union
+    of its literals' interned `features` sets: if c θ-subsumes d, c's
+    features are a subset of d's.  Literal counts give no such condition:
+    ``p(X)|p(Y)`` subsumes ``p(a)``.  Clauses are not interned: each build
+    is a new object that carries its own `parents`.
     """
 
-    literals: tuple[Literal, ...] = ()
-    assoc: Substitution = EMPTY
-    parents: tuple[int, int] | None = field(default=None, compare=False)
+    __slots__ = ("literals", "assoc", "parents", "features", "_hash")
 
-    def __post_init__(self) -> None:
-        ordered = tuple(sorted(set(self.literals), key=lambda l: l.sort_key))
-        object.__setattr__(self, "literals", ordered)
-        object.__setattr__(self, "_hash", hash((ordered, self.assoc)))
+    def __new__(
+        cls,
+        literals: Iterable[Literal] = (),
+        assoc: Substitution = EMPTY,
+        parents: tuple[int, int] | None = None,
+    ) -> Clause:
+        self = object.__new__(cls)
+        ordered = tuple(sorted(set(literals), key=_sort_key))
+        _set(self, "literals", ordered)
+        _set(self, "assoc", assoc)
+        _set(self, "parents", parents)
+        _set(self, "_hash", hash((ordered, assoc)))
+        if len(ordered) == 1:
+            _set(self, "features", ordered[0].features)
+        else:
+            _set(self, "features", frozenset().union(*[l.features for l in ordered]))
+        return self
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.literals == other.literals and self.assoc == other.assoc
 
     def __hash__(self) -> int:
         return self._hash
@@ -54,20 +84,6 @@ class Clause:
     def entry_text(self) -> str:
         assoc = self.assoc.bindings_text
         return "%s ; assoc%s ; origin %s" % (self, " " + assoc if assoc else "", self.origin)
-
-    @cached_property
-    def features(self) -> frozenset:
-        """What every clause that θ-subsumes this one has, the union of its
-        literals' `features`: if c θ-subsumes d, c's features are a subset
-        of d's.  Literal counts give no such condition: ``p(X)|p(Y)``
-        subsumes ``p(a)``."""
-        lits = self.literals
-        if not lits:
-            return frozenset()
-        out = lits[0].features
-        for lit in lits[1:]:
-            out |= lit.features
-        return out
 
     def is_fundamental(self) -> bool:
         """False iff some atom occurs both positively and negatively."""

@@ -17,10 +17,14 @@ the fresh members, a memo each of `unify`, `compose` and `apply`, the
 attempt count and the round count that the max-rounds cap bounds.  Only
 the `unify` and `compose` memos outlive a fold: the KB it returns carries
 them, and the next fold into that KB starts from a copy, so a stream of
-folds decides each pair once.  Its one admission rule: a resolvent is
-added when no equal (literals, assoc) member is in `seen`, and a duplicate
-otherwise.  The tests check it against a pairwise reference step in
-`tests/oracles.py`.  Saturation is not guaranteed to terminate on first-order
+folds decides each pair once.  Its one admission rule: `seen` holds the
+key of each admission, the frozenset of its literals with its association,
+and a resolvent is added when its key is not there, and a duplicate
+otherwise.  Untraced, the key of the applied literals is tested before a
+`Clause` is built, so the engine builds only the resolvents it admits; a
+traced round builds each unblocked, fundamental resolvent, whose event
+prints it.  The tests check the engine against a pairwise reference step
+in `tests/oracles.py`.  Saturation is not guaranteed to terminate on first-order
 inputs, so every closure takes explicit resource limits and fails loudly
 with the partial set when a cap is hit.
 """
@@ -107,6 +111,12 @@ class TraceEvent:
 Trace = Callable[[TraceEvent], None]
 
 
+def _key(clause: Clause) -> tuple[frozenset, Substitution]:
+    """What `seen` holds of a clause: its literal set and its association,
+    the (literals, assoc) pair that clause equality compares."""
+    return frozenset(clause.literals), clause.assoc
+
+
 def _resolve(
     c1: Clause,
     c2: Clause,
@@ -114,6 +124,7 @@ def _resolve(
     assoc: Substitution,
     parents: tuple[int, int],
     applied: Callable[[Substitution, Literal], Literal],
+    seen: set | None = None,
 ) -> Clause | Outcome:
     """Consensus of c1 and c2 on `pair`, an unblocked attempt whose
     associations compose with its mgu to `assoc`.
@@ -124,7 +135,9 @@ def _resolve(
     tautological.  `applied` is `apply` or a memo of it: `apply` is pure,
     so a hit is the value a call would build.  The applied literals are
     tested for an atom of both signs before the resolvent is built, so a
-    tautology is never sorted or hashed.
+    tautology is never sorted or hashed.  Given the `seen` keys of an
+    engine, the applied literals' key is tested next: when it is there,
+    the result is Outcome.DUPLICATE and no `Clause` is built either.
     """
     r, s, mgu = pair
     rest = []
@@ -134,7 +147,9 @@ def _resolve(
                 rest.append(applied(mgu, l))
     if not fundamental(rest):
         return Outcome.NON_FUNDAMENTAL
-    return Clause(tuple(rest), assoc, parents)
+    if seen is not None and (frozenset(rest), assoc) in seen:
+        return Outcome.DUPLICATE
+    return Clause(rest, assoc, parents)
 
 
 class _Memo(dict):
@@ -172,9 +187,12 @@ class _Rounds:
     `new_side` position: a fold's support set can hold a member later than
     its working set does.
 
-    The object keeps what passes from round to round of its one call.  A
-    resolvent is added when it is not in `seen`, which then grows by it,
-    and is a duplicate otherwise.  `fresh` holds what the previous round
+    The object keeps what passes from round to round of its one call.
+    `seen` holds the `_key` of each clause the engine was given and of each
+    admission.  A resolvent is added when its key is not in `seen`, which
+    then grows by it, and is a duplicate otherwise; untraced, `_resolve`
+    tests the key of the applied literals before it builds a `Clause`, so
+    each resolvent built is admitted.  `fresh` holds what the previous round
     added.  An old pair, of two members of `base` outside `fresh`, met in
     the previous round and can only repeat its outcome: blocked,
     non-fundamental or duplicate.  What one costs is the one way the
@@ -194,7 +212,7 @@ class _Rounds:
     """
 
     def __init__(self, seen, max_rounds: int, trace: Trace | None, *, fold=False, memo=None):
-        self.seen = set(seen)
+        self.seen = {_key(c) for c in seen}
         self.max_rounds = max_rounds
         self.trace = trace
         self.fold = fold
@@ -275,20 +293,21 @@ class _Rounds:
         self.attempts += attempts + (repeats if self.fold else 0)
         admitted: list[Clause] = []
         hits.sort()  # the four positions tell any two hits apart
+        untraced = seen if trace is None else None  # traced, duplicates are built
         for i1, _, k1, k2, i2, d1, d2, mgu, assoc in hits:
             ids = (i1 + 1, i2 + 1)
             if assoc is None:
                 res = outcome = Outcome.BLOCKED
             else:
                 pair = (d1.literals[k1], d2.literals[k2], mgu)
-                res = _resolve(d1, d2, pair, assoc, ids, self._applied)
+                res = _resolve(d1, d2, pair, assoc, ids, self._applied, untraced)
                 if isinstance(res, Outcome):
                     outcome = res
-                elif res in seen:
+                elif (key := _key(res)) in seen:
                     outcome = Outcome.DUPLICATE
                 else:
                     outcome = Outcome.ADDED
-                    seen.add(res)
+                    seen.add(key)
                     admitted.append(res)
                     if max_clauses is not None and len(base) + len(admitted) > max_clauses:
                         partial = ClauseSet([*base, *admitted])

@@ -1,9 +1,12 @@
 """Fundamentality, θ-subsumption with witness, and the subsumption residue."""
 
+import copy
 import itertools
+import pickle
 import random
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import HealthCheck, given, settings
 
 from pikit import (
@@ -73,6 +76,39 @@ def brute_force_subsumes(c1, c2):
 
 
 class TestClauseConstruction:
+    FIELDS = ("literals", "assoc", "parents", "features", "_hash", "other")
+
+    @staticmethod
+    def built():
+        """A clause as consensus builds one, with an association and parents."""
+        return Clause(cl("q(X,a)|~p(f(X)).").literals, Substitution({"Y": Compound("b")}), (1, 2))
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        c = self.built()
+        for name in self.FIELDS:
+            with pytest.raises(AttributeError):
+                setattr(c, name, None)
+            with pytest.raises(AttributeError):
+                delattr(c, name)
+        assert c == self.built() and c.entry_text == self.built().entry_text
+
+    def test_a_clause_has_no_instance_dict(self):
+        assert not hasattr(self.built(), "__dict__")
+
+    def test_parents_are_outside_equality_and_the_hash(self):
+        c = self.built()
+        others = [Clause(c.literals, c.assoc, (3, 4)), Clause(c.literals, c.assoc)]
+        for other in others:
+            assert other == c and hash(other) == hash(c) and other is not c
+        assert [m.parents for m in (c, *others)] == [(1, 2), (3, 4), None]
+        assert c.clause != c and c.clause == Clause(c.literals)
+
+    def test_a_copied_or_unpickled_clause_keeps_its_parents(self):
+        c = self.built()
+        for twin in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
+            assert type(twin) is Clause and twin == c and hash(twin) == hash(c)
+            assert twin.parents == c.parents and twin.features == c.features
+
     def test_literals_are_merged_and_ordered(self):
         assert cl("r(b,X)|~q(g(a))|r(b,X).") == cl("~q(g(a))|r(b,X).")
 

@@ -3,11 +3,13 @@
 import collections
 import importlib
 import sys
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import pikit
 from pikit import (
     DEFAULT_LIMITS,
     EMPTY,
@@ -23,6 +25,7 @@ from pikit import (
     add_clauses,
     compile,
     compose,
+    consensus_closure,
     dumps_kb,
     entails,
     gen_clause,
@@ -446,33 +449,39 @@ class TestCountedAttempts:
     def test_untraced_runs_never_build_a_blocked_or_old_attempt(self, monkeypatch):
         engine = importlib.import_module("pikit.consensus")
         real_resolve, real_next = engine._resolve, engine._Rounds.next
-        calls = []  # (fold round, d1, d2) of each resolvent built
+        calls = []  # (fold round, d1, d2) of each unblocked attempt resolved
+        built, admitted = [], []  # each resolvent `_resolve` built; each admission
         state = {"round": 0}
 
-        def resolve_spy(c1, c2, pair, assoc, parents, applied):
-            # Only an unblocked attempt is built, from the one composition.
+        def resolve_spy(c1, c2, pair, assoc, parents, applied, seen=None):
+            # Only an unblocked attempt is resolved, from the one composition.
             mgu = pair[2]
             assert compose(c1.assoc, mgu) == compose(c2.assoc, mgu) == assoc
             calls.append((state["round"], c1, c2))
-            return real_resolve(c1, c2, pair, assoc, parents, applied)
+            res = real_resolve(c1, c2, pair, assoc, parents, applied, seen)
+            if isinstance(res, Clause):
+                built.append(res)
+            return res
 
         def next_spy(self, *args):
             state["round"] = self.round + 1
-            return real_next(self, *args)
+            added = real_next(self, *args)
+            admitted.extend(added)
+            return added
 
         monkeypatch.setattr(engine, "_resolve", resolve_spy)
         monkeypatch.setattr(engine._Rounds, "next", next_spy)
-        built = later_rounds = 0
+        resolved = later_rounds = 0
         for x, c in _criterion_4_instances(100):
             try:
                 calls.clear()
                 kb = compile(x)
-                built += len(calls)
+                resolved += len(calls)
                 calls.clear()
                 report = add_clause(kb, c)
             except ResourceLimitExceeded:
                 continue
-            built += len(calls)
+            resolved += len(calls)
             # New in round k: the support members that round k-1 derived.
             support = [set(snap) for snap in report.support_history]
             for k, d1, d2 in calls:
@@ -480,7 +489,78 @@ class TestCountedAttempts:
                     new = support[k - 1] - support[k - 2]
                     assert d1 in new or d2 in new
                     later_rounds += 1
-        assert later_rounds > 40 and built > 500
+        assert later_rounds > 40 and resolved > 500
+        # Untraced, a duplicate is never built: each resolvent built is
+        # admitted, and in the order it was built.
+        assert len(built) == len(admitted) > 500
+        assert all(b is a for b, a in zip(built, admitted))
+
+
+class TestResolventsBuilt:
+    """Untraced, the engine builds a resolvent only to admit it: it tells a
+    duplicate by its literal set and association before any `Clause` is
+    built.  Traced, it still builds each duplicate, whose event prints it.
+    The counts are of the criterion-4 instances and of the fold streams of
+    the `fo-compile` and `fo-add-stream` benchmarks; an engine that built
+    every unblocked, fundamental resolvent untraced would build 25,916 and
+    411."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        """A counter of the engine's `Clause` builds and admissions."""
+        engine = importlib.import_module("pikit.consensus")
+        real_clause, real_next = engine.Clause, engine._Rounds.next
+        counts = collections.Counter()
+
+        def built(*args):
+            counts["built"] += 1
+            return real_clause(*args)
+
+        def next_spy(self, *args):
+            added = real_next(self, *args)
+            counts["admitted"] += len(added)
+            return added
+
+        monkeypatch.setattr(engine, "Clause", built)
+        monkeypatch.setattr(engine._Rounds, "next", next_spy)
+        return counts
+
+    @staticmethod
+    def fold_streams(monkeypatch):
+        """The `fo-add-stream` benchmark's workload, its streams built."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        return workloads.FoAddStream(pikit, workloads.FULL["fo-add-stream"])
+
+    def test_an_untraced_closure_builds_one_resolvent_per_admission(self, monkeypatch):
+        counts = self.counted(monkeypatch)
+        for seed in range(500):
+            consensus_closure(ClauseSet(gen_kb(GenConfig(seed=seed, **FO_CFG))))
+        assert counts == {"built": 3283, "admitted": 3283}
+
+    def test_an_untraced_fold_pass_builds_one_resolvent_per_admission(self, monkeypatch):
+        streams = self.fold_streams(monkeypatch)
+        counts = self.counted(monkeypatch)
+        streams.run_pass(streams.ops)
+        assert counts == {"built": 396, "admitted": 396}
+
+    def test_a_traced_run_builds_one_resolvent_per_added_or_duplicate_event(self, monkeypatch):
+        streams = self.fold_streams(monkeypatch)
+        counts = self.counted(monkeypatch)
+        events = collections.Counter()
+
+        def trace(event):
+            events[event.outcome] += 1
+
+        streams.run_pass(streams.ops, trace)
+        assert (counts["built"], events["added"], events["duplicate"]) == (703, 396, 307)
+        assert counts["admitted"] == events["added"]
+        counts.clear()
+        events.clear()
+        for seed in range(100):
+            consensus_closure(ClauseSet(gen_kb(GenConfig(seed=seed, **FO_CFG))), trace=trace)
+        assert (counts["built"], events["added"], events["duplicate"]) == (936, 376, 560)
+        assert counts["admitted"] == events["added"]
 
 
 def _count_decisions(monkeypatch):
@@ -696,7 +776,7 @@ class TestAbsorption:
 
     def check(self, kb, c, loaded=None):
         """Compare on `kb` and on its reloaded copy `loaded`, whose members
-        start with no features cached; return the agreed answer."""
+        are built anew by the load; return the agreed answer."""
         expected = entails(kb, c).entailed
         for tried in (kb, loaded or loads_kb(dumps_kb(kb))):
             assert self.absorbed(tried, c) == expected, (str(c), tried.pi)

@@ -458,7 +458,10 @@ def test_pair_engine_matches_nested_loops(monkeypatch):
     def recorded(self, base, new_side, max_clauses=None):
         # The fresh set the round skips old pairs by; a traced fold skips none.
         fresh = None if self.fold and self.trace is not None else self.fresh
-        rounds.append((base.copy(), new_side.copy(), set(self.seen), fresh, self.round + 1))
+        # `seen` holds each admission's (literal set, assoc) key; the clauses
+        # they stand for seed both the reference and a new engine.
+        seen = [Clause(literals, assoc) for literals, assoc in self.seen]
+        rounds.append((base.copy(), new_side.copy(), seen, fresh, self.round + 1))
         return real(self, base, new_side, max_clauses)
 
     monkeypatch.setattr(_Rounds, "next", recorded)
