@@ -7,12 +7,12 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
-from .terms import EMPTY, Literal, Substitution, _match, _set
+from .terms import EMPTY, Literal, Substitution, _Frozen, _match, _set
 
 _sort_key = attrgetter("sort_key")
 
 
-class Clause:
+class Clause(_Frozen):
     """A duplicate-free disjunction of literals in a fixed canonical order,
     with its association and provenance.
 
@@ -51,12 +51,6 @@ class Clause:
         else:
             _set(self, "features", frozenset().union(*[l.features for l in ordered]))
         return self
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError("cannot assign to field %r" % name)
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError("cannot delete field %r" % name)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

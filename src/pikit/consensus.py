@@ -17,21 +17,20 @@ the fresh members, a memo each of `unify`, `compose` and `apply`, the
 attempt count and the round count that the max-rounds cap bounds.  Only
 the `unify` and `compose` memos outlive a fold: the KB it returns carries
 them, and the next fold into that KB starts from a copy, so a stream of
-folds decides each pair once.  Its one admission rule: `seen` holds the
-key of each admission, the frozenset of its literals with its association,
-and a resolvent is added when its key is not there, and a duplicate
-otherwise.  Untraced, the key of the applied literals is tested before a
-`Clause` is built, so the engine builds only the resolvents it admits; a
-traced round builds each unblocked, fundamental resolvent, whose event
-prints it.  The tests check the engine against a pairwise reference step
-in `tests/oracles.py`.  Saturation is not guaranteed to terminate on first-order
-inputs, so every closure takes explicit resource limits and fails loudly
-with the partial set when a cap is hit.
+folds decides each pair once.  One loop decides every attempt of a
+round, in order: blocked, non-fundamental, duplicate or added.  It tests
+the resolvent's applied literals before it builds anything, and `seen`
+holds the key of each admission, the frozenset of its literals with its
+association, so a `Clause` is built only for an admission, or for a traced
+duplicate, whose event prints it.  The tests check the engine against a
+pairwise reference step in `tests/oracles.py`.  Saturation is not
+guaranteed to terminate on first-order inputs, so every closure takes
+explicit resource limits and fails loudly with the partial set when a cap
+is hit.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Mapping
@@ -111,47 +110,6 @@ class TraceEvent:
 Trace = Callable[[TraceEvent], None]
 
 
-def _key(clause: Clause) -> tuple[frozenset, Substitution]:
-    """What `seen` holds of a clause: its literal set and its association,
-    the (literals, assoc) pair that clause equality compares."""
-    return frozenset(clause.literals), clause.assoc
-
-
-def _resolve(
-    c1: Clause,
-    c2: Clause,
-    pair: tuple[Literal, Literal, Substitution],
-    assoc: Substitution,
-    parents: tuple[int, int],
-    applied: Callable[[Substitution, Literal], Literal],
-    seen: set | None = None,
-) -> Clause | Outcome:
-    """Consensus of c1 and c2 on `pair`, an unblocked attempt whose
-    associations compose with its mgu to `assoc`.
-
-    `pair` is (R in c1, S in c2, mgu), R and S the parents' own literals,
-    so the resolvent drops them by identity.  Returns the resolvent, which
-    carries `assoc` and `parents`, or Outcome.NON_FUNDAMENTAL when it is
-    tautological.  `applied` is `apply` or a memo of it: `apply` is pure,
-    so a hit is the value a call would build.  The applied literals are
-    tested for an atom of both signs before the resolvent is built, so a
-    tautology is never sorted or hashed.  Given the `seen` keys of an
-    engine, the applied literals' key is tested next: when it is there,
-    the result is Outcome.DUPLICATE and no `Clause` is built either.
-    """
-    r, s, mgu = pair
-    rest = []
-    for parent, dropped in ((c1, r), (c2, s)):
-        for l in parent.literals:
-            if l is not dropped:
-                rest.append(applied(mgu, l))
-    if not fundamental(rest):
-        return Outcome.NON_FUNDAMENTAL
-    if seen is not None and (frozenset(rest), assoc) in seen:
-        return Outcome.DUPLICATE
-    return Clause(rest, assoc, parents)
-
-
 class _Memo(dict):
     """Values of the two-argument function `fn`, keyed by argument pair and
     filled in on a miss; built from a copy of `table`."""
@@ -187,32 +145,39 @@ class _Rounds:
     `new_side` position: a fold's support set can hold a member later than
     its working set does.
 
+    One loop then decides each attempt in that order.  Blocked: the
+    compositions differ.  Otherwise the mgu is applied to every literal of
+    D1 but R and of D2 but S, where R and S are the parents' own literals,
+    dropped by identity.  Non-fundamental: the applied literals hold an
+    atom of both signs, so a tautology is never sorted or hashed.
+    Duplicate: their key, the frozenset of the applied literals with the
+    composition, is in `seen`; a `Clause` is built for it only when traced,
+    for its event.  Added otherwise: the resolvent is built, admitted, and
+    its key added to `seen`, then the `max_clauses` cap is checked.  So
+    untraced, each `Clause` the loop builds is admitted.
+
     The object keeps what passes from round to round of its one call.
-    `seen` holds the `_key` of each clause the engine was given and of each
-    admission.  A resolvent is added when its key is not in `seen`, which
-    then grows by it, and is a duplicate otherwise; untraced, `_resolve`
-    tests the key of the applied literals before it builds a `Clause`, so
-    each resolvent built is admitted.  `fresh` holds what the previous round
-    added.  An old pair, of two members of `base` outside `fresh`, met in
-    the previous round and can only repeat its outcome: blocked,
-    non-fundamental or duplicate.  What one costs is the one way the
-    callers differ: the closure neither attempts nor counts it, and the
-    fold counts it untraced and attempts it traced, so that each attempt
-    gives an event.  `_unify` and `_compose` are `_Memo` dicts of this
-    module's `unify` and `compose`, and `_applied` a `functools.cache` of
-    `apply`, as the globals are bound when the engine is built: each pure
-    function runs once per argument pair per call, so a literal that many
-    resolvents share under one mgu is rebuilt once.  The two dicts start
-    as copies of `memo`, the tables an earlier fold left (never changed
-    here), and `memo` gives them to the next fold while each is below
-    `MEMO_CAP`.
+    `seen` holds the key of each clause the engine was given and of each
+    admission.  `fresh` holds what the previous round added.  An old pair,
+    of two members of `base` outside `fresh`, met in the previous round and
+    can only repeat its outcome: blocked, non-fundamental or duplicate.
+    What one costs is the one way the callers differ: the closure neither
+    attempts nor counts it, and the fold counts it untraced and attempts it
+    traced, so that each attempt gives an event.  `_unify`, `_compose` and `_applied` are `_Memo` dicts
+    of this module's `unify`, `compose` and `apply`, as the globals are
+    bound when the engine is built: each pure function runs once per
+    argument pair per call, so a literal that many resolvents share under
+    one mgu is rebuilt once.  The `unify` and `compose` dicts start as
+    copies of `memo`, the tables an earlier fold left (never changed here),
+    and `memo` gives them to the next fold while each is below `MEMO_CAP`;
+    the `apply` dict starts empty and dies with the call.
     `round` is the number of the last round begun, and round `max_rounds`
     + 1 raises ResourceLimitExceeded with its base instead.  `attempts`
     sums the attempts of the rounds so far, and a fold's repeats with them.
     """
 
     def __init__(self, seen, max_rounds: int, trace: Trace | None, *, fold=False, memo=None):
-        self.seen = {_key(c) for c in seen}
+        self.seen = {(frozenset(c.literals), c.assoc) for c in seen}
         self.max_rounds = max_rounds
         self.trace = trace
         self.fold = fold
@@ -222,7 +187,7 @@ class _Rounds:
         unifiers, composed = memo or ({}, {})
         self._unify = _Memo(unify, unifiers)
         self._compose = _Memo(compose, composed)
-        self._applied = functools.cache(apply)
+        self._applied = _Memo(apply, {})
 
     @property
     def memo(self) -> tuple[dict, dict]:
@@ -292,21 +257,28 @@ class _Rounds:
                             hits.append((i1, j2, k1, k2, i2, d1, d2, mgu, assoc))
         self.attempts += attempts + (repeats if self.fold else 0)
         admitted: list[Clause] = []
+        applied = self._applied
         hits.sort()  # the four positions tell any two hits apart
-        untraced = seen if trace is None else None  # traced, duplicates are built
         for i1, _, k1, k2, i2, d1, d2, mgu, assoc in hits:
             ids = (i1 + 1, i2 + 1)
+            res = None  # the resolvent, built only to admit it or to print it
             if assoc is None:
-                res = outcome = Outcome.BLOCKED
+                outcome = Outcome.BLOCKED
             else:
-                pair = (d1.literals[k1], d2.literals[k2], mgu)
-                res = _resolve(d1, d2, pair, assoc, ids, self._applied, untraced)
-                if isinstance(res, Outcome):
-                    outcome = res
-                elif (key := _key(res)) in seen:
+                rest = []
+                for parent, dropped in ((d1, d1.literals[k1]), (d2, d2.literals[k2])):
+                    for l in parent.literals:
+                        if l is not dropped:
+                            rest.append(applied[mgu, l])
+                if not fundamental(rest):
+                    outcome = Outcome.NON_FUNDAMENTAL
+                elif (key := (frozenset(rest), assoc)) in seen:
                     outcome = Outcome.DUPLICATE
+                    if trace is not None:
+                        res = Clause(rest, assoc, ids)
                 else:
                     outcome = Outcome.ADDED
+                    res = Clause(rest, assoc, ids)
                     seen.add(key)
                     admitted.append(res)
                     if max_clauses is not None and len(base) + len(admitted) > max_clauses:
@@ -320,7 +292,7 @@ class _Rounds:
                         (str(d1), str(d2)),
                         mgu,
                         outcome.value,
-                        None if isinstance(res, Outcome) else str(res),
+                        None if res is None else str(res),
                     )
                 )
         self.fresh = set(admitted)

@@ -13,7 +13,8 @@ one step that sets every field: the node's arguments, and its `text` and
 its `variables` (the frozenset of the variable names in it) from those its
 arguments fixed; a literal also sets its `sort_key` and its θ-subsumption
 `features`, so a literal's features are computed once however many
-clauses hold it.  Nodes and
+clauses hold it.  Nodes, `Substitution`s and clauses share one `_Frozen`
+base, whose fields are set once, when the object is built.  Nodes and
 `Substitution`s are interned (hash-consed, as in Filliâtre & Conchon,
 "Type-Safe Modular Hash-Consing", 2006): each constructor looks its value
 up in a weak table of its kind, keyed by the name, ``(functor, args)``,
@@ -84,16 +85,23 @@ _LITERALS, _enter_literal = _weak_table()
 _SUBSTITUTIONS, _enter_substitution = _weak_table()
 
 
-class _Node:
-    """An immutable, interned term or literal that prints as its text."""
+class _Frozen:
+    """A value whose fields are set once, through `_set`, when it is built:
+    assigning or deleting any attribute afterwards raises AttributeError."""
 
-    __slots__ = ("text", "variables", "__weakref__")
+    __slots__ = ()
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("cannot assign to field %r" % name)
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError("cannot delete field %r" % name)
+
+
+class _Node(_Frozen):
+    """An immutable, interned term or literal that prints as its text."""
+
+    __slots__ = ("text", "variables", "__weakref__")
 
     def __str__(self) -> str:
         return self.text
@@ -199,7 +207,7 @@ def literal_features(text: str, args: tuple[Term, ...]) -> list:
     return out
 
 
-class Substitution:
+class Substitution(_Frozen):
     """An immutable, interned finite map from variable names to terms.
 
     Identity bindings are dropped at construction, so two substitutions are
@@ -217,7 +225,7 @@ class Substitution:
         self = _SUBSTITUTIONS.get(key, _absent)()
         if self is None:
             self = object.__new__(cls)
-            self._bindings = out
+            _set(self, "_bindings", out)
             self = _enter_substitution(key, self)
         return self
 

@@ -24,7 +24,6 @@ from pikit import (
     add_clause,
     add_clauses,
     compile,
-    compose,
     consensus_closure,
     dumps_kb,
     entails,
@@ -40,6 +39,7 @@ from pikit import (
 
 from oracles import GroundUniverse, check_implicate_semantically, models_of, same_models
 from strategies import FO_CFG, entries, texts
+from test_consensus import nested_loop_round
 
 BASE_KB = "q(Y). ~r(f(X),b). p(X)|r(Y,b)|~q(Z)."
 ADDED = "~p(a)|~q(Z)."
@@ -448,48 +448,40 @@ class TestCountedAttempts:
 
     def test_untraced_runs_never_build_a_blocked_or_old_attempt(self, monkeypatch):
         engine = importlib.import_module("pikit.consensus")
-        real_resolve, real_next = engine._resolve, engine._Rounds.next
-        calls = []  # (fold round, d1, d2) of each unblocked attempt resolved
-        built, admitted = [], []  # each resolvent `_resolve` built; each admission
-        state = {"round": 0}
+        built, admitted = TestResolventsBuilt.built(monkeypatch)
+        real_fundamental, real_next = engine.fundamental, engine._Rounds.next
+        rounds = []  # (fold, round, base, new side, seen, fresh, attempts resolved)
+        resolved = collections.Counter()  # `fundamental` calls of the running round
 
-        def resolve_spy(c1, c2, pair, assoc, parents, applied, seen=None):
-            # Only an unblocked attempt is resolved, from the one composition.
-            mgu = pair[2]
-            assert compose(c1.assoc, mgu) == compose(c2.assoc, mgu) == assoc
-            calls.append((state["round"], c1, c2))
-            res = real_resolve(c1, c2, pair, assoc, parents, applied, seen)
-            if isinstance(res, Clause):
-                built.append(res)
-            return res
+        def fundamental_spy(literals):
+            # The engine tests each attempt it resolves once, and no other.
+            resolved["round"] += 1
+            return real_fundamental(literals)
 
-        def next_spy(self, *args):
-            state["round"] = self.round + 1
-            added = real_next(self, *args)
-            admitted.extend(added)
+        def next_spy(self, base, new_side, max_clauses=None):
+            seen = [Clause(literals, assoc) for literals, assoc in self.seen]
+            start = (self.fold, self.round + 1, base.copy(), new_side.copy(), seen, self.fresh)
+            resolved.clear()
+            added = real_next(self, base, new_side, max_clauses)
+            rounds.append((*start, resolved["round"]))
             return added
 
-        monkeypatch.setattr(engine, "_resolve", resolve_spy)
+        monkeypatch.setattr(engine, "fundamental", fundamental_spy)
         monkeypatch.setattr(engine._Rounds, "next", next_spy)
-        resolved = later_rounds = 0
         for x, c in _criterion_4_instances(100):
             try:
-                calls.clear()
-                kb = compile(x)
-                resolved += len(calls)
-                calls.clear()
-                report = add_clause(kb, c)
+                add_clause(compile(x), c)
             except ResourceLimitExceeded:
                 continue
-            resolved += len(calls)
-            # New in round k: the support members that round k-1 derived.
-            support = [set(snap) for snap in report.support_history]
-            for k, d1, d2 in calls:
-                if k > 1:
-                    new = support[k - 1] - support[k - 2]
-                    assert d1 in new or d2 in new
-                    later_rounds += 1
-        assert later_rounds > 40 and resolved > 500
+        # Each untraced round resolves exactly the unblocked attempts of the
+        # nested loops that skip the pairs of two members outside `fresh`.
+        total = later_rounds = 0
+        for fold, k, base, new_side, seen, fresh, count in rounds:
+            events, _ = nested_loop_round(base, new_side, seen, fresh, k)
+            assert count == sum(e.outcome != "blocked" for e in events), (fold, k)
+            total += count
+            later_rounds += count if fold and k > 1 else 0
+        assert later_rounds > 40 and total > 500
         # Untraced, a duplicate is never built: each resolvent built is
         # admitted, and in the order it was built.
         assert len(built) == len(admitted) > 500
@@ -506,24 +498,25 @@ class TestResolventsBuilt:
     411."""
 
     @staticmethod
-    def counted(monkeypatch):
-        """A counter of the engine's `Clause` builds and admissions."""
+    def built(monkeypatch):
+        """Lists of the `Clause`s the engine builds and of those it admits,
+        each in order."""
         engine = importlib.import_module("pikit.consensus")
         real_clause, real_next = engine.Clause, engine._Rounds.next
-        counts = collections.Counter()
+        built, admitted = [], []
 
-        def built(*args):
-            counts["built"] += 1
-            return real_clause(*args)
+        def build(*args):
+            built.append(real_clause(*args))
+            return built[-1]
 
         def next_spy(self, *args):
             added = real_next(self, *args)
-            counts["admitted"] += len(added)
+            admitted.extend(added)
             return added
 
-        monkeypatch.setattr(engine, "Clause", built)
+        monkeypatch.setattr(engine, "Clause", build)
         monkeypatch.setattr(engine._Rounds, "next", next_spy)
-        return counts
+        return built, admitted
 
     @staticmethod
     def fold_streams(monkeypatch):
@@ -533,34 +526,35 @@ class TestResolventsBuilt:
         return workloads.FoAddStream(pikit, workloads.FULL["fo-add-stream"])
 
     def test_an_untraced_closure_builds_one_resolvent_per_admission(self, monkeypatch):
-        counts = self.counted(monkeypatch)
+        built, admitted = self.built(monkeypatch)
         for seed in range(500):
             consensus_closure(ClauseSet(gen_kb(GenConfig(seed=seed, **FO_CFG))))
-        assert counts == {"built": 3283, "admitted": 3283}
+        assert (len(built), len(admitted)) == (3283, 3283)
 
     def test_an_untraced_fold_pass_builds_one_resolvent_per_admission(self, monkeypatch):
         streams = self.fold_streams(monkeypatch)
-        counts = self.counted(monkeypatch)
+        built, admitted = self.built(monkeypatch)
         streams.run_pass(streams.ops)
-        assert counts == {"built": 396, "admitted": 396}
+        assert (len(built), len(admitted)) == (396, 396)
 
     def test_a_traced_run_builds_one_resolvent_per_added_or_duplicate_event(self, monkeypatch):
         streams = self.fold_streams(monkeypatch)
-        counts = self.counted(monkeypatch)
+        built, admitted = self.built(monkeypatch)
         events = collections.Counter()
 
         def trace(event):
             events[event.outcome] += 1
 
         streams.run_pass(streams.ops, trace)
-        assert (counts["built"], events["added"], events["duplicate"]) == (703, 396, 307)
-        assert counts["admitted"] == events["added"]
-        counts.clear()
+        assert (len(built), events["added"], events["duplicate"]) == (703, 396, 307)
+        assert len(admitted) == events["added"]
+        built.clear()
+        admitted.clear()
         events.clear()
         for seed in range(100):
             consensus_closure(ClauseSet(gen_kb(GenConfig(seed=seed, **FO_CFG))), trace=trace)
-        assert (counts["built"], events["added"], events["duplicate"]) == (936, 376, 560)
-        assert counts["admitted"] == events["added"]
+        assert (len(built), events["added"], events["duplicate"]) == (936, 376, 560)
+        assert len(admitted) == events["added"]
 
 
 def _count_decisions(monkeypatch):

@@ -158,6 +158,17 @@ class TestNodes:
                 delattr(node, name)
         assert node.text == text and node == built_nodes()[at]
 
+    def test_a_substitution_cannot_be_changed_and_copies_to_itself(self):
+        sub = Substitution({"X": a})
+        for name in ("_bindings", "other"):
+            with pytest.raises(AttributeError):
+                setattr(sub, name, {})
+            with pytest.raises(AttributeError):
+                delattr(sub, name)
+        assert str(sub) == "{X->a}" and Substitution({"X": a}) is sub
+        for twin in (copy.copy(sub), copy.deepcopy(sub), pickle.loads(pickle.dumps(sub))):
+            assert twin is sub
+
     @pytest.mark.parametrize("at", range(3))
     def test_a_copied_or_unpickled_node_equals_the_original(self, at):
         node = built_nodes()[at]
